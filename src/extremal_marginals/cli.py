@@ -40,7 +40,7 @@ from .families import (
     sigma_marginal,
     sigma_rank2,
 )
-from .linalg import partial_transpose, rank, vec
+from .linalg import partial_transpose, rank
 from .reductions import adjoint_duality_check, diagonalize_marginals, restrict_to_support
 from .separability import ppt, separability_verdict
 
@@ -213,7 +213,11 @@ def cmd_verify(
         cert.valid_marginals,
         f"max residual {cert.marginal_residual:.3e}",
     )
-    report.check("extremal", cert.extremal, f"gram rank {cert.gram_rank.rank}/{cert.gram_size}")
+    report.check(
+        "extremal",
+        cert.extremal,
+        f"span rank {cert.gram_rank.rank}/{cert.gram_size} ({cert.gram_rank.engine})",
+    )
     report.check("choi-rank", cr.rank == expected_rank, f"got {cr.rank}, expected {expected_rank}")
     if assert_separable:
         report.check("separable", verdict.conclusion == "separable", verdict.conclusion)
@@ -395,15 +399,7 @@ def _proptest_span(rng: np.random.Generator, count: int) -> tuple[int, int]:
             int(rng.integers(1, 4)),
             int(rng.integers(1, 4)),
         )
-        spans = []
-        for i in range(f.r):
-            for j in range(f.r):
-                p = f.ops[i].conj().T @ f.ops[j]
-                q = f.ops[j] @ f.ops[i].conj().T
-                spans.append(np.concatenate([vec(p), vec(q)]))
-        span_rank = rank(np.array(spans)).rank
-        gram_rank = rank(block_gram(f)).rank
-        ok += span_rank == gram_rank
+        ok += is_extremal(f).gram_rank.rank == rank(block_gram(f)).rank
     return ok, count
 
 
@@ -455,7 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="mode",
         help="force floating-point arithmetic",
     )
-    common.add_argument("--tol", type=float, help="numerical rank threshold override")
+    common.add_argument(
+        "--tol",
+        type=float,
+        help="numerical rank threshold override, applied to the singular values of the "
+        "block-vector span (the square roots of the block Gram's) and of the vectorized "
+        "Kraus operators (Choi rank)",
+    )
     common.add_argument("--seed", type=int, help="seed for randomized subcommands")
     common.add_argument(
         "--max-dim",

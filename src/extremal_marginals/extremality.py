@@ -1,17 +1,21 @@
-"""Extremality certificates via the block Gram matrix, and the rank bound.
+"""Extremality certificates via the block vectors, and the rank bound.
 
 A family {K_i} of r operators is an extreme point of the set of completely
 positive maps with its marginals if and only if the r^2 block matrices
-diag(K_i^dagger K_j, K_j K_i^dagger) are linearly independent. Linear
-independence is decided through the conjugate Gram matrix
+diag(K_i^dagger K_j, K_j K_i^dagger) are linearly independent. Each block is
+flattened to a row of length d_in^2 + d_out^2, row (i-1)r + j, and the
+family is extremal iff this r^2-row span matrix has rank r^2.
+
+The span is ranked directly, never through its Gram matrix: in exact mode
+the integer rows go to the mod-p certificate of :func:`linalg.rank`, and in
+numerical mode the SVD sees the span's own singular values, whose squares
+are the Gram's, so the conditioning is not squared. The conjugate Gram
 
     G[(i,j),(k,l)] = tr((K_i^dagger K_j)^dagger (K_k^dagger K_l))
                    + tr((K_j K_i^dagger)^dagger (K_l K_k^dagger))
 
-indexed by (i-1)r + j: the family is extremal iff rank(G) = r^2. Conjugate
-pairing is used throughout because over the complex field the rank of the
-conjugate Gram equals the span dimension; for real families it coincides
-with the plain-transpose pairing.
+has the same rank as the span and is kept as :func:`block_gram`, an oracle
+for tests and the CLI's cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, MarginalPair, marginals
-from .linalg import RankResult, rank
+from .linalg import RankResult, integer_entries, rank
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -36,17 +40,24 @@ __all__ = [
 
 MARGINAL_ATOL = 1e-9
 BORDERLINE_GAP_RATIO = 10.0
+# Integer block vectors are built in int64 while max|e|^2 * max(d_in, d_out),
+# a bound on every entry of K_i^dagger K_j and K_j K_i^dagger, stays below this.
+_INT64_PRODUCT_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
 class ExtremalityCertificate:
-    """Verdict record for the block-Gram extremality test.
+    """Verdict record for the block-vector extremality test.
 
-    ``extremal`` holds exactly when the Gram rank reaches r^2. A certificate
-    is ``borderline`` when the numerical singular-value gap around the rank
-    threshold is thinner than a factor of 10; ``valid_marginals`` is False
-    when the computed marginals miss the declared targets, which does not
-    change the extremality verdict (the Gram test is marginal-independent).
+    ``extremal`` holds exactly when the span rank reaches r^2. The rank is
+    kept under the ``gram_rank``/``gram_size`` names because it equals the
+    rank of the block Gram. A certificate is ``borderline`` when the
+    numerical singular-value gap around the rank threshold is thinner than a
+    factor of 10 (on the discarded side only for a caller-set ``tol``, since
+    under the default threshold a discarded value is rounding noise);
+    ``valid_marginals`` is False when the computed marginals miss the
+    declared targets, which does not change the extremality verdict (the
+    span test is marginal-independent).
     """
 
     r: int
@@ -105,13 +116,39 @@ def _block_vectors(ops: tuple[np.ndarray, ...], dtype: type) -> np.ndarray:
     return x
 
 
-def _is_borderline(rr: RankResult) -> bool:
+def _span(f: KrausFamily, exact: bool) -> np.ndarray:
+    """The r^2 block vectors as rows, in the cheapest exact or float dtype.
+
+    Exact: each operator is scaled to integers by the lcm of its own
+    denominators, which multiplies row (i, j) by c_i c_j and so keeps the
+    rank. Numerical: real float64 when every operator is real, else complex.
+    """
+    if exact:
+        if f.exact_ops is None:
+            raise ValueError("family carries no certified rational operators")
+        ops = [
+            np.array(integer_entries(e.flat), dtype=object).reshape(e.shape) for e in f.exact_ops
+        ]
+        big = max(abs(x) for e in ops for x in e.flat)
+        if big * big * max(f.d_in, f.d_out) < _INT64_PRODUCT_LIMIT:
+            return _block_vectors([e.astype(np.int64) for e in ops], np.int64)
+        return _block_vectors(ops, object)
+    if any(k.imag.any() for k in f.ops):
+        return _block_vectors(f.ops, complex)
+    return _block_vectors([k.real for k in f.ops], float)
+
+
+def _is_borderline(rr: RankResult, tol: float | None) -> bool:
     if rr.mode != "numerical":
         return False
     if rr.rank > 0 and rr.threshold:
         if rr.smallest_kept_singular_value / rr.threshold < BORDERLINE_GAP_RATIO:
             return True
-    if rr.largest_discarded_singular_value and rr.threshold:
+    # Below the default threshold, max(rows, cols) * eps * sigma_max, a
+    # singular value is rounding noise of the SVD, so only a caller's tol can
+    # sit just above a real one. On a span with a few rows that noise is
+    # within 10x of the default threshold.
+    if tol is not None and rr.largest_discarded_singular_value and rr.threshold:
         if rr.threshold / rr.largest_discarded_singular_value < BORDERLINE_GAP_RATIO:
             return True
     return False
@@ -123,17 +160,18 @@ def is_extremal(
     mode: str | None = None,
     tol: float | None = None,
 ) -> ExtremalityCertificate:
-    """Run the block-Gram extremality test and assemble a certificate.
+    """Rank the r^2 block vectors and assemble a certificate.
 
     ``mode`` forces 'exact' or 'numerical'; by default the exact path is used
-    whenever the family is certified rational. When ``targets`` is given the
-    computed marginals are checked against it and the residual recorded.
+    whenever the family is certified rational. In numerical mode ``tol``
+    thresholds the singular values of the span itself (the square roots of
+    the block Gram's). When ``targets`` is given the computed marginals are
+    checked against it and the residual recorded.
     """
     if mode not in (None, "exact", "numerical"):
         raise ValueError("mode must be None, 'exact' or 'numerical'")
     use_exact = f.exact_ops is not None if mode is None else mode == "exact"
-    g = block_gram(f, exact=use_exact)
-    rr = rank(g, mode="exact" if use_exact else "numerical", tol=tol)
+    rr = rank(_span(f, use_exact), mode="exact" if use_exact else "numerical", tol=tol)
     residual = 0.0
     if targets is not None:
         mp = marginals(f)
@@ -148,7 +186,7 @@ def is_extremal(
         extremal=rr.rank == f.r * f.r,
         marginal_residual=residual,
         mode=rr.mode,
-        borderline=_is_borderline(rr),
+        borderline=_is_borderline(rr, tol),
         valid_marginals=residual <= MARGINAL_ATOL,
     )
 

@@ -2,8 +2,9 @@
 
 Partial trace and partial transpose over a bipartite splitting, Hermitian
 eigenvalues, and matrix rank in two modes: floating-point SVD against an
-explicit singular-value threshold, and exact fraction-free elimination for
-matrices that are rational by construction.
+explicit singular-value threshold, and, for matrices that are rational by
+construction, exact rank by elimination modulo a prime with fraction-free
+elimination over the integers to confirm a deficient rank.
 
 Conventions, fixed package-wide:
 
@@ -16,17 +17,23 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+# Largest prime below 2^31: residues are < 2^31, so a product of two is
+# < 2^62 and modular elimination never overflows int64.
+RANK_PRIME = 2**31 - 1
 
 __all__ = [
     "HERMITIAN_ATOL",
+    "RANK_PRIME",
     "RankResult",
     "direct_sum",
+    "integer_entries",
     "is_hermitian",
     "matrix_from_json",
     "matrix_to_json",
@@ -121,14 +128,18 @@ class RankResult:
 
     In numerical mode the gap data (smallest kept and largest discarded
     singular value against the threshold) makes borderline calls auditable.
-    Exact mode carries no singular-value data.
+    Exact mode carries no singular-value data. ``engine`` names what
+    decided the rank: "svd" (numerical), "mod-p" (exact, full rank modulo
+    ``prime``) or "bareiss" (exact elimination over the integers).
     """
 
     rank: int
     mode: str
+    engine: str
     smallest_kept_singular_value: float | None = None
     threshold: float | None = None
     largest_discarded_singular_value: float | None = None
+    prime: int | None = None
 
     @property
     def gap_ratio(self) -> float | None:
@@ -143,6 +154,8 @@ class RankResult:
         return {
             "rank": int(self.rank),
             "mode": self.mode,
+            "engine": self.engine,
+            "prime": self.prime,
             "smallest_kept_singular_value": self.smallest_kept_singular_value,
             "threshold": self.threshold,
             "largest_discarded_singular_value": self.largest_discarded_singular_value,
@@ -177,26 +190,66 @@ def _to_fraction(x: object) -> Fraction:
     raise ValueError(f"entry {x!r} is not certified rational")
 
 
-def _exact_integer_rows(m: np.ndarray) -> list[list[int]]:
-    """Convert a certified-rational matrix to integer rows (rank-preserving).
+def integer_entries(entries: Iterable[object]) -> list[int]:
+    """The entries times the lcm of their denominators, as Python ints.
 
-    Each row is scaled by the lcm of its denominators; floating-point input
-    is rejected because it is not certified rational.
+    Integers pass through unchanged. Callers scale a whole row or a whole
+    operator this way, which keeps every rank it enters; floating-point
+    input is rejected because it is not certified rational.
     """
+    items = list(entries)
+    if all(isinstance(x, (int, np.integer)) for x in items):
+        return [int(x) for x in items]
+    fracs = [_to_fraction(x) for x in items]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
+
+
+def _integer_matrix(m: np.ndarray) -> np.ndarray:
+    """An integer matrix of the same rank: numpy integers as int64, other
+    certified-rational input as Python ints with each row scaled to clear
+    its denominators."""
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError("rank expects a 2-d matrix")
-    if a.dtype == object:
-        rows = [[_to_fraction(x) for x in row] for row in a]
-    elif np.issubdtype(a.dtype, np.integer):
-        rows = [[Fraction(int(x)) for x in row] for row in a]
-    else:
+    if np.issubdtype(a.dtype, np.integer):
+        return a.astype(np.int64) if np.can_cast(a.dtype, np.int64) else a.astype(object)
+    if a.dtype != object:
         raise ValueError("exact rank requires integer or Fraction entries, not floating point")
-    out: list[list[int]] = []
-    for row in rows:
-        den = math.lcm(*(f.denominator for f in row))
-        out.append([int(f * den) for f in row])
+    out = np.empty(a.shape, dtype=object)
+    for i, row in enumerate(a):
+        out[i, :] = integer_entries(row)
     return out
+
+
+def _rank_mod_p(a: np.ndarray) -> int:
+    """Rank over GF(RANK_PRIME) by row elimination on int64 residues in [0, p).
+
+    Every product is of two residues, so it stays below 2^62 and int64
+    arithmetic is exact. Only rows with a nonzero entry in the pivot column
+    are updated, which keeps sparse inputs cheap.
+    """
+    a = a.copy()
+    n_rows, n_cols = a.shape
+    row = 0
+    for col in range(n_cols):
+        if row == n_rows:
+            break
+        nz = np.flatnonzero(a[row:, col])
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        below = row + nz[1:]
+        if below.size:
+            inv = pow(int(a[row, col]), RANK_PRIME - 2, RANK_PRIME)
+            factors = a[below, col] * inv % RANK_PRIME
+            a[below, col + 1 :] = (
+                a[below, col + 1 :] - np.outer(factors, a[row, col + 1 :])
+            ) % RANK_PRIME
+        row += 1
+    return row
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -236,22 +289,32 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 
 
 def _as_float_matrix(m: np.ndarray) -> np.ndarray:
+    """float64 for real input, complex128 otherwise; real SVD is the cheaper one."""
     a = np.asarray(m)
     if a.dtype == object:
         return np.array([[complex(float(x)) for x in row] for row in a], dtype=complex)
-    return a.astype(complex)
+    return a.astype(complex if np.iscomplexobj(a) else float)
 
 
 def rank(m: np.ndarray, mode: str = "numerical", tol: float | None = None) -> RankResult:
     """Matrix rank.
 
     numerical: count of singular values strictly above the threshold, which
-    is ``tol`` when given and otherwise max(rows, cols) * eps * sigma_max.
-    exact: fraction-free Gaussian elimination; requires entries that are
-    integers or Fractions by construction.
+    is ``tol`` when given and otherwise max(rows, cols) * eps * sigma_max;
+    the SVD runs in real arithmetic when the input is real.
+    exact: requires entries that are integers or Fractions by construction.
+    The integer matrix is first ranked mod RANK_PRIME; a full rank there is
+    a full rank over the rationals (a nonzero minor mod p is a nonzero
+    integer), so it is returned as is. A deficient rank mod p may be an
+    artefact of the prime, so it is settled by fraction-free (Bareiss)
+    elimination over the integers.
     """
     if mode == "exact":
-        return RankResult(rank=_bareiss_rank(_exact_integer_rows(m)), mode="exact")
+        a = _integer_matrix(m)
+        k = _rank_mod_p((a % RANK_PRIME).astype(np.int64))
+        if k == min(a.shape):
+            return RankResult(rank=k, mode="exact", engine="mod-p", prime=RANK_PRIME)
+        return RankResult(rank=_bareiss_rank(a.tolist()), mode="exact", engine="bareiss")
     if mode != "numerical":
         raise ValueError("mode must be 'exact' or 'numerical'")
     if np.asarray(m).ndim != 2:
@@ -267,6 +330,7 @@ def rank(m: np.ndarray, mode: str = "numerical", tol: float | None = None) -> Ra
     return RankResult(
         rank=int(kept.size),
         mode="numerical",
+        engine="svd",
         smallest_kept_singular_value=float(kept[-1]) if kept.size else None,
         threshold=threshold,
         largest_discarded_singular_value=float(discarded[0]) if discarded.size else None,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from extremal_marginals import block_gram, sigma_rank2
+from extremal_marginals import sigma_rank2
 from extremal_marginals.cli import (
     EXIT_BORDERLINE,
     EXIT_FAIL,
@@ -15,6 +15,7 @@ from extremal_marginals.cli import (
     cmd_verify,
     main,
 )
+from extremal_marginals.extremality import _block_vectors
 
 
 def run(capsys, *argv):
@@ -31,6 +32,10 @@ class TestVerify:
         cert = report["certificates"][0]
         assert cert["extremal"] and cert["mode"] == "exact"
         assert cert["gram_rank"]["rank"] == 25
+        assert cert["gram_rank"]["engine"] == "mod-p"
+        assert cert["gram_rank"]["prime"] == 2**31 - 1
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["extremal"]["detail"] == "span rank 25/25 (mod-p)"
         assert report["verdicts"][0]["conclusion"] == "separable"
         assert report["verdicts"][0]["choi_rank"] == 5
 
@@ -68,8 +73,9 @@ class TestVerify:
         assert not report["passed"]
 
     def test_borderline_exit(self, capsys):
-        g = block_gram(sigma_rank2())
-        smallest = np.linalg.svd(g, compute_uv=False).min()
+        # --tol thresholds the singular values of the block-vector span
+        span = _block_vectors(sigma_rank2().ops, complex)
+        smallest = np.linalg.svd(span, compute_uv=False).min()
         code, report = run(
             capsys, "verify", "sigma2", "--numerical", "--tol", str(smallest / 5)
         )

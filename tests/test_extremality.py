@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from extremal_marginals import (
     parthasarathy_bound,
     random_family,
     rank,
+    rank8k_6k,
     shift_family,
     shift_operators,
     shift_targets,
@@ -42,6 +45,14 @@ def unscaled_shift_family(d, m):
         ops=tuple(e.astype(float) for e in exact),
         exact_ops=tuple(exact),
     )
+
+
+def kraus_basis_change_family():
+    """shift_family(3, 2) with K_1 -> K_0 + 1e-4 K_1: an invertible change of
+    Kraus basis, so still extremal, with a span gap ratio of ~1e5."""
+    ops = list(shift_family(3, 2).ops)
+    ops[1] = ops[0] + 1e-4 * ops[1]
+    return KrausFamily(d_in=3, d_out=5, ops=tuple(ops))
 
 
 class TestBlockGram:
@@ -101,6 +112,55 @@ class TestIsExtremal:
         cert = is_extremal(e_basis_family())
         assert not cert.extremal
         assert cert.gram_rank.rank < 16
+
+    def test_kraus_basis_change_stays_extremal_numerically(self):
+        # Ranking the Gram squared the conditioning and reported a confident 24/25.
+        cert = is_extremal(kraus_basis_change_family(), mode="numerical")
+        assert cert.gram_rank.rank == 25
+        assert cert.extremal
+        assert not cert.borderline
+
+    def test_noise_below_default_threshold_is_not_borderline(self):
+        # 1x1 operators: the 4 x 2 span has rank 1 and a second singular
+        # value of ~1e-16, within 10x of the default threshold.
+        ops = (np.array([[1.0]]) / np.sqrt(5), np.array([[2.0]]) / np.sqrt(5))
+        cert = is_extremal(KrausFamily(d_in=1, d_out=1, ops=ops), mode="numerical")
+        assert cert.gram_rank.rank == 1
+        assert cert.gram_rank.largest_discarded_singular_value > cert.gram_rank.threshold / 10
+        assert not cert.borderline
+
+    def test_tol_just_above_a_singular_value_is_borderline(self):
+        # The smallest singular value is ~1e4 below the next one, so only the
+        # discarded side of the gap is thin.
+        f = kraus_basis_change_family()
+        smallest = is_extremal(f, mode="numerical").gram_rank.smallest_kept_singular_value
+        cert = is_extremal(f, mode="numerical", tol=1.05 * smallest)
+        assert cert.gram_rank.rank == 24
+        assert cert.gram_rank.gap_ratio > 10
+        assert cert.borderline
+
+    def test_rank_engine_per_path(self):
+        assert is_extremal(shift_family(4, 4)).gram_rank.engine == "mod-p"
+        assert is_extremal(e_basis_family()).gram_rank.engine == "bareiss"
+        assert is_extremal(rank8k_6k(3)).gram_rank.engine == "svd"
+
+    def test_exact_span_rank_equals_exact_gram_rank(self, rng):
+        """Seeded sparse integer families, and copies whose operators carry
+        different denominators (so each is scaled by its own lcm)."""
+        for _ in range(40):
+            d_in, d_out, r = (int(x) for x in rng.integers(1, 4, size=3))
+            shape = (r, d_out, d_in)
+            mats = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.5)
+            if not mats.any():
+                continue
+            for dens in ([1] * r, [i + 2 for i in range(r)]):
+                exact = tuple(
+                    np.array([[Fraction(int(x), den) for x in row] for row in m], dtype=object)
+                    for m, den in zip(mats, dens)
+                )
+                ops = tuple(m / den for m, den in zip(mats, dens))
+                f = KrausFamily(d_in=d_in, d_out=d_out, ops=ops, exact_ops=exact)
+                assert is_extremal(f).gram_rank.rank == rank(block_gram(f), mode="exact").rank
 
     def test_ohno4_extremal_numerical(self):
         cert = is_extremal(ohno_rank4())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extremal_marginals import (
+    KrausFamily,
     choi,
     matrix_from_json,
     matrix_to_json,
@@ -15,6 +16,8 @@ from extremal_marginals import (
     shift_family,
     vec,
 )
+from extremal_marginals.extremality import _span, is_extremal
+from extremal_marginals.linalg import RANK_PRIME, _bareiss_rank
 from conftest import random_density
 
 
@@ -172,6 +175,46 @@ class TestRank:
         repeated = np.vstack([zero_col, zero_col, [[0, 0, 0]]])
         for m in (zero_col, big, repeated, np.zeros((3, 5), dtype=int)):
             assert rank(m, mode="exact").rank == fraction_elimination_rank(m)
+
+
+class TestExactRankEngine:
+    def test_singular_mod_p_falls_back_to_bareiss(self):
+        rr = rank(np.diag([1, RANK_PRIME]), mode="exact")
+        assert rr.rank == 2
+        assert rr.engine == "bareiss"
+        assert rr.prime is None
+
+    def test_full_rank_mod_p_is_the_certificate(self):
+        rr = rank(np.diag([1, RANK_PRIME + 1]), mode="exact")
+        assert (rr.rank, rr.engine, rr.prime) == (2, "mod-p", RANK_PRIME)
+        assert rr.to_json()["engine"] == "mod-p"
+        assert rr.to_json()["prime"] == RANK_PRIME
+
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_large_entries_take_the_python_int_path(self, rng, deficient):
+        # (3 * 2^40)^2 * 3 exceeds 2^62, so the block vectors cannot be int64.
+        mats = [3 * 2**40 + rng.integers(-9, 10, size=(3, 2)) for _ in range(3)]
+        if deficient:
+            mats[2] = mats[0] + mats[1]
+        exact = tuple(np.array(m.tolist(), dtype=object) for m in mats)
+        f = KrausFamily(d_in=2, d_out=3, ops=tuple(m.astype(float) for m in mats), exact_ops=exact)
+        span = _span(f, exact=True)
+        assert span.dtype == object
+        rr = is_extremal(f).gram_rank
+        assert rr.rank == _bareiss_rank(span.tolist())
+        assert rr.engine == ("bareiss" if deficient else "mod-p")
+
+    def test_agrees_with_bareiss_on_seeded_integers(self, rng):
+        for _ in range(200):
+            rows, cols = (int(x) for x in rng.integers(1, 15, size=2))
+            k = int(rng.integers(0, min(rows, cols) + 1))
+            m = rng.integers(-4, 5, size=(rows, k)) @ rng.integers(-4, 5, size=(k, cols))
+            if rng.random() < 0.2:
+                m[int(rng.integers(rows))] *= RANK_PRIME
+            rr = rank(m, mode="exact")
+            assert rr.rank == _bareiss_rank(m.tolist())
+            if rr.rank < min(rows, cols):
+                assert rr.engine == "bareiss"
 
 
 class TestMinEigenvalue:
