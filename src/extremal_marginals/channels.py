@@ -75,6 +75,8 @@ class KrausFamily:
                     f"operator shape {k.shape} does not match d_out x d_in = "
                     f"({self.d_out}, {self.d_in})"
                 )
+            if not np.isfinite(k).all():
+                raise ValueError("operator entries must be finite (no NaN or inf)")
             k.setflags(write=False)
         object.__setattr__(self, "ops", ops)
         if self.exact_ops is not None:
@@ -179,13 +181,12 @@ def _exact_sum(mats: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def choi(f: KrausFamily) -> np.ndarray:
-    """Choi matrix C = sum_{r,s} E_rs (x) Phi(E_rs) = sum_i |vec K_i><vec K_i|."""
-    n = f.d_in * f.d_out
-    c = np.zeros((n, n), dtype=complex)
-    for k in f.ops:
-        v = vec(k)
-        c += np.outer(v, v.conj())
-    return c
+    """Choi matrix C = sum_{r,s} E_rs (x) Phi(E_rs) = sum_i |vec K_i><vec K_i|.
+
+    The sum is one product V^T conj(V), where row i of V is vec K_i.
+    """
+    v = np.stack([vec(k) for k in f.ops])
+    return v.T @ v.conj()
 
 
 def choi_rank(f: KrausFamily, tol: float | None = None) -> RankResult:

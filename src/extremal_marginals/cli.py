@@ -517,9 +517,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = json.dumps(report.to_json(), indent=2)
-    print(text)
     if args.json:
-        Path(args.json).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.json).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --json {args.json}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    print(text)
     for line in _summary(report):
         print(line, file=sys.stderr)
     if not report.passed:

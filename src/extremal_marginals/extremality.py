@@ -103,17 +103,15 @@ def block_gram(f: KrausFamily, exact: bool | None = None) -> np.ndarray:
 
 
 def _block_vectors(ops: tuple[np.ndarray, ...], dtype: type) -> np.ndarray:
-    r = len(ops)
-    d_out, d_in = ops[0].shape
-    adjoints = [np.conjugate(k).T for k in ops]
-    x = np.empty((r * r, d_in * d_in + d_out * d_out), dtype=dtype)
-    for i in range(r):
-        for j in range(r):
-            p = adjoints[i] @ ops[j]
-            q = ops[j] @ adjoints[i]
-            x[i * r + j, : d_in * d_in] = p.reshape(-1)
-            x[i * r + j, d_in * d_in :] = q.reshape(-1)
-    return x
+    """Row i*r + j is K_i^dagger K_j followed by K_j K_i^dagger, each flattened
+    row-major; all r^2 products come from two stacked matmuls."""
+    k = np.stack(ops)
+    r = k.shape[0]
+    adj = np.conjugate(k).transpose(0, 2, 1)
+    p = adj[:, None] @ k[None, :]
+    q = k[None, :] @ adj[:, None]
+    x = np.concatenate([p.reshape(r * r, -1), q.reshape(r * r, -1)], axis=1)
+    return x.astype(dtype, copy=False)
 
 
 def _span(f: KrausFamily, exact: bool) -> np.ndarray:

@@ -69,6 +69,13 @@ class TestKrausFamily:
         with pytest.raises(ValueError):
             KrausFamily(d_in=2, d_out=2, ops=(np.eye(2),), exact_ops=(bad,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_operators(self, bad):
+        k = np.eye(2, dtype=complex) / 2
+        k[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KrausFamily(d_in=2, d_out=2, ops=(np.eye(2) / 2, k))
+
 
 class TestApply:
     def test_identity_family_halves(self, rng):
@@ -160,6 +167,12 @@ class TestChoi:
         assert np.abs(partial_trace(c, 3, 4, "second") - mp.rho1).max() <= 1e-12
         assert np.abs(partial_trace(c, 3, 4, "first") - mp.rho2).max() <= 1e-12
         assert min_eigenvalue(c) >= -1e-10
+
+    def test_single_product_equals_sum_of_outer_products(self, rng):
+        for f in (random_family(rng, 3, 4, 5), random_family(rng, 4, 2, 7), ohno_rank_d(6)):
+            outer = sum(np.outer(vec(k), vec(k).conj()) for k in f.ops)
+            # entries are at most 1 in modulus: r products and r - 1 sums of rounding
+            assert np.abs(choi(f) - outer).max() <= 4 * f.r * np.finfo(float).eps
 
 
 class TestChoiRank:

@@ -96,6 +96,25 @@ class TestVerify:
         on_disk = json.loads(path.read_text())
         assert on_disk == report
 
+    def test_unwritable_json_path_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        assert main(["verify", "paper", "3", "2", "--json", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not path.exists()
+
+    def test_report_counts_ranked_blocks(self, capsys):
+        code, report = run(capsys, "verify", "ohno-d", "12")
+        assert code == EXIT_PASS
+        cert = report["certificates"][0]
+        # the 144 x 288 span falls apart into 133 independent blocks
+        assert cert["gram_rank"]["blocks"] == 133
+        assert cert["gram_rank"]["rank"] == 144
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["extremal"]["detail"] == "span rank 144/144 (svd)"
+
 
 class TestTable:
     def test_small_grid(self, capsys):

@@ -22,6 +22,7 @@ from extremal_marginals import (
     shift_targets,
     sigma_rank2,
 )
+from extremal_marginals.extremality import _block_vectors
 from conftest import random_unitary
 
 
@@ -244,3 +245,36 @@ class TestSpanOracle:
                             blocks.append(direct_sum(p, q).reshape(-1))
                     span_rank = rank(np.array(blocks)).rank
                     assert span_rank == rank(block_gram(f)).rank
+
+
+class TestBatchedSpan:
+    """_block_vectors builds all r^2 rows with stacked matmuls; it must equal
+    the per-pair definition entry for entry."""
+
+    @staticmethod
+    def per_pair(ops, dtype):
+        r = len(ops)
+        rows = []
+        for i in range(r):
+            for j in range(r):
+                p = np.conjugate(ops[i]).T @ ops[j]
+                q = ops[j] @ np.conjugate(ops[i]).T
+                rows.append(list(p.reshape(-1)) + list(q.reshape(-1)))
+        return np.array(rows, dtype=dtype)
+
+    def test_seeded_complex_family(self, rng):
+        f = random_family(rng, 3, 4, 5)
+        batched = _block_vectors(f.ops, complex)
+        assert batched.dtype == complex
+        assert np.array_equal(batched, self.per_pair(f.ops, complex))
+
+    def test_python_int_operators(self, rng):
+        # entries near 3 * 2^40 overflow int64 products, so they stay Python ints
+        ops = [
+            np.array((3 * 2**40 + rng.integers(-9, 10, size=(3, 2))).tolist(), dtype=object)
+            for _ in range(3)
+        ]
+        batched = _block_vectors(ops, object)
+        assert batched.dtype == object
+        assert np.array_equal(batched, self.per_pair(ops, object))
+        assert all(isinstance(x, int) for x in batched.flat)

@@ -6,18 +6,26 @@ import pytest
 from extremal_marginals import (
     KrausFamily,
     choi,
+    direct_sum,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
+    ohno_rank_d,
     rank,
+    rank8k_6k,
     rational_matrix,
     shift_family,
     vec,
 )
 from extremal_marginals.extremality import _span, is_extremal
-from extremal_marginals.linalg import RANK_PRIME, _bareiss_rank
+from extremal_marginals.linalg import (
+    _SPLIT_MIN_SIDE,
+    RANK_PRIME,
+    _bareiss_rank,
+    _singular_values,
+)
 from conftest import random_density
 
 
@@ -228,6 +236,122 @@ class TestMinEigenvalue:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def planted_block_diagonal(rng, shapes, ranks, zero_rows=3, zero_cols=4):
+    """A randomly permuted direct sum of integer blocks of the given shapes and
+    ranks, plus zero rows and columns; returns the matrix and its rank."""
+    blocks = [
+        rng.integers(-3, 4, size=(p, k)) @ rng.integers(-3, 4, size=(k, q))
+        for (p, q), k in zip(shapes, ranks)
+    ]
+    # enough zero rows and columns that the matrix is not under the crossover
+    n_rows = max(sum(p for p, _ in shapes) + zero_rows, _SPLIT_MIN_SIDE)
+    n_cols = max(sum(q for _, q in shapes) + zero_cols, _SPLIT_MIN_SIDE)
+    m = np.zeros((n_rows, n_cols), dtype=np.int64)
+    r0 = c0 = 0
+    for b in blocks:
+        m[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    m = m[rng.permutation(n_rows)][:, rng.permutation(n_cols)]
+    return m, sum(_bareiss_rank(b.tolist()) for b in blocks)
+
+
+class TestBlockSplit:
+    """Rank and minimum eigenvalue split a matrix into the connected
+    components of its nonzero pattern; the split must change no verdict."""
+
+    def test_exact_rank_of_planted_blocks(self, rng):
+        for _ in range(20):
+            count = int(rng.integers(4, 9))
+            shapes = [tuple(int(x) for x in rng.integers(1, 12, size=2)) for _ in range(count)]
+            # planted ranks from 0 to full, so most blocks are deficient
+            ranks = [int(rng.integers(0, min(p, q) + 1)) for p, q in shapes]
+            m, planted = planted_block_diagonal(rng, shapes, ranks)
+            rr = rank(m, mode="exact")
+            assert rr.rank == _bareiss_rank(m.tolist()) == planted
+            assert rr.blocks > 1
+            assert rank(m.astype(object), mode="exact").rank == planted
+
+    def test_exact_engine_names_the_deficient_block(self, rng):
+        shapes = [(12, 14)] * 5
+        m, planted = planted_block_diagonal(rng, shapes, [12] * 5)
+        rr = rank(m, mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (60, "mod-p", RANK_PRIME, 5)
+        # a block that is singular mod p but not over the integers goes to Bareiss
+        m[np.flatnonzero(m.any(axis=1))[0]] *= RANK_PRIME
+        rr = rank(m, mode="exact")
+        assert (rr.rank, rr.engine, rr.prime) == (60, "bareiss", None)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_numerical_rank_of_planted_blocks(self, rng, complex_entries):
+        for _ in range(20):
+            count = int(rng.integers(4, 9))
+            shapes = [tuple(int(x) for x in rng.integers(4, 14, size=2)) for _ in range(count)]
+            ranks = [int(rng.integers(1, min(p, q) + 1)) for p, q in shapes]
+            m, planted = planted_block_diagonal(rng, shapes, ranks)
+            a = m * rng.standard_normal(m.shape)
+            if complex_entries:
+                a = a + 1j * m * rng.standard_normal(m.shape)
+            a = a @ np.diag(1 + rng.random(m.shape[1]))
+            dense = np.linalg.svd(a, compute_uv=False)
+            s, blocks = _singular_values(a)
+            assert blocks > 1
+            assert s.shape == dense.shape
+            assert np.abs(s - dense).max() <= 1e-13 * dense[0]
+            rr = rank(a)
+            assert rr.rank == int((dense > max(a.shape) * np.finfo(float).eps * dense[0]).sum())
+            assert rr.threshold == pytest.approx(max(a.shape) * np.finfo(float).eps * dense[0])
+
+    def test_rank8k_span_and_partial_transpose(self):
+        f = rank8k_6k(3)
+        span = _span(f, exact=False)
+        dense = np.linalg.svd(span, compute_uv=False)
+        s, blocks = _singular_values(span)
+        assert blocks == is_extremal(f).gram_rank.blocks > 1
+        assert np.abs(s - dense).max() <= 1e-13 * dense[0]
+        pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
+        exact_min = np.linalg.eigvalsh(pt)[0]
+        assert abs(min_eigenvalue(pt) - exact_min) <= 1e-13 * np.abs(pt).max() * pt.shape[0]
+
+    def test_min_eigenvalue_uses_principal_blocks(self):
+        # The bipartite components of [[0, a], [a, 0]] pair row 0 with column
+        # 1; eigensolving h[rows, rows] of those would see a zero matrix.
+        blocks = [np.array([[0.0, a], [a, 0.0]]) for a in np.linspace(0.1, 1.0, 30)]
+        h = blocks[0]
+        for b in blocks[1:]:
+            h = direct_sum(h, b)
+        perm = np.random.default_rng(3).permutation(h.shape[0])
+        h = h[perm][:, perm]
+        assert h.shape[0] >= _SPLIT_MIN_SIDE
+        assert min_eigenvalue(h) == pytest.approx(-1.0, abs=1e-14)
+        # the PT of ohno-d 12's Choi matrix holds such blocks
+        f = ohno_rank_d(12)
+        pt = partial_transpose(choi(f), 12, 12, "first")
+        assert min_eigenvalue(pt) == pytest.approx(np.linalg.eigvalsh(pt)[0], abs=1e-14)
+        assert min_eigenvalue(pt) == pytest.approx(-0.0758, abs=1e-4)
+
+    def test_edge_cases(self):
+        side = _SPLIT_MIN_SIDE + 12
+        zero = np.zeros((side, side + 10))
+        for rr in (rank(zero), rank(zero.astype(np.int64), mode="exact")):
+            assert (rr.rank, rr.blocks) == (0, 0)
+        assert min_eigenvalue(np.zeros((side, side))) == 0.0
+        assert min_eigenvalue(np.diag(np.arange(side) - 5.0)) == -5.0
+        dense = np.arange(1, side * side + 1, dtype=float).reshape(side, side)
+        assert (rank(dense).rank, rank(dense).blocks) == (2, 1)
+        assert rank(dense.astype(np.int64), mode="exact").blocks == 1
+        # zero rows and columns are dropped, not ranked
+        padded = np.zeros((side, side), dtype=np.int64)
+        padded[:4, :4] = np.eye(4, dtype=np.int64)
+        rr = rank(padded, mode="exact")
+        assert (rr.rank, rr.blocks, rr.engine) == (4, 4, "mod-p")
+        assert rank(padded.astype(float)).blocks == 4
+        # under the crossover a block-diagonal matrix is one block
+        small = np.eye(_SPLIT_MIN_SIDE - 1)
+        assert (rank(small).rank, rank(small).blocks) == (_SPLIT_MIN_SIDE - 1, 1)
+        assert rank(small.astype(np.int64), mode="exact").blocks == 1
+        assert rank(small).to_json()["blocks"] == 1
 
 
 class TestMatrixJson:
