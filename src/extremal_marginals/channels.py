@@ -112,7 +112,7 @@ class KrausFamily:
 
 
 def _check_proportional(ops: tuple[np.ndarray, ...], exact: tuple[np.ndarray, ...]) -> None:
-    floats = [np.array([[float(x) for x in row] for row in e]) for e in exact]
+    floats = [e.astype(float) for e in exact]
     num = sum(float(np.vdot(k, k).real) for k in ops)
     den = sum(float((f * f).sum()) for f in floats)
     if den == 0.0:

@@ -6,10 +6,18 @@ diag(K_i^dagger K_j, K_j K_i^dagger) are linearly independent. Each block is
 flattened to a row of length d_in^2 + d_out^2, row (i-1)r + j, and the
 family is extremal iff this r^2-row span matrix has rank r^2.
 
+Every block satisfies the trace identity tr K_i^dagger K_j = tr K_j K_i^dagger
+(Choi 1975; Landau-Streater 1993), so the span is orthogonal to
+(vec I_{d_in}, -vec I_{d_out}) and its rank is at most D - 1, with
+D = d_in^2 + d_out^2; this is the -1 of :func:`parthasarathy_bound`.
+
 The span is ranked directly, never through its Gram matrix: in exact mode
-the integer rows go to the mod-p certificate of :func:`linalg.rank`, and in
-numerical mode the SVD sees the span's own singular values, whose squares
-are the Gram's, so the conditioning is not squared. The conjugate Gram
+the integer rows, less the one column the trace identity makes redundant,
+go to the mod-p certificate of :func:`linalg.rank`, so a family of rank
+D - 1 is certified mod p and Bareiss only confirms a deficiency beyond the
+identity. In numerical mode the SVD sees the full span's own singular
+values, whose squares are the Gram's, so the conditioning is not squared.
+The conjugate Gram
 
     G[(i,j),(k,l)] = tr((K_i^dagger K_j)^dagger (K_k^dagger K_l))
                    + tr((K_j K_i^dagger)^dagger (K_l K_k^dagger))
@@ -119,7 +127,15 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray:
 
     Exact: each operator is scaled to integers by the lcm of its own
     denominators, which multiplies row (i, j) by c_i c_j and so keeps the
-    rank. Numerical: real float64 when every operator is real, else complex.
+    rank. Column 0, the (0, 0) entry of K_i^dagger K_j, is dropped: by the
+    trace identity tr K_i^dagger K_j = tr K_j K_i^dagger it equals the sum
+    of the diagonal columns of K_j K_i^dagger minus the other diagonal
+    columns of K_i^dagger K_j, in every row and after any row scaling, so
+    the column space and every rank are unchanged. Dropping it lets a
+    family with r^2 >= d_in^2 + d_out^2 and rank d_in^2 + d_out^2 - 1 be
+    certified mod p.
+    Numerical: the full span, real float64 when every operator is real,
+    else complex.
     """
     if exact:
         if f.exact_ops is None:
@@ -129,8 +145,10 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray:
         ]
         big = max(abs(x) for e in ops for x in e.flat)
         if big * big * max(f.d_in, f.d_out) < _INT64_PRODUCT_LIMIT:
-            return _block_vectors([e.astype(np.int64) for e in ops], np.int64)
-        return _block_vectors(ops, object)
+            ops, dtype = [e.astype(np.int64) for e in ops], np.int64
+        else:
+            dtype = object
+        return _block_vectors(ops, dtype)[:, 1:]
     if any(k.imag.any() for k in f.ops):
         return _block_vectors(f.ops, complex)
     return _block_vectors([k.real for k in f.ops], float)
@@ -161,7 +179,11 @@ def is_extremal(
     """Rank the r^2 block vectors and assemble a certificate.
 
     ``mode`` forces 'exact' or 'numerical'; by default the exact path is used
-    whenever the family is certified rational. In numerical mode ``tol``
+    whenever the family is certified rational. The exact path ranks the
+    integer span without the column that the trace identity
+    tr K_i^dagger K_j = tr K_j K_i^dagger writes through the others, which
+    keeps the rank, so a family of rank d_in^2 + d_out^2 - 1 gets a mod-p
+    certificate; numerical mode ranks the full span. In numerical mode ``tol``
     thresholds the singular values of the span itself (the square roots of
     the block Gram's). When ``targets`` is given the computed marginals are
     checked against it and the residual recorded.

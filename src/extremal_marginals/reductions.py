@@ -83,15 +83,16 @@ def adjoint_duality_check(f: KrausFamily) -> bool:
     Also verifies that taking the adjoint swaps the marginals up to
     transpose, raising if that identity fails.
     """
+    adj = adjoint(f)
     mp = marginals(f)
-    mpa = marginals(adjoint(f))
+    mpa = marginals(adj)
     swap = max(
         float(np.abs(mpa.rho1 - mp.rho2.T).max()),
         float(np.abs(mpa.rho2 - mp.rho1.T).max()),
     )
     if swap > 1e-12:
         raise RuntimeError(f"adjoint failed to swap the marginals (deviation {swap:.3e})")
-    return is_extremal(f).extremal == is_extremal(adjoint(f)).extremal
+    return is_extremal(f).extremal == is_extremal(adj).extremal
 
 
 def restrict_to_support(f: KrausFamily, atol: float = SUPPORT_ATOL) -> KrausFamily:

@@ -290,6 +290,14 @@ class TestFamilyJson:
         assert back.exact_ops is not None
         assert choi_rank(back).mode == "exact"
 
+    def test_roundtrip_of_fortran_ordered_operators(self, rng):
+        # adjoint stores K^dagger = K.conj().T, which is Fortran-ordered
+        for f in (adjoint(shift_family(2, 2)), adjoint(random_family(rng, 2, 3, 3))):
+            assert not f.ops[0].flags.c_contiguous
+            back = family_from_json(family_to_json(f))
+            for a, b in zip(back.ops, f.ops):
+                assert np.array_equal(a.view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError):
             family_from_json({"d_in": 2})

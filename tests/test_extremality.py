@@ -22,7 +22,8 @@ from extremal_marginals import (
     shift_targets,
     sigma_rank2,
 )
-from extremal_marginals.extremality import _block_vectors
+from extremal_marginals.extremality import _block_vectors, _span
+from extremal_marginals.linalg import RANK_PRIME, _bareiss_rank, integer_entries
 from conftest import random_unitary
 
 
@@ -142,7 +143,15 @@ class TestIsExtremal:
 
     def test_rank_engine_per_path(self):
         assert is_extremal(shift_family(4, 4)).gram_rank.engine == "mod-p"
-        assert is_extremal(e_basis_family()).gram_rank.engine == "bareiss"
+        # rank 7 = d_in^2 + d_out^2 - 1: the trace identity is the only
+        # relation, so the quotient span is full rank mod p
+        rr = is_extremal(e_basis_family()).gram_rank
+        assert (rr.rank, rr.engine, rr.prime) == (7, "mod-p", RANK_PRIME)
+        # a repeated operator is a deficiency beyond the trace identity
+        k, e = shift_family(2, 1).ops[0], shift_family(2, 1).exact_ops[0]
+        repeated = KrausFamily(d_in=2, d_out=3, ops=(k, k), exact_ops=(e, e))
+        rr = is_extremal(repeated).gram_rank
+        assert (rr.rank, rr.engine, rr.prime) == (1, "bareiss", None)
         assert is_extremal(rank8k_6k(3)).gram_rank.engine == "svd"
 
     def test_exact_span_rank_equals_exact_gram_rank(self, rng):
@@ -278,3 +287,90 @@ class TestBatchedSpan:
         assert batched.dtype == object
         assert np.array_equal(batched, self.per_pair(ops, object))
         assert all(isinstance(x, int) for x in batched.flat)
+
+
+def integer_operators(f):
+    """The exact operators, each scaled to integers by its own denominators."""
+    return [np.array(integer_entries(e.flat), dtype=object).reshape(e.shape) for e in f.exact_ops]
+
+
+def seeded_integer_family(rng, d_in, d_out, r, repeat=False, dens=None, big=1):
+    """Sparse integer operators in [-2, 2] times ``big``, each divided by its
+    entry of ``dens``; with ``repeat`` one operator is a copy of another."""
+    shape = (r, d_out, d_in)
+    while True:
+        mats = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.6)
+        if mats.any():
+            break
+    if repeat and r > 1:
+        i, j = rng.choice(r, size=2, replace=False)
+        mats[i] = mats[j]
+    dens = dens or [1] * r
+    exact = tuple(
+        np.array([[Fraction(int(x) * big, den) for x in row] for row in m], dtype=object)
+        for m, den in zip(mats, dens)
+    )
+    ops = tuple(m * (big / den) for m, den in zip(mats, dens))
+    return KrausFamily(d_in=d_in, d_out=d_out, ops=ops, exact_ops=exact)
+
+
+def trace_kernel(d_in, d_out):
+    """(vec I_{d_in}, -vec I_{d_out}): every block vector is orthogonal to it."""
+    return np.concatenate([np.eye(d_in, dtype=int).ravel(), -np.eye(d_out, dtype=int).ravel()])
+
+
+class TestTraceQuotient:
+    """tr K_i^dagger K_j = tr K_j K_i^dagger makes column 0 of the span a
+    combination of the other diagonal columns; the exact span drops it."""
+
+    def test_full_span_annihilates_the_trace_vector(self, rng):
+        for _ in range(30):
+            d_in, d_out, r = (int(x) for x in rng.integers(1, 5, size=3))
+            w = trace_kernel(d_in, d_out)
+            f = seeded_integer_family(rng, d_in, d_out, r)
+            ints = integer_operators(f)
+            x = _block_vectors([e.astype(np.int64) for e in ints], np.int64)
+            assert not (x @ w).any()
+            # entries near 3 * 2^40 take the Python-int path
+            huge = [3 * 2**40 * e + 1 for e in ints]
+            x = _block_vectors(huge, object)
+            assert x.dtype == object
+            assert all(v == 0 for v in x @ w)
+            g = random_family(rng, d_in, d_out, r)
+            x = _block_vectors(g.ops, complex)
+            assert np.abs(x @ w).max() <= 1e-13 * np.linalg.norm(x)
+
+    def test_exact_span_drops_one_column_numerical_keeps_all(self, rng):
+        f = seeded_integer_family(rng, 3, 4, 5)
+        full = _block_vectors([k.real for k in f.ops], float)
+        assert _span(f, exact=True).shape == (25, 3 * 3 + 4 * 4 - 1)
+        assert np.array_equal(_span(f, exact=False), full)
+        ints = integer_operators(f)
+        assert np.array_equal(
+            _span(f, exact=True), _block_vectors([e.astype(np.int64) for e in ints], np.int64)[:, 1:]
+        )
+
+    def test_quotient_rank_equals_bareiss_rank_of_full_span(self, rng):
+        """Seeded integer families, many with r^2 >= d_in^2 + d_out^2, some with
+        a repeated operator, per-operator denominators or Python-int entries.
+        The engine is mod-p exactly when the rank is min(r^2, D - 1)."""
+        seen = {"r2>=D": 0, "mod-p at D-1": 0, "bareiss": 0, "python-int": 0}
+        for n in range(240):
+            d_in, d_out = (int(x) for x in rng.integers(1, 5, size=2))
+            r = int(rng.integers(1, 7))
+            dens = [int(x) for x in rng.integers(1, 5, size=r)] if n % 3 == 0 else None
+            big = 3 * 2**40 if n % 20 == 0 else 1
+            f = seeded_integer_family(rng, d_in, d_out, r, repeat=n % 4 == 0, dens=dens, big=big)
+            if big > 1:
+                assert _span(f, exact=True).dtype == object
+                seen["python-int"] += 1
+            rr = is_extremal(f).gram_rank
+            full = _block_vectors(integer_operators(f), object)
+            assert rr.rank == _bareiss_rank(full.tolist())
+            top = min(r * r, d_in * d_in + d_out * d_out - 1)
+            assert rr.blocks == 1
+            assert (rr.engine == "mod-p") == (rr.rank == top)
+            seen["r2>=D"] += r * r >= d_in * d_in + d_out * d_out
+            seen["mod-p at D-1"] += rr.engine == "mod-p" and rr.rank == top < r * r
+            seen["bareiss"] += rr.engine == "bareiss"
+        assert min(seen.values()) >= 10, seen

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,35 @@ class TestMinEigenvalue:
         with pytest.raises(ValueError):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("side", [2, _SPLIT_MIN_SIDE + 4])
+    def test_rejects_non_finite(self, bad, side):
+        # a NaN deviation compares False against atol, so it must be caught first
+        a = np.eye(side, dtype=complex)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            min_eigenvalue(a)
+        with pytest.raises(ValueError, match="finite"):
+            min_eigenvalue(np.full((side, side), bad))
+
+    def test_rejects_one_sided_entry_above_the_crossover(self):
+        # a_ij != 0 with a_ji = 0 joins i and j into one block, whose check sees it
+        side = _SPLIT_MIN_SIDE + 12
+        a = np.diag(np.arange(1.0, side + 1))
+        a[3, side - 5] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            min_eigenvalue(a)
+        a[side - 5, 3] = 1e-6
+        assert min_eigenvalue(a) == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-14)
+
+    def test_rank8k_4_partial_transpose_matches_dense(self):
+        f = rank8k_6k(4)
+        pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
+        assert pt.shape == (576, 576)
+        dense = np.linalg.eigvalsh(pt)[0]
+        assert dense == pytest.approx(-0.028327, abs=1e-6)
+        assert abs(min_eigenvalue(pt) - dense) <= 1e-13 * np.abs(pt).max() * pt.shape[0]
+
 
 def planted_block_diagonal(rng, shapes, ranks, zero_rows=3, zero_cols=4):
     """A randomly permuted direct sum of integer blocks of the given shapes and
@@ -372,6 +402,70 @@ class TestMatrixJson:
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[0, 0]]})
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 1, "entries": [7]})
+
+    def test_complex_roundtrip_is_bit_identical(self, rng):
+        m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        m[0, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324 - 1.7e308j]
+        doc = json.loads(json.dumps(matrix_to_json(m)))
+        assert doc["entries"][0] == [-0.0, 0.0]
+        back = matrix_from_json(doc)
+        assert back.dtype == complex and back.shape == (4, 5)
+        assert np.array_equal(back.view(np.int64), m.view(np.int64))
+        real = rng.standard_normal((3, 2))
+        real[1, 1] = -0.0
+        back = matrix_from_json(json.loads(json.dumps(matrix_to_json(real))))
+        assert np.array_equal(back.view(np.int64), real.astype(complex).view(np.int64))
+
+    def test_roundtrip_of_non_contiguous_matrices(self, rng):
+        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        for view in (m.T, np.asfortranarray(m), m[:, ::2], m.real.T):
+            back = matrix_from_json(json.loads(json.dumps(matrix_to_json(view))))
+            expected = np.ascontiguousarray(view, dtype=complex)
+            assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+    def test_exact_roundtrip_keeps_ints_and_fractions(self):
+        m = np.array(
+            [[0, -2, 3**40], [Fraction(-3, 4), Fraction(7, 1), Fraction(1, 3**30)]], dtype=object
+        )
+        doc = json.loads(json.dumps(matrix_to_json(m)))
+        assert doc["entries"][:3] == ["0", "-2", str(3**40)]
+        assert doc["entries"][3:5] == ["-3/4", "7"]
+        back = matrix_from_json(doc)
+        assert back.dtype == object
+        assert all(type(x) is Fraction for x in back.flat)
+        assert (back == m).all()
+
+    def test_exact_strings_parse_as_fraction(self):
+        texts = ["0.5", " 7 ", "-3/4", "-2", "+5", "007", "1e3", "-0"]
+        back = matrix_from_json({"rows": 2, "cols": 4, "entries": texts})
+        assert back.dtype == object
+        for x, t in zip(back.flat, texts):
+            assert type(x) is Fraction and x == Fraction(t)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[None, 0.0], [0.0, None], [1.0, 2.0, 3.0], [1.0], ["abc", 0.0], [[1.0, 2.0], 0.0], "1/2", 3],
+    )
+    def test_rejects_bad_complex_entry(self, entry):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
+
+    @pytest.mark.parametrize("text", ["1_000", "-1_0/3", "_1", "1__0", "+-5", "-", "\u00b2", "\u0663"])
+    def test_strings_parse_exactly_as_fraction_does(self, text):
+        # int() takes "1_000" on every Python, Fraction only from 3.11 on
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                matrix_from_json({"rows": 1, "cols": 1, "entries": [text]})
+        else:
+            back = matrix_from_json({"rows": 1, "cols": 1, "entries": [text]})
+            assert type(back[0, 0]) is Fraction and back[0, 0] == expected
+
+    @pytest.mark.parametrize("text", ["abc", "1/0x", "", "1/2/3"])
+    def test_rejects_bad_rational_string(self, text):
+        with pytest.raises(ValueError):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": ["1/2", text]})
 
 
 def test_vec_is_column_stacking():

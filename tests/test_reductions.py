@@ -100,6 +100,19 @@ class TestAdjointDuality:
         u = random_unitary(rng, 3)
         assert adjoint_duality_check(KrausFamily(d_in=3, d_out=3, ops=(u / np.sqrt(3),)))
 
+    def test_builds_the_adjoint_once(self, monkeypatch):
+        from extremal_marginals import reductions
+
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return adjoint(f)
+
+        monkeypatch.setattr(reductions, "adjoint", counting)
+        assert adjoint_duality_check(shift_family(2, 2))
+        assert len(calls) == 1
+
 
 class TestRestrictToSupport:
     def test_rank_one_projector(self):
