@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import HERMITIAN_ATOL, RankResult, matrix_from_json, matrix_to_json, rank, vec
+from .linalg import HERMITIAN_ATOL, RankResult, matrix_from_json, matrix_to_json, rank
 
 __all__ = [
     "KrausFamily",
@@ -55,7 +55,9 @@ class KrausFamily:
 
     ``exact_ops``, when present, holds integer/Fraction operators proportional
     to ``ops`` by a single positive scalar; the constructor verifies the
-    proportionality so the rational form is certified, not assumed.
+    proportionality so the rational form is certified, not assumed. An
+    operator given in ``ops`` as the very array given in ``exact_ops`` is
+    that exact operator converted to floats, once.
     """
 
     d_in: int
@@ -66,7 +68,20 @@ class KrausFamily:
     def __post_init__(self) -> None:
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("dimensions must be positive")
-        ops = tuple(np.array(k, dtype=complex) for k in self.ops)
+        exact, floats = None, {}
+        if self.exact_ops is not None:
+            exact = tuple(np.array(e, dtype=object) for e in self.exact_ops)
+            if len(exact) != len(self.ops):
+                raise ValueError("exact_ops must match ops one to one")
+            for given, e in zip(self.exact_ops, exact):
+                if e.shape != (self.d_out, self.d_in):
+                    raise ValueError("exact operator shape mismatch")
+                for t in set(map(type, e.flat)):
+                    if not issubclass(t, (int, np.integer, Fraction)):
+                        raise ValueError(f"exact entry of type {t.__name__} is not rational")
+                e.setflags(write=False)
+                floats[id(given)] = e.astype(float)
+        ops = tuple(np.array(floats.get(id(k), k), dtype=complex) for k in self.ops)
         if not ops:
             raise ValueError("a Kraus family needs at least one operator")
         for k in ops:
@@ -79,18 +94,8 @@ class KrausFamily:
                 raise ValueError("operator entries must be finite (no NaN or inf)")
             k.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        if self.exact_ops is not None:
-            exact = tuple(np.array(e, dtype=object) for e in self.exact_ops)
-            if len(exact) != len(ops):
-                raise ValueError("exact_ops must match ops one to one")
-            for e in exact:
-                if e.shape != (self.d_out, self.d_in):
-                    raise ValueError("exact operator shape mismatch")
-                for x in e.reshape(-1):
-                    if not isinstance(x, (int, np.integer, Fraction)):
-                        raise ValueError(f"exact entry {x!r} is not rational")
-                e.setflags(write=False)
-            _check_proportional(ops, exact)
+        if exact is not None:
+            _check_proportional(ops, [floats[id(e)] for e in self.exact_ops])
             object.__setattr__(self, "exact_ops", exact)
 
     @property
@@ -111,8 +116,7 @@ class KrausFamily:
         return abs(total - 1.0) <= atol
 
 
-def _check_proportional(ops: tuple[np.ndarray, ...], exact: tuple[np.ndarray, ...]) -> None:
-    floats = [e.astype(float) for e in exact]
+def _check_proportional(ops: tuple[np.ndarray, ...], floats: list[np.ndarray]) -> None:
     num = sum(float(np.vdot(k, k).real) for k in ops)
     den = sum(float((f * f).sum()) for f in floats)
     if den == 0.0:
@@ -180,12 +184,17 @@ def _exact_sum(mats: tuple[np.ndarray, ...]) -> np.ndarray:
     return out
 
 
+def _vecs(ops: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Row i is vec K_i: column-stacking is row-major flattening of K_i^T."""
+    return np.array([k.T for k in ops]).reshape(len(ops), -1)
+
+
 def choi(f: KrausFamily) -> np.ndarray:
     """Choi matrix C = sum_{r,s} E_rs (x) Phi(E_rs) = sum_i |vec K_i><vec K_i|.
 
     The sum is one product V^T conj(V), where row i of V is vec K_i.
     """
-    v = np.stack([vec(k) for k in f.ops])
+    v = _vecs(f.ops)
     return v.T @ v.conj()
 
 
@@ -193,15 +202,13 @@ def choi_rank(f: KrausFamily, tol: float | None = None) -> RankResult:
     """Rank of the Choi matrix, i.e. the span dimension of the vectorized operators.
 
     Computed from the stacked vectorizations, exactly when the family carries
-    certified rational operators.
+    certified rational operators, and otherwise by an SVD that is real when
+    every operator is real.
     """
     if f.exact_ops is not None:
-        stacked = np.empty((f.r, f.d_in * f.d_out), dtype=object)
-        for i, e in enumerate(f.exact_ops):
-            stacked[i, :] = vec(e)
-        return rank(stacked, mode="exact")
-    stacked_num = np.array([vec(k) for k in f.ops])
-    return rank(stacked_num, mode="numerical", tol=tol)
+        return rank(_vecs(f.exact_ops), mode="exact")
+    v = _vecs(f.ops)
+    return rank(v if v.imag.any() else v.real, mode="numerical", tol=tol)
 
 
 def is_minimal(f: KrausFamily) -> bool:
@@ -272,11 +279,8 @@ def family_from_json(obj: dict) -> KrausFamily:
         d_in, d_out, ops = int(obj["d_in"]), int(obj["d_out"]), obj["ops"]
     except (KeyError, TypeError) as exc:
         raise ValueError("family JSON needs 'd_in', 'd_out' and 'ops'") from exc
-    mats = [matrix_from_json(m) for m in ops]
-    exact = None
+    mats = tuple(matrix_from_json(m) for m in ops)
     if mats and all(m.dtype == object for m in mats):
-        exact = tuple(mats)
-    floats = tuple(
-        m.astype(float).astype(complex) if m.dtype == object else m for m in mats
-    )
-    return KrausFamily(d_in=d_in, d_out=d_out, ops=floats, exact_ops=exact)
+        return KrausFamily(d_in=d_in, d_out=d_out, ops=mats, exact_ops=mats)
+    floats = tuple(m.astype(float) if m.dtype == object else m for m in mats)
+    return KrausFamily(d_in=d_in, d_out=d_out, ops=floats)

@@ -17,6 +17,13 @@ go to the mod-p certificate of :func:`linalg.rank`, so a family of rank
 D - 1 is certified mod p and Bareiss only confirms a deficiency beyond the
 identity. In numerical mode the SVD sees the full span's own singular
 values, whose squares are the Gram's, so the conditioning is not squared.
+
+The span of a sparse family (:func:`linalg.coo_is_cheaper`) is built as a
+:class:`linalg.Coo` from products of the operators' nonzero entries that
+share an output row (for K_i^dagger K_j) or an input column (for
+K_j K_i^dagger), and only its independent blocks are ever dense; otherwise
+it is built densely by two stacked matmuls. Both give the same matrix,
+exactly in integer arithmetic and up to the order of float additions.
 The conjugate Gram
 
     G[(i,j),(k,l)] = tr((K_i^dagger K_j)^dagger (K_k^dagger K_l))
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, MarginalPair, marginals
-from .linalg import RankResult, integer_entries, rank
+from .linalg import Coo, RankResult, coo_is_cheaper, group_pairs, integer_entries, rank
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -122,7 +129,31 @@ def _block_vectors(ops: tuple[np.ndarray, ...], dtype: type) -> np.ndarray:
     return x.astype(dtype, copy=False)
 
 
-def _span(f: KrausFamily, exact: bool) -> np.ndarray:
+def _sparse_block_vectors(k: np.ndarray, first: int) -> Coo:
+    """The rows of :func:`_block_vectors` for the stacked operators ``k``, less
+    the first ``first`` columns, built from the operators' nonzero entries.
+
+    Entry (c, s) of K_i and entry (c, t) of K_j, which share output row c,
+    give the term conj(K_i[c, s]) K_j[c, t] of (K_i^dagger K_j)[s, t];
+    entry (s, c) of K_j and entry (t, c) of K_i, which share input column c,
+    give the term K_j[s, c] conj(K_i[t, c]) of (K_j K_i^dagger)[s, t].
+    """
+    r, d_out, d_in = k.shape
+    op, row, col = np.nonzero(k)
+    x = k[op, row, col]
+    xc = np.conjugate(x)
+    pi, pj = group_pairs(row)
+    qi, qj = group_pairs(col)
+    rows = np.concatenate([op[pi] * r + op[pj], op[qi] * r + op[qj]])
+    cols = np.concatenate([col[pi] * d_in + col[pj], d_in * d_in + row[qj] * d_out + row[qi]])
+    vals = np.concatenate([xc[pi] * x[pj], x[qj] * xc[qi]])
+    if first:
+        keep = cols >= first
+        rows, cols, vals = rows[keep], cols[keep] - first, vals[keep]
+    return Coo.from_terms(rows, cols, vals, (r * r, d_in * d_in + d_out * d_out - first))
+
+
+def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     """The r^2 block vectors as rows, in the cheapest exact or float dtype.
 
     Exact: each operator is scaled to integers by the lcm of its own
@@ -136,6 +167,9 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray:
     certified mod p.
     Numerical: the full span, real float64 when every operator is real,
     else complex.
+    The span is a :class:`linalg.Coo` when the products of nonzero entries
+    that build it are few for its size (:func:`linalg.coo_is_cheaper`),
+    else a dense array.
     """
     if exact:
         if f.exact_ops is None:
@@ -148,10 +182,21 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray:
             ops, dtype = [e.astype(np.int64) for e in ops], np.int64
         else:
             dtype = object
-        return _block_vectors(ops, dtype)[:, 1:]
-    if any(k.imag.any() for k in f.ops):
-        return _block_vectors(f.ops, complex)
-    return _block_vectors([k.real for k in f.ops], float)
+    elif any(k.imag.any() for k in f.ops):
+        ops, dtype = f.ops, complex
+    else:
+        ops, dtype = [k.real for k in f.ops], float
+    first = 1 if exact else 0
+    shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
+    if coo_is_cheaper(shape, lambda: _span_terms(np.stack(ops) != 0)):
+        return _sparse_block_vectors(np.stack(ops), first)
+    return _block_vectors(ops, dtype)[:, first:]
+
+
+def _span_terms(nonzero: np.ndarray) -> int:
+    """Products :func:`_sparse_block_vectors` sums for this (r, d_out, d_in)
+    nonzero pattern: a pair of entries per output row and per input column."""
+    return int((nonzero.sum(axis=(0, 2)) ** 2).sum() + (nonzero.sum(axis=(0, 1)) ** 2).sum())
 
 
 def _is_borderline(rr: RankResult, tol: float | None) -> bool:
@@ -183,7 +228,9 @@ def is_extremal(
     integer span without the column that the trace identity
     tr K_i^dagger K_j = tr K_j K_i^dagger writes through the others, which
     keeps the rank, so a family of rank d_in^2 + d_out^2 - 1 gets a mod-p
-    certificate; numerical mode ranks the full span. In numerical mode ``tol``
+    certificate; numerical mode ranks the full span. A sparse family's span
+    is built from its operators' nonzero entries and ranked block by block
+    without a dense copy of the whole span. In numerical mode ``tol``
     thresholds the singular values of the span itself (the square roots of
     the block Gram's). When ``targets`` is given the computed marginals are
     checked against it and the residual recorded.

@@ -1,4 +1,4 @@
-"""Dense complex matrix utilities.
+"""Complex matrix utilities, for dense matrices and sparse (:class:`Coo`) ones.
 
 Partial trace and partial transpose over a bipartite splitting, Hermitian
 eigenvalues, and matrix rank in two modes: floating-point SVD against an
@@ -15,6 +15,15 @@ singular values of a block-diagonal matrix are those of its blocks (plus
 zeros up to the smaller side), and its eigenvalues are those of its blocks.
 Blocks of one shape are solved in one stacked LAPACK call.
 
+A matrix may also be given as its nonzero entries, a :class:`Coo`. One
+gatherer labels the components of either input from its nonzero entries
+(a dense matrix is first scanned for them) and scatters the values into the
+stacked dense blocks, so a sparse matrix is never densified as a whole.
+:func:`group_pairs` and :meth:`Coo.from_terms` build such a matrix from
+products of entry pairs, which is how the block-vector span and the
+partial-transposed Choi matrix of a sparse Kraus family are made
+(:func:`coo_is_cheaper` decides when).
+
 Conventions, fixed package-wide:
 
 * composite spaces are ordered first factor (x) second factor, so the
@@ -26,8 +35,8 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,12 +49,26 @@ RANK_PRIME = 2**31 - 1
 # block: on a 2-core machine labelling the nonzero pattern of a 48 x 54
 # matrix takes ~120 us, about what the dense SVD it could save takes (~175 us).
 _SPLIT_MIN_SIDE = 48
+# The block-vector span and the partial-transposed Choi matrix of a Kraus
+# family are built from the operators' nonzero entries, as a Coo, only where
+# the dense matrix would be split into blocks anyway (smaller side at least
+# _SPLIT_MIN_SIDE) and holds at least _COO_ENTRIES_PER_TERM entries per
+# product of two nonzero entries that the sparse build sums. On a 2-core
+# machine is_extremal took, dense vs sparse: rank8-66 (17 entries per
+# product) 0.32 vs 0.35 ms, ohno-d 8 (53) 0.61 vs 0.36 ms, rank8k 4 (206)
+# 14.8 vs 2.4 ms; under the split side the dense path labels nothing and
+# wins (ohno-d 5: 0.12 vs 0.34 ms). From 8 to 30 entries per product,
+# sparse random families were within +-10% either way.
+_COO_ENTRIES_PER_TERM = 32
 
 __all__ = [
     "HERMITIAN_ATOL",
     "RANK_PRIME",
+    "Coo",
     "RankResult",
+    "coo_is_cheaper",
     "direct_sum",
+    "group_pairs",
     "integer_entries",
     "is_hermitian",
     "matrix_from_json",
@@ -141,8 +164,71 @@ def _labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
         lab = new
 
 
-def _blocks(a: np.ndarray, symmetric: bool) -> list[np.ndarray]:
-    """The independent diagonal blocks of ``a``, stacked by shape.
+@dataclass(frozen=True, eq=False)
+class Coo:
+    """A matrix held as coordinate triplets: value ``vals[k]`` at
+    ``(rows[k], cols[k])``, every other entry zero; keys are distinct.
+
+    :func:`rank` and :func:`min_eigenvalue` take it in place of a dense
+    array and split it into blocks without building the whole matrix.
+    :meth:`from_terms` builds one with distinct keys and nonzero values, so
+    that its pattern is the dense matrix's nonzero pattern.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_terms(
+        cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
+    ) -> "Coo":
+        """Sum the terms that share a key and drop the sums that are zero.
+
+        Terms of one key are added in their given order, exactly for int64
+        and Python ints; an exact cancellation leaves no entry.
+        """
+        key = np.asarray(rows, dtype=np.int64) * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], np.asarray(vals)[order]
+        if key.size == 0:
+            return cls(key, key, vals, shape)
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        sums = np.add.reduceat(vals, starts)
+        keep = sums != 0
+        key = key[starts[keep]]
+        return cls(key // shape[1], key % shape[1], sums[keep], shape)
+
+
+def coo_is_cheaper(shape: tuple[int, int], count_terms: Callable[[], int]) -> bool:
+    """Whether a matrix of this shape is cheaper to build as a :class:`Coo`,
+    summed from ``count_terms()`` products of nonzero entries, than densely.
+
+    ``count_terms`` runs only when the shape alone does not decide.
+    """
+    if min(shape) < _SPLIT_MIN_SIDE:
+        return False
+    return shape[0] * shape[1] >= _COO_ENTRIES_PER_TERM * count_terms()
+
+
+def group_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered pairs (e, f) of items with ``group[e] == group[f]``.
+
+    The pairs come ordered by group value, so products over them that
+    :meth:`Coo.from_terms` sums under one key are added in that order.
+    """
+    order = np.argsort(group, kind="stable")
+    g = group[order]
+    counts = np.bincount(g)
+    size = counts[g]
+    first = np.repeat(order, size)
+    within = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
+    return first, order[np.repeat((np.cumsum(counts) - counts)[g], size) + within]
+
+
+def _blocks(m: np.ndarray | Coo, symmetric: bool) -> list[np.ndarray]:
+    """The independent diagonal blocks of ``m``, stacked by shape.
 
     Bipartite (``symmetric=False``): rows and columns are nodes and a nonzero
     entry joins its row to its column. Symmetric, for a Hermitian matrix:
@@ -150,44 +236,67 @@ def _blocks(a: np.ndarray, symmetric: bool) -> list[np.ndarray]:
     keeps the same indices for its rows and columns. (The bipartite
     components of [[0, a], [a, 0]] pair row 0 with column 1, which is not a
     principal submatrix.) Each item is an array of shape (k, p, q) holding
-    the k blocks of shape p x q. Components without rows or without columns
-    (zero rows and zero columns) hold no entry and are left out. A matrix
-    under the size crossover or without a zero entry is one block, a view.
+    the k blocks of shape p x q, rows and columns in index order, filled
+    from the nonzero entries. Components without rows or without columns
+    (zero rows and zero columns) hold no entry and are left out. A dense
+    matrix under the size crossover or without a zero entry is one block, a
+    view; any other dense matrix goes through its nonzero entries, as a
+    :class:`Coo` does.
     """
-    n_rows, n_cols = a.shape
-    if min(n_rows, n_cols) < _SPLIT_MIN_SIDE:
-        return [a[None]]
-    pattern = a != 0
-    if pattern.all():
-        return [a[None]]
-    u, v = np.nonzero(pattern)
+    if not isinstance(m, Coo):
+        if min(m.shape) < _SPLIT_MIN_SIDE:
+            return [m[None]]
+        pattern = m != 0
+        if pattern.all():
+            return [m[None]]
+        u, v = np.nonzero(pattern)
+        m = Coo(u, v, m[u, v], m.shape)
+    n_rows, n_cols = m.shape
+    u, v = m.rows, m.cols
     if symmetric:
-        row_lab = col_lab = _labels(u, v, n_rows)
+        ids, row_comp = np.unique(_labels(u, v, n_rows), return_inverse=True)
+        col_comp = row_comp
     else:
-        lab = _labels(u, v + n_rows, n_rows + n_cols)
-        row_lab, col_lab = lab[:n_rows], lab[n_rows:]
-    ids = np.unique(np.concatenate([row_lab, col_lab]))
-    row_comp = np.searchsorted(ids, row_lab)
-    col_comp = np.searchsorted(ids, col_lab)
-    p = np.bincount(row_comp, minlength=ids.size)
-    q = np.bincount(col_comp, minlength=ids.size)
-    # the rows of component c are row_order[row_start[c] : row_start[c] + p[c]]
-    row_order = np.argsort(row_comp, kind="stable")
-    col_order = np.argsort(col_comp, kind="stable")
-    row_start = np.cumsum(p) - p
-    col_start = np.cumsum(q) - q
+        ids, comp = np.unique(_labels(u, v + n_rows, n_rows + n_cols), return_inverse=True)
+        row_comp, col_comp = comp[:n_rows], comp[n_rows:]
+    n_comps = ids.size
+    p = np.bincount(row_comp, minlength=n_comps)
+    q = np.bincount(col_comp, minlength=n_comps)
+    row_pos = _positions(row_comp, p)
+    col_pos = row_pos if symmetric else _positions(col_comp, q)
     live = (p > 0) & (q > 0)
+    # live component c is block slot[c] of stack[c], the stack of its shape
+    shapes, live_stack = np.unique(p[live] * (n_cols + 1) + q[live], return_inverse=True)
+    count = np.bincount(live_stack, minlength=shapes.size)
+    stack = np.full(n_comps, -1)
+    stack[live] = live_stack
+    slot = np.zeros(n_comps, dtype=np.int64)
+    slot[live] = _positions(live_stack, count)
+    entry_comp = row_comp[u]
+    entry_stack = stack[entry_comp]
     stacks = []
-    for pp, qq in np.unique(np.stack([p[live], q[live]], axis=1), axis=0):
-        comps = np.flatnonzero(live & (p == pp) & (q == qq))
-        rows = row_order[row_start[comps][:, None] + np.arange(pp)]
-        cols = col_order[col_start[comps][:, None] + np.arange(qq)]
-        stacks.append(a[rows[:, :, None], cols[:, None, :]])
+    for s, key in enumerate(shapes.tolist()):
+        out = np.zeros((int(count[s]), *divmod(key, n_cols + 1)), dtype=m.vals.dtype)
+        sel = entry_stack == s
+        out[slot[entry_comp[sel]], row_pos[u[sel]], col_pos[v[sel]]] = m.vals[sel]
+        stacks.append(out)
     return stacks
 
 
-def min_eigenvalue(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
+def _positions(group: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each item's position among the items of its group, in index order."""
+    order = np.argsort(group, kind="stable")
+    pos = np.empty(group.size, dtype=np.int64)
+    pos[order] = np.arange(group.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return pos
+
+
+def _entries(m: np.ndarray | Coo) -> np.ndarray:
+    return m.vals if isinstance(m, Coo) else m
+
+
+def min_eigenvalue(h: np.ndarray | Coo, atol: float = HERMITIAN_ATOL) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, dense or :class:`Coo`.
 
     The input must be finite and Hermitian within ``atol`` entrywise; the
     eigenvalue is computed from the Hermitian part (h + h^dagger)/2.
@@ -198,10 +307,13 @@ def min_eigenvalue(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
     matrix is then a symmetric permutation of the direct sum of the blocks,
     so its smallest eigenvalue is the smallest over them.
     """
-    a = np.asarray(h, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if isinstance(h, Coo):
+        a = replace(h, vals=np.asarray(h.vals, dtype=complex))
+    else:
+        a = np.asarray(h, dtype=complex)
+    if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.isfinite(_entries(a)).all():
         raise ValueError("matrix entries must be finite (no NaN or inf)")
     smallest = math.inf
     for b in _blocks(a, symmetric=True):
@@ -301,10 +413,12 @@ def integer_entries(entries: Iterable[object]) -> list[int]:
     return [f.numerator * (den // f.denominator) for f in fracs]
 
 
-def _integer_matrix(m: np.ndarray) -> np.ndarray:
+def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     """An integer matrix of the same rank: numpy integers as int64, other
     certified-rational input as Python ints with each row scaled to clear
-    its denominators."""
+    its denominators (a :class:`Coo` as one row: one scale for every entry)."""
+    if isinstance(m, Coo):
+        return replace(m, vals=_integer_matrix(m.vals[None])[0])
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError("rank expects a 2-d matrix")
@@ -384,15 +498,17 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank_
 
 
-def _as_float_matrix(m: np.ndarray) -> np.ndarray:
+def _as_float_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     """float64 for real input, complex128 otherwise; real SVD is the cheaper one."""
+    if isinstance(m, Coo):
+        return replace(m, vals=_as_float_matrix(m.vals[None])[0])
     a = np.asarray(m)
     if a.dtype == object:
         return np.array([[complex(float(x)) for x in row] for row in a], dtype=complex)
     return a.astype(complex if np.iscomplexobj(a) else float)
 
 
-def _singular_values(a: np.ndarray) -> tuple[np.ndarray, int]:
+def _singular_values(a: np.ndarray | Coo) -> tuple[np.ndarray, int]:
     """All min(rows, cols) singular values of ``a`` in descending order, and the
     number of blocks they came from: the blocks' values, one stacked SVD per
     block shape, padded with exact zeros for the structurally missing ones."""
@@ -405,8 +521,8 @@ def _singular_values(a: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate([s, np.zeros(min(a.shape) - s.size)]), blocks
 
 
-def rank(m: np.ndarray, mode: str = "numerical", tol: float | None = None) -> RankResult:
-    """Matrix rank.
+def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None) -> RankResult:
+    """Matrix rank of a dense matrix or a :class:`Coo`.
 
     The matrix is first split into the independent diagonal blocks of its
     nonzero pattern (rows and columns joined by nonzero entries); permuting
@@ -440,10 +556,10 @@ def rank(m: np.ndarray, mode: str = "numerical", tol: float | None = None) -> Ra
         return RankResult(rank=total, mode="exact", engine=engine, prime=prime, blocks=blocks)
     if mode != "numerical":
         raise ValueError("mode must be 'exact' or 'numerical'")
-    if np.asarray(m).ndim != 2:
+    if len(np.shape(m)) != 2:
         raise ValueError("rank expects a 2-d matrix")
     a = _as_float_matrix(m)
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(_entries(a))):
         raise ValueError("numerical rank requires finite entries")
     s, blocks = _singular_values(a)
     smax = float(s[0]) if s.size else 0.0

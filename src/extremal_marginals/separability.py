@@ -3,6 +3,11 @@
 For a state of rank at most the larger local dimension, positivity of the
 partial transpose is necessary and sufficient for separability; outside that
 regime a PPT state stays undetermined and an NPT state is entangled.
+
+PPT is decided relative to the Choi trace sum_i ||K_i||_F^2, so no verdict
+depends on the overall scale of the operators. For a sparse family the
+partial-transposed Choi matrix is built from products of entry pairs
+within each operator, as a :class:`linalg.Coo`, with no dense Choi matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, choi, choi_rank, marginals
-from .linalg import min_eigenvalue, partial_transpose
+from .linalg import (
+    HERMITIAN_ATOL,
+    Coo,
+    coo_is_cheaper,
+    group_pairs,
+    min_eigenvalue,
+    partial_transpose,
+)
 
 __all__ = ["PPT_ATOL", "SeparabilityVerdict", "ppt", "separability_verdict"]
 
@@ -57,20 +69,64 @@ class SeparabilityVerdict:
 
 
 def ppt(c: np.ndarray, d1: int, d2: int, atol: float = PPT_ATOL) -> tuple[bool, float]:
-    """Whether the partial transpose over the first factor is PSD within atol.
+    """Whether the partial transpose over the first factor is PSD within
+    ``atol`` times the trace of ``c``.
 
-    Returns the flag and the minimum partial-transpose eigenvalue.
+    For a Choi matrix the trace is sum_i ||K_i||_F^2, 1 for a normalized
+    family, and it bounds the spectral norm of the partial transpose, so
+    neither this threshold nor the Hermiticity check of the eigensolve, taken
+    relative to the same trace, changes with the overall scale of the
+    operators. Returns the flag and the minimum partial-transpose eigenvalue.
     """
     pt = partial_transpose(c, d1, d2, "first")
-    smallest = min_eigenvalue(pt)
-    return smallest >= -atol, smallest
+    return _psd_within(pt, abs(float(np.trace(pt).real)), atol)
 
 
-def separability_verdict(f: KrausFamily, atol: float = PPT_ATOL) -> SeparabilityVerdict:
-    """Choi-state separability verdict from PPT plus the low-rank criterion."""
-    c = choi(f)
-    is_ppt, smallest = ppt(c, f.d_in, f.d_out, atol=atol)
-    cr = choi_rank(f).rank
+def _psd_within(pt: np.ndarray | Coo, scale: float, atol: float) -> tuple[bool, float]:
+    smallest = min_eigenvalue(pt, atol=HERMITIAN_ATOL * scale)
+    return smallest >= -atol * scale, smallest
+
+
+def _partial_transposed_choi(k: np.ndarray) -> Coo:
+    """The partial transpose over the first factor of the Choi matrix of the
+    stacked operators ``k``, built from their nonzero entries.
+
+    Entries (a, b) and (a', b') of one operator K_i give the term
+    K_i[a, b] conj(K_i[a', b']) of C[b d_out + a, b' d_out + a'], which the
+    partial transpose moves to (b' d_out + a, b d_out + a').
+    """
+    _, d_out, d_in = k.shape
+    op, row, col = np.nonzero(k)
+    x = k[op, row, col]
+    e, g = group_pairs(op)
+    side = d_in * d_out
+    return Coo.from_terms(
+        col[g] * d_out + row[e], col[e] * d_out + row[g], x[e] * np.conjugate(x[g]), (side, side)
+    )
+
+
+def separability_verdict(
+    f: KrausFamily, atol: float = PPT_ATOL, tol: float | None = None
+) -> SeparabilityVerdict:
+    """Choi-state separability verdict from PPT plus the low-rank criterion.
+
+    PPT is decided as by :func:`ppt`, relative to the Choi trace. When the
+    operators are sparse enough (:func:`linalg.coo_is_cheaper` on the
+    (d_in d_out)^2 Choi entries against the products of entry pairs within
+    each operator), the partial-transposed Choi matrix is built from those
+    products as a :class:`linalg.Coo` and no dense Choi matrix is formed.
+    ``tol`` thresholds the singular values of the Choi rank as in
+    :func:`channels.choi_rank`.
+    """
+    side = f.d_in * f.d_out
+    # one product per pair of entries of one operator
+    if coo_is_cheaper((side, side), lambda: sum(int(np.count_nonzero(x)) ** 2 for x in f.ops)):
+        k = np.stack(f.ops)
+        trace = float(np.vdot(k, k).real)
+        is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace, atol)
+    else:
+        is_ppt, smallest = ppt(choi(f), f.d_in, f.d_out, atol=atol)
+    cr = choi_rank(f, tol=tol).rank
     applicable = cr <= f.d_out
     if not is_ppt:
         conclusion = "entangled"

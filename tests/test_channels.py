@@ -193,6 +193,19 @@ class TestChoiRank:
             f = random_family(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 5)))
             assert choi_rank(f).rank == rank(choi(f)).rank
 
+    def test_stacked_vectors_are_vec_of_each_operator(self, rng):
+        f = random_family(rng, 3, 4, 5)
+        real = KrausFamily(d_in=4, d_out=3, ops=tuple(rng.standard_normal((5, 3, 4))))
+        for g in (f, real, shift_family(3, 2)):
+            rr = choi_rank(g)
+            if g.exact_ops is None:
+                per_op = np.array([vec(k) for k in g.ops])
+                s = np.linalg.svd(per_op, compute_uv=False)
+                assert rr.rank == rank(per_op).rank
+                assert rr.smallest_kept_singular_value == pytest.approx(s[rr.rank - 1], rel=1e-13)
+            else:
+                assert rr.rank == rank(np.array([vec(e) for e in g.exact_ops]), mode="exact").rank
+
 
 class TestAdjoint:
     def test_involution(self, rng):
@@ -301,6 +314,28 @@ class TestFamilyJson:
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError):
             family_from_json({"d_in": 2})
+
+    def test_exact_entries_are_converted_to_float_once(self, monkeypatch):
+        doc = family_to_json_exact(shift_family(3, 2))
+        entries = sum(len(m["entries"]) for m in doc["ops"])
+        calls = []
+        to_float = Fraction.__float__
+        monkeypatch.setattr(Fraction, "__float__", lambda x: calls.append(x) or to_float(x))
+        back = family_from_json(doc)
+        assert len(calls) == entries
+        monkeypatch.undo()
+        f = shift_family(3, 2)
+        scale = np.sqrt(float(sum((e.astype(float) ** 2).sum() for e in f.exact_ops)))
+        for a, b in zip(back.ops, f.ops):
+            assert np.abs(a / scale - b).max() <= 1e-15
+
+    def test_exact_operators_as_their_own_floats(self):
+        e = np.array([[Fraction(1, 3), 0], [0, 2]], dtype=object)
+        f = KrausFamily(d_in=2, d_out=2, ops=(e, e), exact_ops=(e, e))
+        assert all(np.array_equal(k, np.array([[1 / 3, 0], [0, 2]], dtype=complex)) for k in f.ops)
+        with pytest.raises(ValueError, match="not rational"):
+            bad = np.array([[0.5, 0], [0, 1]], dtype=object)
+            KrausFamily(d_in=2, d_out=2, ops=(bad,), exact_ops=(bad,))
 
 
 def family_to_json_exact(f):

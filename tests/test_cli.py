@@ -72,6 +72,17 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert not report["passed"]
 
+    def test_tol_reaches_the_verdict_choi_rank(self, capsys):
+        # the stacked Kraus vectors of sigma2 have singular values ~0.82 and ~0.58
+        code, report = run(capsys, "verify", "sigma2", "--numerical", "--tol", "0.7")
+        checks = {c["name"]: c for c in report["checks"]}
+        assert report["verdicts"][0]["choi_rank"] == 1
+        assert checks["choi-rank"]["detail"] == "got 1, expected 2"
+        assert not checks["choi-rank"]["passed"] and code == EXIT_FAIL
+        code, report = run(capsys, "verify", "sigma2", "--numerical", "--tol", "1e9")
+        assert report["verdicts"][0]["choi_rank"] == 0
+        assert report["certificates"][0]["gram_rank"]["rank"] == 0
+
     def test_borderline_exit(self, capsys):
         # --tol thresholds the singular values of the block-vector span
         span = _block_vectors(sigma_rank2().ops, complex)

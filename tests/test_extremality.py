@@ -13,17 +13,26 @@ from extremal_marginals import (
     is_minimal,
     min_eigenvalue,
     ohno_rank4,
+    ohno_rank_d,
     parthasarathy_bound,
     random_family,
     rank,
+    rank8_66,
     rank8k_6k,
     shift_family,
     shift_operators,
     shift_targets,
     sigma_rank2,
 )
-from extremal_marginals.extremality import _block_vectors, _span
-from extremal_marginals.linalg import RANK_PRIME, _bareiss_rank, integer_entries
+from extremal_marginals.extremality import _block_vectors, _sparse_block_vectors, _span
+from extremal_marginals.linalg import (
+    RANK_PRIME,
+    Coo,
+    _bareiss_rank,
+    _singular_values,
+    coo_is_cheaper,
+    integer_entries,
+)
 from conftest import random_unitary
 
 
@@ -374,3 +383,107 @@ class TestTraceQuotient:
             seen["mod-p at D-1"] += rr.engine == "mod-p" and rr.rank == top < r * r
             seen["bareiss"] += rr.engine == "bareiss"
         assert min(seen.values()) >= 10, seen
+
+
+def densify(m):
+    out = np.zeros(m.shape, dtype=m.vals.dtype)
+    out[m.rows, m.cols] = m.vals
+    return out
+
+
+def builtin_families():
+    return [
+        sigma_rank2(),
+        ohno_rank4(),
+        rank8_66(),
+        *(ohno_rank_d(d) for d in (3, 5, 8, 12)),
+        rank8k_6k(3),
+        rank8k_6k(4),
+        *(shift_family(d, m) for d, m in ((2, 1), (3, 2), (4, 4), (7, 10))),
+    ]
+
+
+class TestSparseSpan:
+    """_sparse_block_vectors builds the span from the operators' nonzero
+    entries; densified, it must be _block_vectors (less column 0 on the exact
+    path), exactly for integers and to rounding for floats."""
+
+    @staticmethod
+    def check(ops, dtype, first):
+        k = np.stack(ops).astype(dtype)
+        coo = _sparse_block_vectors(k, first)
+        dense = _block_vectors(k, dtype)[:, first:]
+        assert coo.shape == dense.shape and coo.vals.dtype == dense.dtype
+        # distinct keys, no zero value: the nonzero pattern is the dense one
+        assert len(set(zip(coo.rows.tolist(), coo.cols.tolist()))) == coo.vals.size
+        assert not (coo.vals == 0).any()
+        got = densify(coo)
+        if dtype in (np.int64, object):
+            assert np.array_equal(got, dense)
+        else:
+            assert np.abs(got - dense).max() <= 1e-13 * np.linalg.norm(dense)
+        return dense
+
+    def test_builtin_families(self):
+        for f in builtin_families():
+            if any(k.imag.any() for k in f.ops):
+                self.check(f.ops, complex, 0)
+            else:
+                self.check([k.real for k in f.ops], float, 0)
+            if f.exact_ops is not None:
+                ints = integer_operators(f)
+                self.check(ints, np.int64, 1)
+                self.check([3 * 2**40 * e for e in ints], object, 1)
+
+    def test_seeded_sparse_families(self, rng):
+        """Zero rows and columns, a repeated operator, r = 1, and entries in
+        [-2, 2], whose products cancel exactly in some entries."""
+        cancelled = 0
+        for n in range(50):
+            d_in, d_out = (int(x) for x in rng.integers(1, 7, size=2))
+            r = 1 if n % 10 == 0 else int(rng.integers(2, 8))
+            shape = (r, d_out, d_in)
+            mats = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.4)
+            mats[:, rng.random(d_out) < 0.2, :] = 0
+            mats[:, :, rng.random(d_in) < 0.2] = 0
+            if n % 4 == 0 and r > 1:
+                mats[1] = mats[0]
+            ints = list(mats.astype(np.int64))
+            dense = self.check(ints, np.int64, 1)
+            self.check([3 * 2**40 * np.array(m.tolist(), dtype=object) for m in ints], object, 1)
+            self.check(ints, np.int64, 0)
+            self.check([m * rng.standard_normal(m.shape) for m in ints], float, 0)
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            self.check(list(mats * noise), complex, 0)
+            # a nonzero term under an entry that sums to zero is a cancellation
+            terms = _block_vectors(list(np.abs(mats)), np.int64)[:, 1:]
+            cancelled += int(((terms != 0) & (dense == 0)).sum())
+        assert cancelled > 0
+
+    def test_blocks_of_the_sparse_span(self):
+        for f, blocks, rank_ in ((ohno_rank_d(12), 133, 144), (rank8k_6k(4), 156, 1024)):
+            assert isinstance(_span(f, exact=False), Coo)
+            rr = is_extremal(f).gram_rank
+            assert (rr.blocks, rr.rank) == (blocks, rank_)
+            dense = _block_vectors([k.real for k in f.ops], float)
+            s, _ = _singular_values(dense)
+            threshold = max(dense.shape) * np.finfo(float).eps * s[0]
+            assert rr.threshold == pytest.approx(threshold, rel=1e-12)
+            assert rr.smallest_kept_singular_value == pytest.approx(s[rank_ - 1], rel=1e-12)
+
+    def test_exact_sparse_span_keeps_the_certificate(self):
+        f = shift_family(7, 10)
+        assert isinstance(_span(f, exact=True), Coo)
+        rr = is_extremal(f).gram_rank
+        assert (rr.rank, rr.engine, rr.blocks) == (289, "mod-p", 91)
+
+    def test_crossover(self):
+        # at least 32 dense entries per summed product, on a side of 48 or more
+        assert coo_is_cheaper((48, 64), lambda: 96)
+        assert not coo_is_cheaper((48, 64), lambda: 97)
+        assert not coo_is_cheaper((47, 10**6), lambda: 1)
+        # rank8-66: a 64 x 72 span from 272 products (17 entries each) is
+        # built densely; ohno-d 8: 64 x 128 from 154 products (53 each) is not
+        assert isinstance(_span(rank8_66(), exact=False), np.ndarray)
+        assert isinstance(_span(ohno_rank_d(8), exact=False), Coo)
+        assert isinstance(_span(ohno_rank_d(5), exact=False), np.ndarray)

@@ -20,10 +20,11 @@ from extremal_marginals import (
     shift_family,
     vec,
 )
-from extremal_marginals.extremality import _span, is_extremal
+from extremal_marginals.extremality import _block_vectors, _span, is_extremal
 from extremal_marginals.linalg import (
     _SPLIT_MIN_SIDE,
     RANK_PRIME,
+    Coo,
     _bareiss_rank,
     _singular_values,
 )
@@ -335,7 +336,7 @@ class TestBlockSplit:
 
     def test_rank8k_span_and_partial_transpose(self):
         f = rank8k_6k(3)
-        span = _span(f, exact=False)
+        span = _block_vectors([k.real for k in f.ops], float)
         dense = np.linalg.svd(span, compute_uv=False)
         s, blocks = _singular_values(span)
         assert blocks == is_extremal(f).gram_rank.blocks > 1
@@ -382,6 +383,24 @@ class TestBlockSplit:
         assert (rank(small).rank, rank(small).blocks) == (_SPLIT_MIN_SIDE - 1, 1)
         assert rank(small.astype(np.int64), mode="exact").blocks == 1
         assert rank(small).to_json()["blocks"] == 1
+
+    def test_sparse_input(self):
+        # terms that cancel exactly leave no entry; no entry at all is rank 0
+        rows, cols = np.array([0, 0, 1, 2]), np.array([1, 1, 0, 2])
+        m = Coo.from_terms(rows, cols, np.array([3, -3, 2, 5], dtype=np.int64), (3, 4))
+        assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == ([1, 2], [0, 2], [2, 5])
+        assert (rank(m, mode="exact").rank, rank(m).rank, rank(m).blocks) == (2, 2, 2)
+        empty = Coo.from_terms(rows[:0], cols[:0], np.zeros(0, dtype=object), (3, 3))
+        for rr in (rank(empty), rank(empty, mode="exact")):
+            assert (rr.rank, rr.blocks) == (0, 0)
+        assert min_eigenvalue(empty) == 0.0
+        # Fractions are scaled to integers by one common denominator
+        half = Coo.from_terms(rows[2:], cols[2:], np.array([Fraction(1, 2), Fraction(1, 3)]), (3, 3))
+        assert rank(half, mode="exact").rank == 2
+        with pytest.raises(ValueError, match="finite"):
+            rank(Coo.from_terms(rows[2:], cols[2:], np.array([1.0, np.nan]), (3, 3)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            min_eigenvalue(Coo.from_terms(rows[2:], cols[2:], np.array([1.0, 1.0]), (3, 3)))
 
 
 class TestMatrixJson:

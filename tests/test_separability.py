@@ -4,12 +4,19 @@ import pytest
 from extremal_marginals import (
     KrausFamily,
     choi,
+    min_eigenvalue,
+    ohno_rank4,
+    ohno_rank_d,
+    partial_transpose,
     ppt,
+    rank8_66,
+    rank8k_6k,
     separability_verdict,
     shift_family,
     sigma_rank2,
 )
-from extremal_marginals.separability import SeparabilityVerdict
+from extremal_marginals import separability
+from extremal_marginals.separability import SeparabilityVerdict, _partial_transposed_choi
 from conftest import random_density, random_unitary
 
 
@@ -132,3 +139,81 @@ class TestSeparabilityVerdict:
             "conclusion",
             "eb_rank_note",
         }
+
+
+def scaled(f, s):
+    return KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=tuple(s * k for k in f.ops))
+
+
+class TestScaleInvariantPPT:
+    """The PPT threshold and the Hermiticity check are relative to the Choi
+    trace sum_i ||K_i||^2, so scaling every operator changes no verdict."""
+
+    def test_scaled_shift_family_is_separable(self):
+        # min PT eigenvalue -2.2e-7 at scale 1e5, rounding noise of a Choi trace 1e10
+        v = separability_verdict(scaled(shift_family(3, 2), 1e5))
+        assert v.ppt and v.conclusion == "separable"
+        assert ppt(choi(scaled(shift_family(3, 2), 1e5)), 3, 5)[0]
+
+    @pytest.mark.parametrize("s", [1e-5, 1.0, 1e5])
+    def test_entangled_families_stay_entangled(self, s):
+        # ohno-d 12 takes the sparse partial-transpose path, ohno4 the dense one
+        for f in (ohno_rank4(), ohno_rank_d(12)):
+            v = separability_verdict(scaled(f, s))
+            assert not v.ppt and v.conclusion == "entangled"
+            base = separability_verdict(f).min_pt_eigenvalue
+            assert v.min_pt_eigenvalue == pytest.approx(s * s * base, rel=1e-12)
+
+    def test_large_complex_operators_pass_the_hermiticity_check(self, rng):
+        # entries ~1e3-1e4: the dense Choi product deviates from Hermitian by
+        # up to ~1e-7, far above an absolute 1e-12 but rounding for its trace
+        for _ in range(40):
+            d_in, d_out = (int(x) for x in rng.integers(1, 7, size=2))
+            shape = (int(rng.integers(1, 8)), d_out, d_in)
+            ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            ops *= rng.random(shape) < 0.4
+            f = KrausFamily(d_in=d_in, d_out=d_out, ops=tuple(ops))
+            small = separability_verdict(f)
+            for s in (1e3, 1e4):
+                v = separability_verdict(scaled(f, s))
+                assert (v.ppt, v.conclusion) == (small.ppt, small.conclusion)
+
+
+class TestSparsePartialTranspose:
+    """Above the crossover the partial-transposed Choi matrix is built from
+    products of entry pairs within each operator."""
+
+    def families(self, rng):
+        out = [sigma_rank2(), ohno_rank4(), rank8_66(), ohno_rank_d(8), ohno_rank_d(12)]
+        out += [rank8k_6k(3), shift_family(3, 2), shift_family(7, 10)]
+        for _ in range(30):
+            d_in, d_out = (int(x) for x in rng.integers(1, 7, size=2))
+            shape = (int(rng.integers(1, 8)), d_out, d_in)
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            m *= rng.random(shape) < 0.4
+            if m.any():
+                out.append(KrausFamily(d_in=d_in, d_out=d_out, ops=tuple(m)))
+        return out
+
+    def test_equals_the_dense_partial_transpose(self, rng):
+        for f in self.families(rng):
+            k = np.stack(f.ops)
+            coo = _partial_transposed_choi(k)
+            dense = np.zeros(coo.shape, dtype=complex)
+            dense[coo.rows, coo.cols] = coo.vals
+            pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
+            trace = float(np.vdot(k, k).real)
+            assert np.abs(dense - pt).max() <= 4 * np.finfo(float).eps * trace
+            assert abs(min_eigenvalue(coo) - min_eigenvalue(pt)) <= 8 * np.finfo(float).eps * trace
+
+    def test_crossover(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(separability, "choi", lambda f: calls.append(f) or choi(f))
+        # ohno-d 12: 144^2 Choi entries from 165 products, 126 per product
+        sparse = separability_verdict(ohno_rank_d(12))
+        assert calls == []
+        # rank8-66: a Choi matrix of side 36 is under the split side of 48
+        separability_verdict(rank8_66())
+        assert len(calls) == 1
+        pt = partial_transpose(choi(ohno_rank_d(12)), 12, 12, "first")
+        assert abs(sparse.min_pt_eigenvalue - min_eigenvalue(pt)) <= 8 * np.finfo(float).eps
