@@ -30,7 +30,6 @@ from .extremality import (
 )
 from .families import (
     closed_form_choi_pt,
-    closed_form_gram,
     ohno_rank4,
     ohno_rank_d,
     rank8_66,
@@ -81,7 +80,6 @@ __all__ = [
     "choi",
     "choi_rank",
     "closed_form_choi_pt",
-    "closed_form_gram",
     "diagonalize_marginals",
     "direct_sum",
     "exact_marginals",

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +30,6 @@ from .channels import (
 from .extremality import block_gram, bound_attained, is_extremal, parthasarathy_bound
 from .families import (
     closed_form_choi_pt,
-    closed_form_gram,
     ohno_rank4,
     ohno_rank_d,
     rank8_66,
@@ -68,8 +69,6 @@ DEFAULT_MAX_GRAM_SIDE = 1024
 TABLE_D_LIMIT = 6
 TABLE_N_LIMIT = 12
 DEFAULT_SEED = 2024
-
-FAMILY_NAMES = ("paper", "sigma2", "ohno4", "ohno-d", "rank8-66", "rank8k")
 
 
 class UsageError(Exception):
@@ -131,47 +130,55 @@ class _Timer:
         self.report.timings[self.name] = (time.perf_counter() - self.start) * 1000.0
 
 
-def _build_family(name: str, params: list[int]) -> tuple[KrausFamily, MarginalPair, int, bool]:
-    """Resolve a CLI family name to (family, declared marginals, expected Choi rank,
-    whether the separability verdict is asserted)."""
+BuiltFamily = tuple[KrausFamily, MarginalPair, int, bool]
 
-    def need(n: int) -> None:
-        if len(params) != n:
-            raise UsageError(f"family {name!r} takes {n} integer parameter(s), got {len(params)}")
 
-    if name == "paper":
-        need(2)
-        d, m = params
-        if d < 2 or m < 1:
-            raise UsageError("paper family needs d >= 2 and m >= 1")
-        return shift_family(d, m), shift_targets(d, m), d + m, True
-    if name == "sigma2":
-        need(0)
-        s = sigma_marginal()
-        return sigma_rank2(), MarginalPair(rho1=s, rho2=s), 2, False
-    if name == "ohno4":
-        need(0)
-        eye3 = np.eye(3) / 3
-        return ohno_rank4(), MarginalPair(rho1=eye3, rho2=eye3), 4, False
-    if name == "ohno-d":
-        need(1)
-        d = params[0]
-        if d < 3:
-            raise UsageError("ohno-d needs d >= 3")
-        eye = np.eye(d) / d
-        return ohno_rank_d(d), MarginalPair(rho1=eye, rho2=eye), d, False
-    if name == "rank8-66":
-        need(0)
-        dd = rank8_66_marginal()
-        return rank8_66(), MarginalPair(rho1=dd, rho2=dd), 8, False
-    if name == "rank8k":
-        need(1)
-        k = params[0]
-        if k < 3:
-            raise UsageError("rank8k needs k >= 3")
-        dd = rank8k_marginal(k)
-        return rank8k_6k(k), MarginalPair(rho1=dd, rho2=dd), 8 * k, False
-    raise UsageError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+def _same(rho: np.ndarray) -> MarginalPair:
+    return MarginalPair(rho1=rho, rho2=rho)
+
+
+def _paper(d: int, m: int) -> BuiltFamily:
+    if d < 2 or m < 1:
+        raise UsageError("paper family needs d >= 2 and m >= 1")
+    return shift_family(d, m), shift_targets(d, m), d + m, True
+
+
+def _ohno_d(d: int) -> BuiltFamily:
+    if d < 3:
+        raise UsageError("ohno-d needs d >= 3")
+    return ohno_rank_d(d), _same(np.eye(d) / d), d, False
+
+
+def _rank8k(k: int) -> BuiltFamily:
+    if k < 3:
+        raise UsageError("rank8k needs k >= 3")
+    return rank8k_6k(k), _same(rank8k_marginal(k)), 8 * k, False
+
+
+# CLI name -> (parameter names, builder). A builder checks its integer
+# parameters and returns (family, declared marginals, expected Choi rank,
+# whether the separability verdict is asserted). It calls the constructors
+# through this module's globals at call time, never through stored function
+# objects, so a wrapper installed on them here is the one that runs.
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., BuiltFamily]]] = {
+    "paper": (("d", "m"), _paper),
+    "sigma2": ((), lambda: (sigma_rank2(), _same(sigma_marginal()), 2, False)),
+    "ohno4": ((), lambda: (ohno_rank4(), _same(np.eye(3) / 3), 4, False)),
+    "ohno-d": (("d",), _ohno_d),
+    "rank8-66": ((), lambda: (rank8_66(), _same(rank8_66_marginal()), 8, False)),
+    "rank8k": (("k",), _rank8k),
+}
+
+
+def _build_family(name: str, params: list[int]) -> BuiltFamily:
+    if name not in FAMILIES:
+        raise UsageError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
+    names, build = FAMILIES[name]
+    if len(params) != len(names):
+        raise UsageError(
+            f"family {name!r} takes {len(names)} integer parameter(s), got {len(params)}"
+        )
+    return build(*params)
 
 
 def _guard_gram_side(side: int, max_dim: int | None) -> None:
@@ -299,128 +306,88 @@ def cmd_table(
 
 
 def cmd_oracle(d: int, m: int, max_dim: int | None = None) -> Report:
-    """Cross-check the directly computed Gram and Choi partial transpose
-    against their closed forms; assert full Gram rank and PPT."""
+    """Certify the full span rank of the shift family exactly, check its Choi
+    partial transpose against the closed form, and assert PPT."""
     if d < 2 or m < 1:
         raise UsageError("oracle needs d >= 2 and m >= 1")
     _guard_gram_side((d + m) ** 2, max_dim)
     report = Report(command="oracle", inputs={"d": d, "m": m})
     with _Timer(report, "construct"):
         fam = shift_family(d, m)
-    with _Timer(report, "gram"):
-        gram = block_gram(fam, exact=True)
-        gram_rank = rank(gram, mode="exact")
-        gram_float = np.array([[float(x) for x in row] for row in gram])
-    with _Timer(report, "gram_oracle"):
-        gram_dev = float(np.abs(gram_float - closed_form_gram(d, m)).max())
+    with _Timer(report, "is_extremal"):
+        cert = is_extremal(fam, mode="exact")
+    report.certificates.append(cert)
     with _Timer(report, "choi_pt_oracle"):
         c = choi(fam)
         pt = partial_transpose(c, d, d + m, "first")
         pt_dev = float(np.abs(pt - closed_form_choi_pt(d, m)).max())
     with _Timer(report, "ppt"):
         is_ppt, min_eig = ppt(c, d, d + m)
-    report.oracle_deviations = {
-        "gram_closed_form": gram_dev,
-        "choi_pt_closed_form": pt_dev,
-    }
-    full = (d + m) ** 2
-    report.check("gram-full-rank", gram_rank.rank == full, f"exact rank {gram_rank.rank}/{full}")
+    report.oracle_deviations = {"choi_pt_closed_form": pt_dev}
+    report.check(
+        "gram-full-rank",
+        cert.extremal,
+        f"span rank {cert.gram_rank.rank}/{cert.gram_size} ({cert.gram_rank.engine})",
+    )
     report.check("choi-ppt", is_ppt, f"min PT eigenvalue {min_eig:.3e}")
     report.check("choi-pt-oracle", pt_dev <= 1e-12, f"max deviation {pt_dev:.3e}")
-    if gram_dev > 0:
-        report.warnings.append(
-            f"closed-form Gram deviates from the computed Gram by {gram_dev:g}; "
-            "the verdict uses the computed Gram only"
-        )
     return report
 
 
-def _proptest_adjoint(rng: np.random.Generator, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        f = random_family(
-            rng,
-            int(rng.integers(2, 5)),
-            int(rng.integers(2, 5)),
-            int(rng.integers(1, 6)),
-        )
-        ok += adjoint_duality_check(f)
-    return ok, count
+def _canonical_ok(f: KrausFamily) -> bool:
+    rec = diagonalize_marginals(f)
+    mp = marginals(rec.family)
+    off1 = float(np.abs(mp.rho1 - np.diag(np.diag(mp.rho1))).max())
+    off2 = float(np.abs(mp.rho2 - np.diag(np.diag(mp.rho2))).max())
+    same = is_extremal(f).extremal == is_extremal(rec.family).extremal
+    return same and off1 <= 1e-12 and off2 <= 1e-12
 
 
-def _proptest_canonical(rng: np.random.Generator, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        f = random_family(
-            rng,
-            int(rng.integers(2, 5)),
-            int(rng.integers(2, 5)),
-            int(rng.integers(1, 6)),
-        )
-        rec = diagonalize_marginals(f)
-        mp = marginals(rec.family)
-        off1 = float(np.abs(mp.rho1 - np.diag(np.diag(mp.rho1))).max())
-        off2 = float(np.abs(mp.rho2 - np.diag(np.diag(mp.rho2))).max())
-        same = is_extremal(f).extremal == is_extremal(rec.family).extremal
-        ok += same and off1 <= 1e-12 and off2 <= 1e-12
-    return ok, count
+def _restrict_ok(f: KrausFamily) -> bool:
+    padded = KrausFamily(
+        d_in=f.d_in + 1,
+        d_out=f.d_out + 1,
+        ops=tuple(np.pad(k, ((0, 1), (0, 1))) for k in f.ops),
+    )
+    once = restrict_to_support(padded)
+    twice = restrict_to_support(once)
+    mp = marginals(once)
+    full_rank = (
+        float(np.linalg.eigvalsh(mp.rho1)[0]) > 1e-12
+        and float(np.linalg.eigvalsh(mp.rho2)[0]) > 1e-12
+    )
+    same_gram = rank(block_gram(once)).rank == rank(block_gram(f)).rank
+    return (twice is once) and full_rank and same_gram
 
 
-def _proptest_restrict(rng: np.random.Generator, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        f = random_family(
-            rng,
-            int(rng.integers(2, 5)),
-            int(rng.integers(2, 5)),
-            int(rng.integers(1, 6)),
-        )
-        padded = KrausFamily(
-            d_in=f.d_in + 1,
-            d_out=f.d_out + 1,
-            ops=tuple(np.pad(k, ((0, 1), (0, 1))) for k in f.ops),
-        )
-        once = restrict_to_support(padded)
-        twice = restrict_to_support(once)
-        mp = marginals(once)
-        full_rank = (
-            float(np.linalg.eigvalsh(mp.rho1)[0]) > 1e-12
-            and float(np.linalg.eigvalsh(mp.rho2)[0]) > 1e-12
-        )
-        same_gram = rank(block_gram(once)).rank == rank(block_gram(f)).rank
-        ok += (twice is once) and full_rank and same_gram
-    return ok, count
+# (name, half-open ranges of d_in, d_out and r, property). The suites run in
+# this order and draw their families from one seeded generator. Library
+# functions are looked up at call time, as in FAMILIES.
+_PROPTESTS = (
+    ("adjoint-verdict-invariance", ((2, 5), (2, 5), (1, 6)), lambda f: adjoint_duality_check(f)),
+    ("canonicalization", ((2, 5), (2, 5), (1, 6)), _canonical_ok),
+    ("restrict-idempotent", ((2, 5), (2, 5), (1, 6)), _restrict_ok),
+    (
+        "span-equals-gram-rank",
+        ((1, 4), (1, 4), (1, 4)),
+        lambda f: is_extremal(f).gram_rank.rank == rank(block_gram(f)).rank,
+    ),
+)
 
 
-def _proptest_span(rng: np.random.Generator, count: int) -> tuple[int, int]:
-    ok = 0
-    for _ in range(count):
-        f = random_family(
-            rng,
-            int(rng.integers(1, 4)),
-            int(rng.integers(1, 4)),
-            int(rng.integers(1, 4)),
-        )
-        ok += is_extremal(f).gram_rank.rank == rank(block_gram(f)).rank
-    return ok, count
-
-
-def cmd_proptest(seed: int, count: int = 50, max_dim: int | None = None) -> Report:
+def cmd_proptest(seed: int, count: int = 50) -> Report:
     """Seeded random-family property checks for the reduction theorems."""
     if count < 1:
         raise UsageError("count must be positive")
     report = Report(command="proptest", inputs={"seed": seed, "count": count})
     rng = np.random.default_rng(seed)
-    suites = (
-        ("adjoint-verdict-invariance", _proptest_adjoint),
-        ("canonicalization", _proptest_canonical),
-        ("restrict-idempotent", _proptest_restrict),
-        ("span-equals-gram-rank", _proptest_span),
-    )
-    for name, fn in suites:
+    for name, ranges, holds in _PROPTESTS:
+        good = 0
         with _Timer(report, name):
-            good, total = fn(rng, count)
-        report.check(name, good == total, f"{good}/{total}")
+            for _ in range(count):
+                dims = [int(rng.integers(lo, hi)) for lo, hi in ranges]
+                good += bool(holds(random_family(rng, *dims)))
+        report.check(name, good == count, f"{good}/{count}")
     return report
 
 
@@ -435,14 +402,41 @@ def _summary(report: Report) -> list[str]:
     return lines
 
 
+def _positive_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extmarg",
         description="Construct extremal Kraus families and certify their properties.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH", help="also write the JSON report to PATH")
-    mode = common.add_mutually_exclusive_group()
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", metavar="PATH", help="also write the JSON report to PATH")
+    max_dim_flag = argparse.ArgumentParser(add_help=False)
+    max_dim_flag.add_argument(
+        "--max-dim",
+        type=int,
+        help=f"override the desk-scale guardrail (max Gram side, default {DEFAULT_MAX_GRAM_SIDE})",
+    )
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_verify = sub.add_parser(
+        "verify",
+        parents=[json_flag, max_dim_flag],
+        help="construct a named family and certify it",
+        description="Families: "
+        + " | ".join(" ".join((name, *params)) for name, (params, _) in FAMILIES.items()),
+    )
+    p_verify.add_argument("family", choices=FAMILIES)
+    p_verify.add_argument("params", nargs="*", type=int)
+    mode = p_verify.add_mutually_exclusive_group()
     mode.add_argument(
         "--exact", action="store_const", const="exact", dest="mode", help="force exact arithmetic"
     )
@@ -453,47 +447,43 @@ def build_parser() -> argparse.ArgumentParser:
         dest="mode",
         help="force floating-point arithmetic",
     )
-    common.add_argument(
+    p_verify.add_argument(
         "--tol",
-        type=float,
+        type=_positive_tol,
         help="numerical rank threshold override, applied to the singular values of the "
         "block-vector span (the square roots of the block Gram's) and of the vectorized "
         "Kraus operators (Choi rank)",
     )
-    common.add_argument("--seed", type=int, help="seed for randomized subcommands")
-    common.add_argument(
-        "--max-dim",
-        type=int,
-        help=f"override the desk-scale guardrail (max Gram side, default {DEFAULT_MAX_GRAM_SIDE})",
+    p_verify.set_defaults(
+        run=lambda a: cmd_verify(a.family, a.params, mode=a.mode, tol=a.tol, max_dim=a.max_dim)
     )
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="construct a named family and certify it",
-        description="Families: "
-        "paper d m | sigma2 | ohno4 | ohno-d d | rank8-66 | rank8k k",
-    )
-    p_verify.add_argument("family", choices=FAMILY_NAMES)
-    p_verify.add_argument("params", nargs="*", type=int)
 
     p_table = sub.add_parser(
-        "table", parents=[common], help="rank/bound attainment table over a (d, m) grid"
+        "table",
+        parents=[json_flag, max_dim_flag],
+        help="rank/bound attainment table over a (d, m) grid",
     )
     for name in ("d_min", "d_max", "m_min", "m_max"):
         p_table.add_argument(name, type=int)
+    p_table.set_defaults(
+        run=lambda a: cmd_table(a.d_min, a.d_max, a.m_min, a.m_max, max_dim=a.max_dim)
+    )
 
     p_oracle = sub.add_parser(
-        "oracle", parents=[common], help="cross-check closed-form Gram and Choi-PT oracles"
+        "oracle",
+        parents=[json_flag, max_dim_flag],
+        help="exact span rank, Choi partial transpose against its closed form, and PPT",
     )
     p_oracle.add_argument("d", type=int)
     p_oracle.add_argument("m", type=int)
+    p_oracle.set_defaults(run=lambda a: cmd_oracle(a.d, a.m, max_dim=a.max_dim))
 
     p_prop = sub.add_parser(
-        "proptest", parents=[common], help="seeded random-family property checks"
+        "proptest", parents=[json_flag], help="seeded random-family property checks"
     )
+    p_prop.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the families")
     p_prop.add_argument("--count", type=int, default=50)
+    p_prop.set_defaults(run=lambda a: cmd_proptest(a.seed, a.count))
     return parser
 
 
@@ -504,17 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
     try:
-        if args.command == "verify":
-            report = cmd_verify(
-                args.family, args.params, mode=args.mode, tol=args.tol, max_dim=args.max_dim
-            )
-        elif args.command == "table":
-            report = cmd_table(args.d_min, args.d_max, args.m_min, args.m_max, max_dim=args.max_dim)
-        elif args.command == "oracle":
-            report = cmd_oracle(args.d, args.m, max_dim=args.max_dim)
-        else:
-            seed = args.seed if args.seed is not None else DEFAULT_SEED
-            report = cmd_proptest(seed, count=args.count, max_dim=args.max_dim)
+        report = args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

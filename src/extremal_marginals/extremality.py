@@ -30,7 +30,7 @@ The conjugate Gram
                    + tr((K_j K_i^dagger)^dagger (K_l K_k^dagger))
 
 has the same rank as the span and is kept as :func:`block_gram`, an oracle
-for tests and the CLI's cross-checks.
+for the tests and for the span-rank checks of the CLI's ``proptest``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,10 @@ class ExtremalityCertificate:
     under the default threshold a discarded value is rounding noise);
     ``valid_marginals`` is False when the computed marginals miss the
     declared targets, which does not change the extremality verdict (the
-    span test is marginal-independent).
+    span test is marginal-independent). The residual is compared with
+    ``MARGINAL_ATOL`` times the Choi trace sum_i ||K_i||_F^2, which is 1 for
+    a normalized family, so the check does not change with the overall scale
+    of the operators and targets.
     """
 
     r: int
@@ -233,15 +236,16 @@ def is_extremal(
     without a dense copy of the whole span. In numerical mode ``tol``
     thresholds the singular values of the span itself (the square roots of
     the block Gram's). When ``targets`` is given the computed marginals are
-    checked against it and the residual recorded.
+    checked against it, relative to the Choi trace, and the residual recorded.
     """
     if mode not in (None, "exact", "numerical"):
         raise ValueError("mode must be None, 'exact' or 'numerical'")
     use_exact = f.exact_ops is not None if mode is None else mode == "exact"
     rr = rank(_span(f, use_exact), mode="exact" if use_exact else "numerical", tol=tol)
-    residual = 0.0
+    residual = trace = 0.0
     if targets is not None:
         mp = marginals(f)
+        trace = float(np.trace(mp.rho1).real)
         residual = max(
             float(np.abs(mp.rho1 - np.asarray(targets.rho1, dtype=complex)).max()),
             float(np.abs(mp.rho2 - np.asarray(targets.rho2, dtype=complex)).max()),
@@ -254,7 +258,7 @@ def is_extremal(
         marginal_residual=residual,
         mode=rr.mode,
         borderline=_is_borderline(rr, tol),
-        valid_marginals=residual <= MARGINAL_ATOL,
+        valid_marginals=residual <= MARGINAL_ATOL * trace,
     )
 
 

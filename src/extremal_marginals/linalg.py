@@ -540,7 +540,10 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     integer), so it is certified as is. A deficient rank mod p may be an
     artefact of the prime, so that block is settled by fraction-free
     (Bareiss) elimination over the integers, and the engine is "bareiss".
+    A ``tol`` that is not a finite number >= 0 raises ValueError in both modes.
     """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if mode == "exact":
         total = blocks = 0
         engine = "mod-p"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausFamily, choi, choi_rank, marginals
+from .channels import KrausFamily, choi, choi_rank
 from .linalg import (
     HERMITIAN_ATOL,
     Coo,
@@ -37,9 +37,7 @@ class SeparabilityVerdict:
 
     ``conclusion`` is "separable" only when the state is PPT and the rank
     criterion applies (Choi rank <= d_out), "entangled" only when it is NPT,
-    and "undetermined" otherwise. ``eb_rank_note`` reports the entanglement
-    breaking rank for unital families whose Kraus rank equals d_out; the
-    value is quoted from the rank identity for that class, not searched for.
+    and "undetermined" otherwise.
     """
 
     ppt: bool
@@ -47,7 +45,6 @@ class SeparabilityVerdict:
     choi_rank: int
     criterion_applicable: bool
     conclusion: str
-    eb_rank_note: int | None = None
 
     def __post_init__(self) -> None:
         if self.conclusion not in ("separable", "entangled", "undetermined"):
@@ -64,7 +61,6 @@ class SeparabilityVerdict:
             "choi_rank": self.choi_rank,
             "criterion_applicable": self.criterion_applicable,
             "conclusion": self.conclusion,
-            "eb_rank_note": self.eb_rank_note,
         }
 
 
@@ -134,16 +130,10 @@ def separability_verdict(
         conclusion = "separable"
     else:
         conclusion = "undetermined"
-    note = None
-    if conclusion == "separable" and cr == f.d_out:
-        rho2 = marginals(f).rho2
-        if float(np.abs(rho2 - np.eye(f.d_out) / f.d_out).max()) <= 1e-9:
-            note = cr
     return SeparabilityVerdict(
         ppt=is_ppt,
         min_pt_eigenvalue=smallest,
         choi_rank=cr,
         criterion_applicable=applicable,
         conclusion=conclusion,
-        eb_rank_note=note,
     )

@@ -16,7 +16,6 @@ from extremal_marginals import (
     choi,
     choi_rank,
     closed_form_choi_pt,
-    closed_form_gram,
     diagonalize_marginals,
     exact_marginals,
     is_extremal,
@@ -187,18 +186,7 @@ def test_criterion_5_oracle_agreement():
         dev = float(np.abs(pt - closed_form_choi_pt(d, m)).max())
         if dev > 1e-12:
             failures.append(f"({d},{m}) pt dev {dev:.2e}")
-    gram_devs = {}
-    for d, m in [(2, 1), (2, 2), (3, 2), (3, 3)]:
-        fam = shift_family(d, m)
-        gram = block_gram(fam, exact=True)
-        if rank(gram, mode="exact").rank != (d + m) ** 2:
-            failures.append(f"({d},{m}) direct gram not full rank")
-        dev = float(np.abs(gram.astype(float) - closed_form_gram(d, m)).max())
-        gram_devs[(d, m)] = dev
-    detail = "gram-oracle deviations " + ", ".join(
-        f"({d},{m})={v:g}" for (d, m), v in gram_devs.items()
-    )
-    report("C5 oracle agreement", not failures, detail if not failures else "; ".join(failures))
+    report("C5 oracle agreement", not failures, "; ".join(failures))
 
 
 def test_criterion_6_reduction_properties():

@@ -158,9 +158,12 @@ class TestOracle:
         code, report = run(capsys, "oracle", "2", "1")
         assert code == EXIT_PASS
         dev = report["oracle_deviations"]
+        assert set(dev) == {"choi_pt_closed_form"}
         assert dev["choi_pt_closed_form"] <= 1e-12
-        assert dev["gram_closed_form"] == pytest.approx(2.0)
-        assert report["warnings"]  # the known closed-form gap is surfaced
+        assert report["warnings"] == []
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["gram-full-rank"]["detail"] == "span rank 9/9 (mod-p)"
+        assert report["certificates"][0]["mode"] == "exact"
 
     def test_3_2_exact_rank(self, capsys):
         code, report = run(capsys, "oracle", "3", "2")
@@ -216,4 +219,28 @@ class TestReportShape:
         assert cmd_verify("sigma2", []).passed
         assert cmd_oracle(2, 2).passed
         assert cmd_table(2, 3, 1, 2).passed
-        assert cmd_proptest(5, count=3).passed
+        assert cmd_proptest(5, 3).passed
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "2", "3", "1", "2", "--numerical"],
+            ["oracle", "2", "1", "--tol", "1"],
+            ["verify", "sigma2", "--seed", "5"],
+            ["proptest", "--max-dim", "1"],
+        ],
+    )
+    def test_unhonoured_flag_is_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "x"])
+    def test_bad_tol_is_usage_error(self, capsys, tol):
+        assert main(["verify", "sigma2", "--tol", tol]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err and "Traceback" not in captured.err

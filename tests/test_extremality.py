@@ -199,6 +199,15 @@ class TestIsExtremal:
         assert cert.marginal_residual > 1e-9
         assert cert.extremal  # the Gram test does not look at the targets
 
+    def test_marginal_check_is_relative_to_the_choi_trace(self):
+        f = shift_family(3, 2)
+        big = KrausFamily(d_in=3, d_out=5, ops=tuple(1e5 * k for k in f.ops))
+        t = shift_targets(3, 2)
+        scaled = MarginalPair(rho1=1e10 * t.rho1, rho2=1e10 * t.rho2)
+        assert is_extremal(big, targets=scaled).valid_marginals
+        off = MarginalPair(rho1=scaled.rho1 * (1 + 1e-6), rho2=scaled.rho2)
+        assert not is_extremal(big, targets=off).valid_marginals
+
     def test_extremal_implies_minimal(self, rng):
         seen_extremal = 0
         for _ in range(30):

@@ -6,7 +6,6 @@ from extremal_marginals import (
     choi,
     choi_rank,
     closed_form_choi_pt,
-    closed_form_gram,
     exact_marginals,
     is_extremal,
     is_minimal,
@@ -121,22 +120,6 @@ class TestShiftFamily:
             shift_family(1, 1)
         with pytest.raises(ValueError):
             shift_family(2, 0)
-
-
-class TestClosedFormGram:
-    @pytest.mark.parametrize("d,m", [(2, 1), (3, 2), (4, 3)])
-    def test_hermitian(self, d, m):
-        g = closed_form_gram(d, m)
-        assert np.abs(g - g.T).max() == 0
-
-    def test_known_deviation_from_computed_gram(self):
-        # The closed form's final simplification merges the padded-J terms
-        # with different coefficients; the measured gap is 2(d-1)*max(1, d-2)
-        # and is reported by the oracle command, never asserted away.
-        for (d, m), expected in [((2, 1), 2.0), ((2, 2), 2.0), ((3, 2), 4.0), ((3, 3), 4.0)]:
-            g = block_gram(shift_family(d, m), exact=True).astype(float)
-            dev = np.abs(g - closed_form_gram(d, m)).max()
-            assert dev == pytest.approx(expected, abs=1e-12)
 
 
 class TestClosedFormChoiPt:

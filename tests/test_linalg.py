@@ -162,6 +162,13 @@ class TestRank:
         m = np.diag([1.0, 1e-6])
         assert rank(m).rank == 2
         assert rank(m, tol=1e-3).rank == 1
+        assert rank(m, tol=0.0).rank == 2
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-3])
+    @pytest.mark.parametrize("mode", ["numerical", "exact"])
+    def test_bad_tol_raises(self, tol, mode):
+        with pytest.raises(ValueError, match="tol"):
+            rank(np.eye(2, dtype=int), mode=mode, tol=tol)
 
     def test_exact_agrees_with_plain_fraction_elimination(self, rng):
         def fraction_elimination_rank(mat):

@@ -76,14 +76,12 @@ class TestSeparabilityVerdict:
         assert v.ppt
         assert v.choi_rank == 5
         assert v.criterion_applicable
-        assert v.eb_rank_note == 5
 
     def test_identity_channel_entangled(self):
         v = separability_verdict(identity_channel())
         assert v.conclusion == "entangled"
         assert not v.ppt
         assert v.min_pt_eigenvalue == pytest.approx(-0.5, abs=1e-10)
-        assert v.eb_rank_note is None
 
     def test_ppt_high_rank_undetermined(self):
         v = separability_verdict(depolarizing_to_maximally_mixed())
@@ -96,11 +94,6 @@ class TestSeparabilityVerdict:
         # rank 2 <= d_out, so the criterion applies either way
         v = separability_verdict(sigma_rank2())
         assert v.conclusion in ("separable", "entangled")
-
-    def test_eb_note_requires_uniform_output_marginal(self):
-        v = separability_verdict(sigma_rank2())
-        if v.conclusion == "separable":
-            assert v.eb_rank_note is None
 
     def test_grid_families_separable(self):
         for d, m in [(2, 1), (3, 2), (4, 1)]:
@@ -137,7 +130,6 @@ class TestSeparabilityVerdict:
             "choi_rank",
             "criterion_applicable",
             "conclusion",
-            "eb_rank_note",
         }
 
 
