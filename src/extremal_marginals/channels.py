@@ -192,9 +192,12 @@ def _vecs(ops: tuple[np.ndarray, ...]) -> np.ndarray:
 def choi(f: KrausFamily) -> np.ndarray:
     """Choi matrix C = sum_{r,s} E_rs (x) Phi(E_rs) = sum_i |vec K_i><vec K_i|.
 
-    The sum is one product V^T conj(V), where row i of V is vec K_i.
+    The sum is one product V^T conj(V), where row i of V is vec K_i, taken in
+    real arithmetic when every operator is real.
     """
     v = _vecs(f.ops)
+    if not v.imag.any():
+        return v.real.T @ v.real
     return v.T @ v.conj()
 
 

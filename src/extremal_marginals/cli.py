@@ -204,6 +204,9 @@ def cmd_verify(
     with _Timer(report, "construct"):
         fam, targets, expected_rank, assert_separable = _build_family(family_name, params)
     _guard_gram_side(fam.r * fam.r, max_dim)
+    exact = mode == "exact" or (mode is None and fam.exact_ops is not None)
+    if tol is not None and exact:
+        raise UsageError("--tol needs --numerical for a rational family")
     try:
         with _Timer(report, "is_extremal"):
             cert = is_extremal(fam, targets=targets, mode=mode, tol=tol)
@@ -452,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_tol,
         help="numerical rank threshold override, applied to the singular values of the "
         "block-vector span (the square roots of the block Gram's) and of the vectorized "
-        "Kraus operators (Choi rank)",
+        "Kraus operators (Choi rank); a rational family takes it only with --numerical",
     )
     p_verify.set_defaults(
         run=lambda a: cmd_verify(a.family, a.params, mode=a.mode, tol=a.tol, max_dim=a.max_dim)

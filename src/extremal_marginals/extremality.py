@@ -177,14 +177,13 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     if exact:
         if f.exact_ops is None:
             raise ValueError("family carries no certified rational operators")
-        ops = [
-            np.array(integer_entries(e.flat), dtype=object).reshape(e.shape) for e in f.exact_ops
-        ]
-        big = max(abs(x) for e in ops for x in e.flat)
-        if big * big * max(f.d_in, f.d_out) < _INT64_PRODUCT_LIMIT:
-            ops, dtype = [e.astype(np.int64) for e in ops], np.int64
-        else:
-            dtype = object
+        ops = [integer_entries(e).reshape(e.shape) for e in f.exact_ops]
+        dtype = object
+        if all(e.dtype == np.int64 for e in ops):
+            big = max(max(int(e.max()), -int(e.min())) for e in ops)
+            if big * big * max(f.d_in, f.d_out) < _INT64_PRODUCT_LIMIT:
+                dtype = np.int64
+        ops = [e.astype(dtype) for e in ops]
     elif any(k.imag.any() for k in f.ops):
         ops, dtype = f.ops, complex
     else:

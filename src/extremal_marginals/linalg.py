@@ -13,7 +13,10 @@ independent blocks. The split is exact: permuting rows and columns into
 block-diagonal form leaves singular values and eigenvalues unchanged, the
 singular values of a block-diagonal matrix are those of its blocks (plus
 zeros up to the smaller side), and its eigenvalues are those of its blocks.
-Blocks of one shape are solved in one stacked LAPACK call.
+Blocks of one shape are solved together, and rank runs on the short side in
+both modes: numerically in one stacked LAPACK call on the tall orientation,
+exactly in one inverse-free elimination modulo the prime over all the
+stack's rows, which stops once every row has been a pivot.
 
 A matrix may also be given as its nonzero entries, a :class:`Coo`. One
 gatherer labels the components of either input from its nonzero entries
@@ -105,7 +108,7 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
 
 
 def _bipartite_view(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = _as_float_matrix(m)
     if d1 < 1 or d2 < 1:
         raise ValueError("subsystem dimensions must be positive")
     side = d1 * d2
@@ -299,7 +302,8 @@ def min_eigenvalue(h: np.ndarray | Coo, atol: float = HERMITIAN_ATOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix, dense or :class:`Coo`.
 
     The input must be finite and Hermitian within ``atol`` entrywise; the
-    eigenvalue is computed from the Hermitian part (h + h^dagger)/2.
+    eigenvalue is computed from the Hermitian part (h + h^dagger)/2, in real
+    arithmetic when the input is real.
     Indices i and j are joined when entry (i, j) of h is nonzero, and the
     check and the Hermitian part are taken per principal block of the
     components. Every nonzero h_ij and h_ji lies inside one block, so both
@@ -307,10 +311,7 @@ def min_eigenvalue(h: np.ndarray | Coo, atol: float = HERMITIAN_ATOL) -> float:
     matrix is then a symmetric permutation of the direct sum of the blocks,
     so its smallest eigenvalue is the smallest over them.
     """
-    if isinstance(h, Coo):
-        a = replace(h, vals=np.asarray(h.vals, dtype=complex))
-    else:
-        a = np.asarray(h, dtype=complex)
+    a = _as_float_matrix(h)
     if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(_entries(a)).all():
@@ -333,8 +334,9 @@ class RankResult:
     singular value against the threshold) makes borderline calls auditable.
     Exact mode carries no singular-value data. ``engine`` names what
     decided the rank: "svd" (numerical), "mod-p" (exact, every block of full
-    rank modulo ``prime``) or "bareiss" (exact elimination over the integers
-    for at least one block).
+    rank modulo ``prime``, all blocks of one shape ranked by one stacked
+    elimination) or "bareiss" (exact elimination over the integers for at
+    least one block).
     ``blocks`` counts the independent diagonal blocks of the nonzero pattern
     that were ranked; the rank is the sum of theirs.
     """
@@ -398,27 +400,38 @@ def _to_fraction(x: object) -> Fraction:
     raise ValueError(f"entry {x!r} is not certified rational")
 
 
-def integer_entries(entries: Iterable[object]) -> list[int]:
-    """The entries times the lcm of their denominators, as Python ints.
+def integer_entries(entries: Iterable[object]) -> np.ndarray:
+    """The entries times the lcm of their denominators, as a 1-d array of
+    integers: int64 when every one fits, else Python ints (dtype object).
 
-    Integers pass through unchanged. Callers scale a whole row or a whole
+    Integers pass through unchanged. Callers scale a whole matrix or a whole
     operator this way, which keeps every rank it enters; floating-point
     input is rejected because it is not certified rational.
     """
-    items = list(entries)
-    if all(isinstance(x, (int, np.integer)) for x in items):
-        return [int(x) for x in items]
-    fracs = [_to_fraction(x) for x in items]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs]
+    a = np.asarray(entries if isinstance(entries, np.ndarray) else list(entries), dtype=object)
+    a = a.reshape(-1)
+    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, a))):
+        fracs = [_to_fraction(x) for x in a]
+        den = math.lcm(*(f.denominator for f in fracs))
+        a = np.array([f.numerator * (den // f.denominator) for f in fracs], dtype=object)
+    return _int64_or_python(a)
+
+
+def _int64_or_python(a: np.ndarray) -> np.ndarray:
+    """An object array of integers as int64 in one conversion, or, when an
+    entry does not fit, as Python ints."""
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
 
 
 def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
-    """An integer matrix of the same rank: numpy integers as int64, other
-    certified-rational input as Python ints with each row scaled to clear
-    its denominators (a :class:`Coo` as one row: one scale for every entry)."""
+    """An integer matrix of the same rank, int64 where every entry fits and
+    Python ints otherwise: integer input as it is, other certified-rational
+    input times the lcm of all its denominators."""
     if isinstance(m, Coo):
-        return replace(m, vals=_integer_matrix(m.vals[None])[0])
+        return replace(m, vals=integer_entries(m.vals))
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError("rank expects a 2-d matrix")
@@ -426,40 +439,58 @@ def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
         return a.astype(np.int64) if np.can_cast(a.dtype, np.int64) else a.astype(object)
     if a.dtype != object:
         raise ValueError("exact rank requires integer or Fraction entries, not floating point")
-    out = np.empty(a.shape, dtype=object)
-    for i, row in enumerate(a):
-        out[i, :] = integer_entries(row)
-    return out
+    return integer_entries(a).reshape(a.shape)
 
 
-def _rank_mod_p(a: np.ndarray) -> int:
-    """Rank over GF(RANK_PRIME) by row elimination on int64 residues in [0, p).
+def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
+    """Rank over GF(RANK_PRIME) of each block of a (k, p, q) stack of int64
+    residues in [0, RANK_PRIME), by one inverse-free elimination over all
+    k * p rows.
 
-    Every product is of two residues, so it stays below 2^62 and int64
-    arithmetic is exact. Only rows with a nonzero entry in the pivot column
-    are updated, which keeps sparse inputs cheap.
+    Column by column, a block's pivot is its first row with a nonzero entry
+    there, and every other such row of the block becomes
+    ``piv * row - a_rc * pivot_row`` mod RANK_PRIME. The pivot is a unit mod
+    the prime, so the block's row space is unchanged and no inverse is
+    needed; a product of two residues is below 2^62, so int64 arithmetic is
+    exact. A pivot row takes
+    no further part and is cleared. The loop ends once every row has been a
+    pivot, so a wide stack of full row rank stops after about p columns.
+    Keeping the given orientation was measured no slower than transposing a
+    wide stack on the Kraus vectors and on random integer blocks.
     """
-    a = a.copy()
-    n_rows, n_cols = a.shape
-    row = 0
-    for col in range(n_cols):
-        if row == n_rows:
-            break
-        nz = np.flatnonzero(a[row:, col])
-        if nz.size == 0:
+    k, p, q = stack.shape
+    a = stack.reshape(k * p, q).copy()
+    pivots = []
+    pivot_of = np.empty(k, dtype=np.int64)
+    left = k * p
+    for c in range(q):
+        rows = np.flatnonzero(a[:, c])
+        if rows.size == 0:
             continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        below = row + nz[1:]
-        if below.size:
-            inv = pow(int(a[row, col]), RANK_PRIME - 2, RANK_PRIME)
-            factors = a[below, col] * inv % RANK_PRIME
-            a[below, col + 1 :] = (
-                a[below, col + 1 :] - np.outer(factors, a[row, col + 1 :])
+        if k == 1:
+            # no grouping by block: a 17 x 119 matrix ranks ~2x faster
+            piv, tgt, src = rows[:1], rows[1:], rows[0]
+        else:
+            block = rows // p
+            first = np.empty(rows.size, dtype=bool)
+            first[0] = True
+            np.not_equal(block[1:], block[:-1], out=first[1:])
+            piv, tgt = rows[first], rows[~first]
+            pivot_of[block[first]] = piv
+            src = pivot_of[block[~first]]
+        pivots.append(piv)
+        left -= piv.size
+        if left == 0:
+            break
+        if tgt.size:
+            top = a[src]
+            a[tgt, c + 1 :] = (
+                top[..., c, None] * a[tgt, c + 1 :] - a[tgt, c, None] * top[..., c + 1 :]
             ) % RANK_PRIME
-        row += 1
-    return row
+        a[piv] = 0
+    if not pivots:
+        return np.zeros(k, dtype=np.int64)
+    return np.bincount(np.concatenate(pivots) // p, minlength=k)
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -499,13 +530,12 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 
 
 def _as_float_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
-    """float64 for real input, complex128 otherwise; real SVD is the cheaper one."""
+    """float64 for real-typed input, complex128 otherwise (object entries
+    included); real SVD, products and eigensolves are the cheaper ones."""
     if isinstance(m, Coo):
-        return replace(m, vals=_as_float_matrix(m.vals[None])[0])
+        return replace(m, vals=_as_float_matrix(m.vals))
     a = np.asarray(m)
-    if a.dtype == object:
-        return np.array([[complex(float(x)) for x in row] for row in a], dtype=complex)
-    return a.astype(complex if np.iscomplexobj(a) else float)
+    return a.astype(float if a.dtype.kind in "biuf" else complex)
 
 
 def _singular_values(a: np.ndarray | Coo) -> tuple[np.ndarray, int]:
@@ -515,6 +545,10 @@ def _singular_values(a: np.ndarray | Coo) -> tuple[np.ndarray, int]:
     parts = [np.zeros(0)]
     blocks = 0
     for stack in _blocks(a, symmetric=False):
+        # a matrix and its transpose have the same singular values, and the
+        # SVD of the tall one is the cheaper (32 x 576: 1.2 vs 0.4 ms)
+        if stack.shape[1] < stack.shape[2]:
+            stack = stack.transpose(0, 2, 1)
         parts.append(np.linalg.svd(stack, compute_uv=False).ravel())
         blocks += stack.shape[0]
     s = np.sort(np.concatenate(parts))[::-1]
@@ -532,12 +566,15 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     numerical: count of singular values strictly above the threshold, which
     is ``tol`` when given and otherwise max(rows, cols) * eps * sigma_max of
     the whole matrix. The blocks' singular values, padded with exact zeros
-    to min(rows, cols) values, are the whole matrix's; the SVD runs in real
-    arithmetic when the input is real.
-    exact: requires entries that are integers or Fractions by construction.
-    Each integer block is first ranked mod RANK_PRIME; a full rank there is
-    a full rank over the rationals (a nonzero minor mod p is a nonzero
-    integer), so it is certified as is. A deficient rank mod p may be an
+    to min(rows, cols) values, are the whole matrix's; one stacked SVD per
+    block shape runs on the tall orientation (the transpose has the same
+    singular values), in real arithmetic when the input is real.
+    exact: requires entries that are integers or Fractions by construction,
+    converted to int64 at once where every entry fits. The blocks of each
+    shape are first ranked mod RANK_PRIME by one inverse-free elimination
+    over the whole stack; a full rank there is a full rank over the
+    rationals (a nonzero minor mod p is a nonzero integer), so it is
+    certified as is. A deficient rank mod p may be an
     artefact of the prime, so that block is settled by fraction-free
     (Bareiss) elimination over the integers, and the engine is "bareiss".
     A ``tol`` that is not a finite number >= 0 raises ValueError in both modes.
@@ -548,13 +585,12 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
         total = blocks = 0
         engine = "mod-p"
         for stack in _blocks(_integer_matrix(m), symmetric=False):
-            for block, res in zip(stack, (stack % RANK_PRIME).astype(np.int64)):
-                k = _rank_mod_p(res)
-                if k < min(block.shape):
-                    k = _bareiss_rank(block.tolist())
-                    engine = "bareiss"
-                total += k
-                blocks += 1
+            ranks = _stack_ranks_mod_p((stack % RANK_PRIME).astype(np.int64, copy=False))
+            for i in np.flatnonzero(ranks < min(stack.shape[1:])).tolist():
+                ranks[i] = _bareiss_rank(stack[i].tolist())
+                engine = "bareiss"
+            total += int(ranks.sum())
+            blocks += stack.shape[0]
         prime = RANK_PRIME if engine == "mod-p" else None
         return RankResult(rank=total, mode="exact", engine=engine, prime=prime, blocks=blocks)
     if mode != "numerical":

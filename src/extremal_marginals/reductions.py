@@ -100,13 +100,17 @@ def restrict_to_support(f: KrausFamily, atol: float = SUPPORT_ATOL) -> KrausFami
 
     Families whose marginals are already full rank are returned unchanged,
     which makes the operation idempotent. The compressed family has full-rank
-    marginals and the same Gram rank.
+    marginals and the same Gram rank. An eigenvalue counts as zero up to
+    ``atol`` times the Choi trace tr rho1 = sum_i ||K_i||_F^2, which is 1 for
+    a normalized family, so the supports do not change with the overall
+    scale of the operators.
     """
     mp = marginals(f)
     w1, u1 = np.linalg.eigh(np.asarray(mp.rho1, dtype=complex).T)
     w2, u2 = np.linalg.eigh(np.asarray(mp.rho2, dtype=complex))
-    keep1 = w1 > atol
-    keep2 = w2 > atol
+    cut = atol * float(np.trace(mp.rho1).real)
+    keep1 = w1 > cut
+    keep2 = w2 > cut
     s1 = int(keep1.sum())
     s2 = int(keep2.sum())
     if s1 == 0 or s2 == 0:

@@ -118,6 +118,8 @@ def separability_verdict(
     # one product per pair of entries of one operator
     if coo_is_cheaper((side, side), lambda: sum(int(np.count_nonzero(x)) ** 2 for x in f.ops)):
         k = np.stack(f.ops)
+        if not k.imag.any():
+            k = k.real
         trace = float(np.vdot(k, k).real)
         is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace, atol)
     else:

@@ -174,6 +174,13 @@ class TestChoi:
             # entries are at most 1 in modulus: r products and r - 1 sums of rounding
             assert np.abs(choi(f) - outer).max() <= 4 * f.r * np.finfo(float).eps
 
+    def test_real_family_gives_a_real_choi_matrix(self):
+        for f in (shift_family(6, 8), ohno_rank_d(6), rank8_66(), sigma_rank2()):
+            c = choi(f)
+            assert c.dtype == np.float64
+            v = np.array([vec(k) for k in f.ops])
+            assert np.abs(c - v.T @ v.conj()).max() <= 4 * f.r * np.finfo(float).eps
+
 
 class TestChoiRank:
     def test_duplicated_family(self):

@@ -238,6 +238,25 @@ class TestFlags:
         assert captured.out == ""
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, usage_error",
+        [
+            (["verify", "paper", "3", "2", "--tol", "1e9"], True),
+            (["verify", "paper", "3", "2", "--exact", "--tol", "1e-3"], True),
+            (["verify", "paper", "2", "1", "--numerical", "--tol", "1e9"], False),
+            (["verify", "sigma2", "--tol", "0.7"], False),
+        ],
+    )
+    def test_tol_needs_a_numerical_run(self, capsys, argv, usage_error):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code == EXIT_USAGE) == usage_error
+        if usage_error:
+            assert captured.out == ""
+            assert "--tol needs --numerical" in captured.err
+        else:
+            assert json.loads(captured.out)["inputs"]["tol"] == float(argv[-1])
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "x"])
     def test_bad_tol_is_usage_error(self, capsys, tol):
         assert main(["verify", "sigma2", "--tol", tol]) == EXIT_USAGE

@@ -13,20 +13,28 @@ from extremal_marginals import (
     min_eigenvalue,
     partial_trace,
     partial_transpose,
+    ohno_rank4,
     ohno_rank_d,
     rank,
+    rank8_66,
     rank8k_6k,
     rational_matrix,
     shift_family,
+    sigma_rank2,
     vec,
 )
 from extremal_marginals.extremality import _block_vectors, _span, is_extremal
+from extremal_marginals.channels import _vecs
 from extremal_marginals.linalg import (
     _SPLIT_MIN_SIDE,
     RANK_PRIME,
     Coo,
     _bareiss_rank,
+    _blocks,
+    _integer_matrix,
     _singular_values,
+    _stack_ranks_mod_p,
+    integer_entries,
 )
 from conftest import random_density
 
@@ -232,6 +240,84 @@ class TestExactRankEngine:
             assert rr.rank == _bareiss_rank(m.tolist())
             if rr.rank < min(rows, cols):
                 assert rr.engine == "bareiss"
+
+
+def planted_stack(rng, k, p, q):
+    """k integer p x q blocks with planted ranks from 0 to min(p, q)."""
+    ranks = rng.integers(0, min(p, q) + 1, size=k)
+    return np.stack(
+        [rng.integers(-3, 4, size=(p, int(r))) @ rng.integers(-3, 4, size=(int(r), q)) for r in ranks]
+    )
+
+
+class TestStackedEliminationModP:
+    """One inverse-free elimination ranks every block of a (k, p, q) stack;
+    each block's rank must be the one Bareiss gives it alone."""
+
+    @pytest.mark.parametrize("orientation", ["wide", "tall", "square"])
+    def test_matches_bareiss_block_by_block(self, rng, orientation):
+        for k in range(1, 21):
+            a, b = sorted(int(x) for x in rng.integers(1, 13, size=2))
+            p, q = {"wide": (a, b + 1), "tall": (b + 1, a), "square": (b, b)}[orientation]
+            stack = planted_stack(rng, k, p, q)
+            stack[int(rng.integers(k))] = 0
+            got = _stack_ranks_mod_p(stack % RANK_PRIME)
+            assert got.tolist() == [_bareiss_rank(b.tolist()) for b in stack]
+
+    def test_deficient_only_mod_p_goes_to_bareiss(self, rng):
+        # five full-rank 6 x 9 blocks on the diagonal are one stack of k = 5
+        stack = np.stack([planted_stack(rng, 1, 6, 9)[0] for _ in range(5)])
+        stack[2] = rng.integers(-3, 4, size=(6, 6)) @ rng.integers(-3, 4, size=(6, 9))
+        full = [_bareiss_rank(b.tolist()) for b in stack]
+        stack[2, 0] *= RANK_PRIME
+        assert _stack_ranks_mod_p(stack % RANK_PRIME)[2] == full[2] - 1
+        m = np.zeros((30 + _SPLIT_MIN_SIDE, 45 + _SPLIT_MIN_SIDE), dtype=np.int64)
+        for i, b in enumerate(stack):
+            m[6 * i : 6 * i + 6, 9 * i : 9 * i + 9] = b
+        rr = rank(m, mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (sum(full), "bareiss", None, 5)
+
+    def test_python_ints_beyond_int64_agree_with_bareiss(self, rng):
+        for _ in range(10):
+            m = planted_stack(rng, 1, 7, 9)[0].astype(object)
+            m[int(rng.integers(7))] *= 2**64 + 13
+            m[0, 0] += 2**63
+            assert _integer_matrix(m).dtype == object
+            assert rank(m, mode="exact").rank == _bareiss_rank(m.tolist())
+
+    def test_integer_entries_convert_once(self):
+        small = np.array([1, -2, 2**62], dtype=object)
+        assert integer_entries(small).dtype == np.int64
+        assert integer_entries(iter([1, Fraction(1, 2)])).tolist() == [2, 1]
+        big = integer_entries([Fraction(2**63, 3), 1])
+        assert big.dtype == object and big.tolist() == [2**63, 3]
+        assert all(type(x) is int for x in big)
+        with pytest.raises(ValueError):
+            integer_entries([1, 0.5])
+
+
+BUILT_INS = [
+    sigma_rank2(),
+    ohno_rank4(),
+    rank8_66(),
+    *(ohno_rank_d(d) for d in (3, 5, 8, 12)),
+    rank8k_6k(3),
+    rank8k_6k(4),
+    shift_family(3, 2),
+    shift_family(7, 10),
+]
+
+
+@pytest.mark.parametrize("f", BUILT_INS, ids=lambda f: f"{f.d_in}x{f.d_out}-r{f.r}")
+def test_short_side_svd_keeps_the_singular_values(f):
+    """The SVD runs on the tall orientation of each stack; a matrix and its
+    transpose share their singular values."""
+    for m in (_span(f, exact=False), _vecs(f.ops)):
+        stacks = _blocks(m, symmetric=False)
+        upright = np.sort(np.concatenate([np.linalg.svd(s, compute_uv=False).ravel() for s in stacks]))
+        s, _ = _singular_values(m)
+        assert np.abs(s[: upright.size] - upright[::-1]).max() <= 1e-13 * upright[-1]
+        assert not s[upright.size :].any()
 
 
 class TestMinEigenvalue:

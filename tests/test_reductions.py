@@ -144,6 +144,19 @@ class TestRestrictToSupport:
         once = restrict_to_support(f)
         assert restrict_to_support(once) is once
 
+    def test_tiny_family_is_kept_whole(self):
+        f = shift_family(3, 2)
+        tiny = KrausFamily(d_in=3, d_out=5, ops=tuple(k * 1e-7 for k in f.ops))
+        assert restrict_to_support(tiny) is tiny
+
+    def test_tiny_padded_family_loses_only_the_padding(self):
+        f = shift_family(3, 2)
+        padded = KrausFamily(
+            d_in=4, d_out=6, ops=tuple(np.pad(k * 1e-7, ((0, 1), (0, 1))) for k in f.ops)
+        )
+        restricted = restrict_to_support(padded)
+        assert (restricted.d_in, restricted.d_out) == (3, 5)
+
     def test_zero_family_raises(self):
         z = KrausFamily(d_in=2, d_out=2, ops=(np.zeros((2, 2)),))
         with pytest.raises(ValueError):

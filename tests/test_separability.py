@@ -95,6 +95,37 @@ class TestSeparabilityVerdict:
         v = separability_verdict(sigma_rank2())
         assert v.conclusion in ("separable", "entangled")
 
+    @pytest.mark.parametrize(
+        "f, conclusion",
+        [
+            (sigma_rank2(), "entangled"),
+            (ohno_rank4(), "entangled"),
+            (rank8_66(), "entangled"),
+            *((ohno_rank_d(d), "entangled") for d in (3, 5, 8, 12)),
+            (rank8k_6k(3), "entangled"),
+            (rank8k_6k(4), "entangled"),
+            (shift_family(3, 2), "separable"),
+            (shift_family(6, 8), "separable"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else f"{x.d_in}x{x.d_out}-r{x.r}",
+    )
+    def test_real_pipeline_keeps_pt_minimum_and_verdict(self, f, conclusion):
+        """Real families take real products and eigensolves, dense and sparse;
+        the complex pipeline of the same matrices gives the same PT minimum."""
+        c = choi(f)
+        assert c.dtype == np.float64
+        real = ppt(c, f.d_in, f.d_out)
+        cplx = ppt(c.astype(complex), f.d_in, f.d_out)
+        assert real[0] == cplx[0]
+        assert abs(real[1] - cplx[1]) <= 1e-13
+        k = np.stack(f.ops)
+        sparse = min_eigenvalue(_partial_transposed_choi(k.real))
+        assert abs(sparse - min_eigenvalue(_partial_transposed_choi(k))) <= 1e-13
+        assert abs(sparse - real[1]) <= 1e-13
+        v = separability_verdict(f)
+        assert (v.ppt, v.conclusion) == (real[0], conclusion)
+        assert abs(v.min_pt_eigenvalue - real[1]) <= 1e-13
+
     def test_grid_families_separable(self):
         for d, m in [(2, 1), (3, 2), (4, 1)]:
             v = separability_verdict(shift_family(d, m))
