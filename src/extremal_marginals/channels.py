@@ -13,6 +13,12 @@ A family may additionally carry ``exact_ops``: a rational-entry version of
 the operators equal to ``ops`` up to one positive scalar. Rank computations
 are invariant under that scalar, which is what makes exact certificates
 possible for families whose normalization constant is irrational.
+
+:class:`KrausFamily` is the one place that picks the arithmetic: it stores
+the operators as float64 when every one is real and as complex128
+otherwise, and every product built from them (the Choi matrix, the stacked
+vectorizations, the block span and Gram, the partial-transposed Choi
+matrix) follows that dtype.
 """
 
 from __future__ import annotations
@@ -53,6 +59,10 @@ class MarginalPair:
 class KrausFamily:
     """Ordered Kraus operators of shape d_out x d_in, immutable after construction.
 
+    The operators are stored as float64 when every one of them is real and
+    as complex128 otherwise; this is the only place that decides between
+    real and complex arithmetic.
+
     ``exact_ops``, when present, holds integer/Fraction operators proportional
     to ``ops`` by a single positive scalar; the constructor verifies the
     proportionality so the rational form is certified, not assumed. An
@@ -84,6 +94,8 @@ class KrausFamily:
         ops = tuple(np.array(floats.get(id(k), k), dtype=complex) for k in self.ops)
         if not ops:
             raise ValueError("a Kraus family needs at least one operator")
+        if not any(k.imag.any() for k in ops):
+            ops = tuple(np.array(k.real) for k in ops)
         for k in ops:
             if k.shape != (self.d_out, self.d_in):
                 raise ValueError(
@@ -160,28 +172,12 @@ def exact_marginals(f: KrausFamily) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("family carries no certified rational operators")
     if not f.is_normalized(atol=1e-9):
         raise ValueError("exact marginals are defined for normalized families only")
-    s1 = _exact_sum(tuple(np.conjugate(e).T @ e for e in f.exact_ops))
-    s2 = _exact_sum(tuple(e @ np.conjugate(e).T for e in f.exact_ops))
-    t = sum(Fraction(s1[i, i]) for i in range(s1.shape[0]))
+    s1 = sum(np.conjugate(e).T @ e for e in f.exact_ops)
+    s2 = sum(e @ np.conjugate(e).T for e in f.exact_ops)
+    t = Fraction(np.trace(s1))
     if t == 0:
         raise ValueError("zero family has no normalized marginals")
-    rho1 = np.empty(s1.T.shape, dtype=object)
-    rho2 = np.empty(s2.shape, dtype=object)
-    s1t = s1.T
-    for i in range(rho1.shape[0]):
-        for j in range(rho1.shape[1]):
-            rho1[i, j] = Fraction(s1t[i, j]) / t
-    for i in range(rho2.shape[0]):
-        for j in range(rho2.shape[1]):
-            rho2[i, j] = Fraction(s2[i, j]) / t
-    return rho1, rho2
-
-
-def _exact_sum(mats: tuple[np.ndarray, ...]) -> np.ndarray:
-    out = mats[0].copy()
-    for m in mats[1:]:
-        out = out + m
-    return out
+    return s1.T / t, s2 / t
 
 
 def _vecs(ops: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -192,12 +188,10 @@ def _vecs(ops: tuple[np.ndarray, ...]) -> np.ndarray:
 def choi(f: KrausFamily) -> np.ndarray:
     """Choi matrix C = sum_{r,s} E_rs (x) Phi(E_rs) = sum_i |vec K_i><vec K_i|.
 
-    The sum is one product V^T conj(V), where row i of V is vec K_i, taken in
-    real arithmetic when every operator is real.
+    The sum is one product V^T conj(V), where row i of V is vec K_i, in the
+    operators' own real or complex arithmetic.
     """
     v = _vecs(f.ops)
-    if not v.imag.any():
-        return v.real.T @ v.real
     return v.T @ v.conj()
 
 
@@ -205,13 +199,12 @@ def choi_rank(f: KrausFamily, tol: float | None = None) -> RankResult:
     """Rank of the Choi matrix, i.e. the span dimension of the vectorized operators.
 
     Computed from the stacked vectorizations, exactly when the family carries
-    certified rational operators, and otherwise by an SVD that is real when
-    every operator is real.
+    certified rational operators, and otherwise by an SVD in the operators'
+    own real or complex arithmetic.
     """
     if f.exact_ops is not None:
         return rank(_vecs(f.exact_ops), mode="exact")
-    v = _vecs(f.ops)
-    return rank(v if v.imag.any() else v.real, mode="numerical", tol=tol)
+    return rank(_vecs(f.ops), mode="numerical", tol=tol)
 
 
 def is_minimal(f: KrausFamily) -> bool:

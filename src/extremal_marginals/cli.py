@@ -65,7 +65,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BORDERLINE = 3
 
-DEFAULT_MAX_GRAM_SIDE = 1024
+DEFAULT_MAX_SPAN_ROWS = 1024
 TABLE_D_LIMIT = 6
 TABLE_N_LIMIT = 12
 DEFAULT_SEED = 2024
@@ -181,11 +181,11 @@ def _build_family(name: str, params: list[int]) -> BuiltFamily:
     return build(*params)
 
 
-def _guard_gram_side(side: int, max_dim: int | None) -> None:
-    limit = DEFAULT_MAX_GRAM_SIDE if max_dim is None else max_dim
-    if side > limit:
+def _guard_span_rows(rows: int, max_dim: int | None) -> None:
+    limit = DEFAULT_MAX_SPAN_ROWS if max_dim is None else max_dim
+    if rows > limit:
         raise UsageError(
-            f"Gram side {side} exceeds the desk-scale limit {limit}; raise it with --max-dim"
+            f"r^2 = {rows} span rows exceed the desk-scale limit {limit}; raise it with --max-dim"
         )
 
 
@@ -203,7 +203,7 @@ def cmd_verify(
     )
     with _Timer(report, "construct"):
         fam, targets, expected_rank, assert_separable = _build_family(family_name, params)
-    _guard_gram_side(fam.r * fam.r, max_dim)
+    _guard_span_rows(fam.r * fam.r, max_dim)
     exact = mode == "exact" or (mode is None and fam.exact_ops is not None)
     if tol is not None and exact:
         raise UsageError("--tol needs --numerical for a rational family")
@@ -238,6 +238,23 @@ def cmd_verify(
     return report
 
 
+def _table_row(report: Report, name: str, params: list[int], label: str, check: str) -> dict:
+    """The table row of a FAMILIES entry, checking its Choi rank against the
+    rank FAMILIES expects."""
+    fam, _, expected, _ = _build_family(name, params)
+    constructed = choi_rank(fam).rank
+    bound = parthasarathy_bound(fam.d_in, fam.d_out)
+    report.check(check, constructed == expected, f"got {constructed}")
+    return {
+        "d1": fam.d_in,
+        "d2": fam.d_out,
+        "marginal_name": label,
+        "constructed_rank": int(constructed),
+        "bound": bound,
+        "attained": constructed == bound,
+    }
+
+
 def cmd_table(
     d_min: int,
     d_max: int,
@@ -264,46 +281,16 @@ def cmd_table(
     with _Timer(report, "grid"):
         for d in range(d_min, d_max + 1):
             for m in range(m_min, m_max + 1):
-                constructed = choi_rank(shift_family(d, m)).rank
-                bound = parthasarathy_bound(d, d + m)
-                rows.append(
-                    {
-                        "d1": d,
-                        "d2": d + m,
-                        "marginal_name": "Z1",
-                        "constructed_rank": int(constructed),
-                        "bound": bound,
-                        "attained": constructed == bound,
-                    }
-                )
-                report.check(
-                    f"constructed-rank-({d},{m})", constructed == d + m, f"got {constructed}"
-                )
+                row = _table_row(report, "paper", [d, m], "Z1", f"constructed-rank-({d},{m})")
+                rows.append(row)
                 report.check(
                     f"attainment-consistent-({d},{m})",
-                    (constructed == bound) == bound_attained(d, m),
-                    f"bound {bound}",
+                    row["attained"] == bound_attained(d, m),
+                    f"bound {row['bound']}",
                 )
     with _Timer(report, "fixed_rows"):
-        for fam, label, expected in (
-            (rank8_66(), "D", 8),
-            (rank8k_6k(3), "D1", 24),
-        ):
-            constructed = choi_rank(fam).rank
-            bound = parthasarathy_bound(fam.d_in, fam.d_out)
-            rows.append(
-                {
-                    "d1": fam.d_in,
-                    "d2": fam.d_out,
-                    "marginal_name": label,
-                    "constructed_rank": int(constructed),
-                    "bound": bound,
-                    "attained": constructed == bound,
-                }
-            )
-            report.check(
-                f"constructed-rank-{label}", constructed == expected, f"got {constructed}"
-            )
+        for name, params, label in (("rank8-66", [], "D"), ("rank8k", [3], "D1")):
+            rows.append(_table_row(report, name, params, label, f"constructed-rank-{label}"))
     report.table_rows = rows
     return report
 
@@ -313,7 +300,7 @@ def cmd_oracle(d: int, m: int, max_dim: int | None = None) -> Report:
     partial transpose against the closed form, and assert PPT."""
     if d < 2 or m < 1:
         raise UsageError("oracle needs d >= 2 and m >= 1")
-    _guard_gram_side((d + m) ** 2, max_dim)
+    _guard_span_rows((d + m) ** 2, max_dim)
     report = Report(command="oracle", inputs={"d": d, "m": m})
     with _Timer(report, "construct"):
         fam = shift_family(d, m)
@@ -359,8 +346,8 @@ def _restrict_ok(f: KrausFamily) -> bool:
         float(np.linalg.eigvalsh(mp.rho1)[0]) > 1e-12
         and float(np.linalg.eigvalsh(mp.rho2)[0]) > 1e-12
     )
-    same_gram = rank(block_gram(once)).rank == rank(block_gram(f)).rank
-    return (twice is once) and full_rank and same_gram
+    same_rank = is_extremal(once).gram_rank.rank == is_extremal(f).gram_rank.rank
+    return (twice is once) and full_rank and same_rank
 
 
 # (name, half-open ranges of d_in, d_out and r, property). The suites run in
@@ -426,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     max_dim_flag.add_argument(
         "--max-dim",
         type=int,
-        help=f"override the desk-scale guardrail (max Gram side, default {DEFAULT_MAX_GRAM_SIDE})",
+        help="override the desk-scale guardrail (max r^2, the row count of the block-vector "
+        f"span, default {DEFAULT_MAX_SPAN_ROWS})",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,6 +11,11 @@ Every block satisfies the trace identity tr K_i^dagger K_j = tr K_j K_i^dagger
 (vec I_{d_in}, -vec I_{d_out}) and its rank is at most D - 1, with
 D = d_in^2 + d_out^2; this is the -1 of :func:`parthasarathy_bound`.
 
+The span is built in the arithmetic :class:`channels.KrausFamily` picked
+for the operators, the one place that decides between real and complex:
+real float64 rows for a real family, complex rows otherwise, and integer
+rows from the exact operators in exact mode.
+
 The span is ranked directly, never through its Gram matrix: in exact mode
 the integer rows, less the one column the trace identity makes redundant,
 go to the mod-p certificate of :func:`linalg.rank`, so a family of rank
@@ -101,35 +106,31 @@ class ExtremalityCertificate:
         }
 
 
-def block_gram(f: KrausFamily, exact: bool | None = None) -> np.ndarray:
+def block_gram(f: KrausFamily) -> np.ndarray:
     """The r^2 x r^2 Gram matrix of the blocks diag(K_i^dagger K_j, K_j K_i^dagger).
 
-    With ``exact=None`` the rational path is taken whenever the family
-    carries certified rational operators; the Gram is then computed from the
-    unscaled operators, whose rank equals the rank of the scaled Gram.
+    A family that carries certified rational operators gets the exact Gram
+    of those unscaled operators, whose rank equals the rank of the scaled
+    Gram; any other family gets the floating-point Gram, made Hermitian.
     """
-    if exact is None:
-        exact = f.exact_ops is not None
-    if exact:
-        if f.exact_ops is None:
-            raise ValueError("family carries no certified rational operators")
-        x = _block_vectors(f.exact_ops, object)
+    if f.exact_ops is not None:
+        x = _block_vectors(f.exact_ops)
         return np.conjugate(x) @ x.T
-    x = _block_vectors(f.ops, complex)
+    x = _block_vectors(f.ops)
     g = np.conjugate(x) @ x.T
     return (g + g.conj().T) / 2
 
 
-def _block_vectors(ops: tuple[np.ndarray, ...], dtype: type) -> np.ndarray:
+def _block_vectors(ops: tuple[np.ndarray, ...] | np.ndarray) -> np.ndarray:
     """Row i*r + j is K_i^dagger K_j followed by K_j K_i^dagger, each flattened
-    row-major; all r^2 products come from two stacked matmuls."""
+    row-major, in the operators' dtype; all r^2 products come from two
+    stacked matmuls."""
     k = np.stack(ops)
     r = k.shape[0]
     adj = np.conjugate(k).transpose(0, 2, 1)
     p = adj[:, None] @ k[None, :]
     q = k[None, :] @ adj[:, None]
-    x = np.concatenate([p.reshape(r * r, -1), q.reshape(r * r, -1)], axis=1)
-    return x.astype(dtype, copy=False)
+    return np.concatenate([p.reshape(r * r, -1), q.reshape(r * r, -1)], axis=1)
 
 
 def _sparse_block_vectors(k: np.ndarray, first: int) -> Coo:
@@ -157,19 +158,20 @@ def _sparse_block_vectors(k: np.ndarray, first: int) -> Coo:
 
 
 def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
-    """The r^2 block vectors as rows, in the cheapest exact or float dtype.
+    """The r^2 block vectors as rows, exact or in the operators' own dtype.
 
-    Exact: each operator is scaled to integers by the lcm of its own
-    denominators, which multiplies row (i, j) by c_i c_j and so keeps the
-    rank. Column 0, the (0, 0) entry of K_i^dagger K_j, is dropped: by the
-    trace identity tr K_i^dagger K_j = tr K_j K_i^dagger it equals the sum
-    of the diagonal columns of K_j K_i^dagger minus the other diagonal
-    columns of K_i^dagger K_j, in every row and after any row scaling, so
-    the column space and every rank are unchanged. Dropping it lets a
-    family with r^2 >= d_in^2 + d_out^2 and rank d_in^2 + d_out^2 - 1 be
-    certified mod p.
-    Numerical: the full span, real float64 when every operator is real,
-    else complex.
+    Exact: the stacked exact operators are scaled to integers by the lcm of
+    all their denominators, which multiplies every row by one scalar and so
+    keeps every rank; the rows are int64 when the product bound allows and
+    Python ints otherwise. Column 0, the (0, 0) entry of K_i^dagger K_j, is
+    dropped: by the trace identity tr K_i^dagger K_j = tr K_j K_i^dagger it
+    equals the sum of the diagonal columns of K_j K_i^dagger minus the other
+    diagonal columns of K_i^dagger K_j, in every row and after any row
+    scaling, so the column space and every rank are unchanged. Dropping it
+    lets a family with r^2 >= d_in^2 + d_out^2 and rank
+    d_in^2 + d_out^2 - 1 be certified mod p.
+    Numerical: the full span, float64 for a real family and complex128
+    otherwise, as the family stores its operators.
     The span is a :class:`linalg.Coo` when the products of nonzero entries
     that build it are few for its size (:func:`linalg.coo_is_cheaper`),
     else a dense array.
@@ -177,22 +179,18 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     if exact:
         if f.exact_ops is None:
             raise ValueError("family carries no certified rational operators")
-        ops = [integer_entries(e).reshape(e.shape) for e in f.exact_ops]
-        dtype = object
-        if all(e.dtype == np.int64 for e in ops):
-            big = max(max(int(e.max()), -int(e.min())) for e in ops)
-            if big * big * max(f.d_in, f.d_out) < _INT64_PRODUCT_LIMIT:
-                dtype = np.int64
-        ops = [e.astype(dtype) for e in ops]
-    elif any(k.imag.any() for k in f.ops):
-        ops, dtype = f.ops, complex
+        k = integer_entries(np.stack(f.exact_ops)).reshape(f.r, f.d_out, f.d_in)
+        if k.dtype == np.int64:
+            big = max(int(k.max()), -int(k.min()))
+            if big * big * max(f.d_in, f.d_out) >= _INT64_PRODUCT_LIMIT:
+                k = k.astype(object)
     else:
-        ops, dtype = [k.real for k in f.ops], float
+        k = np.stack(f.ops)
     first = 1 if exact else 0
     shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
-    if coo_is_cheaper(shape, lambda: _span_terms(np.stack(ops) != 0)):
-        return _sparse_block_vectors(np.stack(ops), first)
-    return _block_vectors(ops, dtype)[:, first:]
+    if coo_is_cheaper(shape, lambda: _span_terms(k != 0)):
+        return _sparse_block_vectors(k, first)
+    return _block_vectors(k)[:, first:]
 
 
 def _span_terms(nonzero: np.ndarray) -> int:

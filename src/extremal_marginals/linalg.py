@@ -73,7 +73,6 @@ __all__ = [
     "direct_sum",
     "group_pairs",
     "integer_entries",
-    "is_hermitian",
     "matrix_from_json",
     "matrix_to_json",
     "min_eigenvalue",
@@ -98,13 +97,6 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
     return out
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return float(np.abs(a - a.conj().T).max()) <= atol
 
 
 def _bipartite_view(m: np.ndarray, d1: int, d2: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausFamily, MarginalPair, adjoint, marginals
+from .channels import KrausFamily, adjoint, marginals
 from .extremality import is_extremal
 
 __all__ = [
@@ -95,20 +95,20 @@ def adjoint_duality_check(f: KrausFamily) -> bool:
     return is_extremal(f).extremal == is_extremal(adj).extremal
 
 
-def restrict_to_support(f: KrausFamily, atol: float = SUPPORT_ATOL) -> KrausFamily:
+def restrict_to_support(f: KrausFamily) -> KrausFamily:
     """Compress the operators onto the supports of the two marginals.
 
     Families whose marginals are already full rank are returned unchanged,
     which makes the operation idempotent. The compressed family has full-rank
     marginals and the same Gram rank. An eigenvalue counts as zero up to
-    ``atol`` times the Choi trace tr rho1 = sum_i ||K_i||_F^2, which is 1 for
+    ``SUPPORT_ATOL`` times the Choi trace tr rho1 = sum_i ||K_i||_F^2, which is 1 for
     a normalized family, so the supports do not change with the overall
     scale of the operators.
     """
     mp = marginals(f)
     w1, u1 = np.linalg.eigh(np.asarray(mp.rho1, dtype=complex).T)
     w2, u2 = np.linalg.eigh(np.asarray(mp.rho2, dtype=complex))
-    cut = atol * float(np.trace(mp.rho1).real)
+    cut = SUPPORT_ATOL * float(np.trace(mp.rho1).real)
     keep1 = w1 > cut
     keep2 = w2 > cut
     s1 = int(keep1.sum())

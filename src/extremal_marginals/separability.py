@@ -8,6 +8,9 @@ PPT is decided relative to the Choi trace sum_i ||K_i||_F^2, so no verdict
 depends on the overall scale of the operators. For a sparse family the
 partial-transposed Choi matrix is built from products of entry pairs
 within each operator, as a :class:`linalg.Coo`, with no dense Choi matrix.
+Either way it is real for a real family and complex otherwise, in the
+arithmetic :class:`channels.KrausFamily` picked for the operators, the one
+place that decides between the two.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ class SeparabilityVerdict:
         }
 
 
-def ppt(c: np.ndarray, d1: int, d2: int, atol: float = PPT_ATOL) -> tuple[bool, float]:
+def ppt(c: np.ndarray, d1: int, d2: int) -> tuple[bool, float]:
     """Whether the partial transpose over the first factor is PSD within
-    ``atol`` times the trace of ``c``.
+    ``PPT_ATOL`` times the trace of ``c``.
 
     For a Choi matrix the trace is sum_i ||K_i||_F^2, 1 for a normalized
     family, and it bounds the spectral norm of the partial transpose, so
@@ -75,12 +78,12 @@ def ppt(c: np.ndarray, d1: int, d2: int, atol: float = PPT_ATOL) -> tuple[bool, 
     operators. Returns the flag and the minimum partial-transpose eigenvalue.
     """
     pt = partial_transpose(c, d1, d2, "first")
-    return _psd_within(pt, abs(float(np.trace(pt).real)), atol)
+    return _psd_within(pt, abs(float(np.trace(pt).real)))
 
 
-def _psd_within(pt: np.ndarray | Coo, scale: float, atol: float) -> tuple[bool, float]:
+def _psd_within(pt: np.ndarray | Coo, scale: float) -> tuple[bool, float]:
     smallest = min_eigenvalue(pt, atol=HERMITIAN_ATOL * scale)
-    return smallest >= -atol * scale, smallest
+    return smallest >= -PPT_ATOL * scale, smallest
 
 
 def _partial_transposed_choi(k: np.ndarray) -> Coo:
@@ -101,9 +104,7 @@ def _partial_transposed_choi(k: np.ndarray) -> Coo:
     )
 
 
-def separability_verdict(
-    f: KrausFamily, atol: float = PPT_ATOL, tol: float | None = None
-) -> SeparabilityVerdict:
+def separability_verdict(f: KrausFamily, tol: float | None = None) -> SeparabilityVerdict:
     """Choi-state separability verdict from PPT plus the low-rank criterion.
 
     PPT is decided as by :func:`ppt`, relative to the Choi trace. When the
@@ -118,12 +119,10 @@ def separability_verdict(
     # one product per pair of entries of one operator
     if coo_is_cheaper((side, side), lambda: sum(int(np.count_nonzero(x)) ** 2 for x in f.ops)):
         k = np.stack(f.ops)
-        if not k.imag.any():
-            k = k.real
         trace = float(np.vdot(k, k).real)
-        is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace, atol)
+        is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace)
     else:
-        is_ppt, smallest = ppt(choi(f), f.d_in, f.d_out, atol=atol)
+        is_ppt, smallest = ppt(choi(f), f.d_in, f.d_out)
     cr = choi_rank(f, tol=tol).rank
     applicable = cr <= f.d_out
     if not is_ppt:

@@ -71,7 +71,7 @@ def test_criterion_1_paper_family_grid():
             rho2[i, j] == Fraction(int(i == j), n) for i in range(n) for j in range(n)
         ):
             failures.append(f"({d},{m}) rho2")
-        gram = block_gram(fam, exact=True)
+        gram = block_gram(fam)
         if not all(isinstance(x, (int, np.integer)) for x in gram.reshape(-1)):
             failures.append(f"({d},{m}) gram not integer")
         if rank(gram, mode="exact").rank != n * n:

@@ -22,11 +22,14 @@ from extremal_marginals import (
     random_family,
     rank,
     rank8_66,
+    rank8k_6k,
     shift_family,
     sigma_rank2,
     tensor,
     vec,
 )
+from extremal_marginals.extremality import _span
+from extremal_marginals.separability import _partial_transposed_choi
 from conftest import random_density, random_unitary, reorder_subsystems
 
 
@@ -51,6 +54,37 @@ class TestKrausFamily:
         assert ohno_rank_d(4).hermitian_kraus
         assert not ohno_rank4().hermitian_kraus
         assert not shift_family(2, 1).hermitian_kraus
+
+    def test_arithmetic_is_decided_by_the_family(self, rng):
+        """Real families store float64 operators and Gaussian ones complex128;
+        every product built from a real family stays float64."""
+        builtins = [
+            sigma_rank2(),
+            ohno_rank4(),
+            ohno_rank_d(8),
+            rank8_66(),
+            rank8k_6k(3),
+            shift_family(3, 2),
+        ]
+        integer = KrausFamily(d_in=2, d_out=3, ops=(np.arange(6).reshape(3, 2),))
+        real = [
+            *builtins,
+            integer,
+            adjoint(shift_family(2, 2)),
+            tensor(sigma_rank2(), shift_family(2, 1)),
+            *(family_from_json(family_to_json(f)) for f in (sigma_rank2(), integer)),
+        ]
+        for f in real:
+            assert all(k.dtype == np.float64 for k in f.ops)
+        for f in (random_family(rng, 2, 3, 3), adjoint(random_family(rng, 3, 2, 2))):
+            assert all(k.dtype == np.complex128 for k in f.ops)
+        for f in builtins:
+            span = _span(f, exact=False)
+            assert choi(f).dtype == np.float64
+            assert getattr(span, "vals", span).dtype == np.float64
+            assert _partial_transposed_choi(np.stack(f.ops)).vals.dtype == np.float64
+            if f.exact_ops is None:
+                assert block_gram(f).dtype == np.float64
 
     def test_normalization_flag(self):
         assert shift_family(4, 3).is_normalized()
@@ -140,6 +174,37 @@ class TestMarginals:
             for j in range(5):
                 assert rho2[i, j] == Fraction(int(i == j), 5)
 
+    def test_exact_marginals_are_fractions_of_the_summed_products(self):
+        """Each entry is (sum_i E_i^dagger E_i)^T or sum_i E_i E_i^dagger,
+        entry by entry in Fractions, divided by the trace of the first sum."""
+        e1 = np.array([[Fraction(1, 3), Fraction(-2, 5)], [0, Fraction(7, 4)]], dtype=object)
+        e2 = np.array([[Fraction(1, 2), 1], [Fraction(-1, 6), 0]], dtype=object)
+        total = sum(float((e.astype(float) ** 2).sum()) for e in (e1, e2))
+        fractional = KrausFamily(
+            d_in=2,
+            d_out=2,
+            ops=tuple(e.astype(float) / np.sqrt(total) for e in (e1, e2)),
+            exact_ops=(e1, e2),
+        )
+        for f in (shift_family(3, 2), fractional):
+            rho1, rho2 = exact_marginals(f)
+            t = sum(
+                (Fraction(x) ** 2 for e in f.exact_ops for x in e.flat), start=Fraction(0)
+            )
+            for rho, left in ((rho1, True), (rho2, False)):
+                n = f.d_in if left else f.d_out
+                assert rho.shape == (n, n)
+                for a in range(n):
+                    for b in range(n):
+                        want = Fraction(0)
+                        for e in f.exact_ops:
+                            if left:  # (E^T E)[b, a]
+                                want += sum(Fraction(e[c, b]) * Fraction(e[c, a]) for c in range(f.d_out))
+                            else:  # (E E^T)[a, b]
+                                want += sum(Fraction(e[a, c]) * Fraction(e[b, c]) for c in range(f.d_in))
+                        assert type(rho[a, b]) is Fraction
+                        assert rho[a, b] == want / t
+
     def test_exact_marginals_requires_exact_ops(self):
         with pytest.raises(ValueError):
             exact_marginals(sigma_rank2())
@@ -178,7 +243,7 @@ class TestChoi:
         for f in (shift_family(6, 8), ohno_rank_d(6), rank8_66(), sigma_rank2()):
             c = choi(f)
             assert c.dtype == np.float64
-            v = np.array([vec(k) for k in f.ops])
+            v = np.array([vec(k) for k in f.ops], dtype=complex)
             assert np.abs(c - v.T @ v.conj()).max() <= 4 * f.r * np.finfo(float).eps
 
 

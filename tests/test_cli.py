@@ -85,7 +85,7 @@ class TestVerify:
 
     def test_borderline_exit(self, capsys):
         # --tol thresholds the singular values of the block-vector span
-        span = _block_vectors(sigma_rank2().ops, complex)
+        span = _block_vectors(np.stack(sigma_rank2().ops))
         smallest = np.linalg.svd(span, compute_uv=False).min()
         code, report = run(
             capsys, "verify", "sigma2", "--numerical", "--tol", str(smallest / 5)

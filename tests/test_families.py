@@ -106,7 +106,7 @@ class TestShiftFamily:
     def test_unscaled_gram_integer_and_full_rank(self):
         for d, m in [(2, 2), (3, 1)]:
             f = shift_family(d, m)
-            g = block_gram(f, exact=True)
+            g = block_gram(f)
             assert all(isinstance(x, (int, np.integer)) for x in g.reshape(-1))
             assert rank(g, mode="exact").rank == (d + m) ** 2
 

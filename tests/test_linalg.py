@@ -429,7 +429,7 @@ class TestBlockSplit:
 
     def test_rank8k_span_and_partial_transpose(self):
         f = rank8k_6k(3)
-        span = _block_vectors([k.real for k in f.ops], float)
+        span = _block_vectors(np.stack(f.ops))
         dense = np.linalg.svd(span, compute_uv=False)
         s, blocks = _singular_values(span)
         assert blocks == is_extremal(f).gram_rank.blocks > 1

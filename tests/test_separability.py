@@ -119,8 +119,9 @@ class TestSeparabilityVerdict:
         assert real[0] == cplx[0]
         assert abs(real[1] - cplx[1]) <= 1e-13
         k = np.stack(f.ops)
-        sparse = min_eigenvalue(_partial_transposed_choi(k.real))
-        assert abs(sparse - min_eigenvalue(_partial_transposed_choi(k))) <= 1e-13
+        assert k.dtype == np.float64
+        sparse = min_eigenvalue(_partial_transposed_choi(k))
+        assert abs(sparse - min_eigenvalue(_partial_transposed_choi(k.astype(complex)))) <= 1e-13
         assert abs(sparse - real[1]) <= 1e-13
         v = separability_verdict(f)
         assert (v.ppt, v.conclusion) == (real[0], conclusion)
