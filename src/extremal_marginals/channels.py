@@ -18,17 +18,27 @@ possible for families whose normalization constant is irrational.
 the operators as float64 when every one is real and as complex128
 otherwise, and every product built from them (the Choi matrix, the stacked
 vectorizations, the block span and Gram, the partial-transposed Choi
-matrix) follows that dtype.
+matrix) follows that dtype. It also decides the exact integer form once:
+``KrausFamily.integer_ops`` stacks the exact operators scaled to integers,
+and the exact span and Choi rank read that stack instead of converting the
+exact entries on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import HERMITIAN_ATOL, RankResult, matrix_from_json, matrix_to_json, rank
+from .linalg import (
+    HERMITIAN_ATOL,
+    RankResult,
+    integer_entries,
+    matrix_from_json,
+    matrix_to_json,
+    rank,
+)
 
 __all__ = [
     "KrausFamily",
@@ -67,35 +77,42 @@ class KrausFamily:
     to ``ops`` by a single positive scalar; the constructor verifies the
     proportionality so the rational form is certified, not assumed. An
     operator given in ``ops`` as the very array given in ``exact_ops`` is
-    that exact operator converted to floats, once.
+    that exact operator converted to floats, once. The exact entries are
+    kept as Python ints and Fractions, never as numpy integers.
+
+    The integer form is decided here once too: ``integer_ops`` is the
+    read-only (r, d_out, d_in) stack of the exact operators times the lcm
+    of all their denominators, int64 when every entry fits and Python ints
+    otherwise, or None without ``exact_ops``. One positive scalar on every
+    operator keeps every rank, so the exact span and Choi rank read it
+    as it is.
     """
 
     d_in: int
     d_out: int
     ops: tuple[np.ndarray, ...]
     exact_ops: tuple[np.ndarray, ...] | None = None
+    integer_ops: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("dimensions must be positive")
+        if len(self.ops) == 0:
+            raise ValueError("a Kraus family needs at least one operator")
         exact, floats = None, {}
         if self.exact_ops is not None:
-            exact = tuple(np.array(e, dtype=object) for e in self.exact_ops)
-            if len(exact) != len(self.ops):
+            if len(self.exact_ops) != len(self.ops):
                 raise ValueError("exact_ops must match ops one to one")
-            for given, e in zip(self.exact_ops, exact):
-                if e.shape != (self.d_out, self.d_in):
-                    raise ValueError("exact operator shape mismatch")
-                for t in set(map(type, e.flat)):
-                    if not issubclass(t, (int, np.integer, Fraction)):
-                        raise ValueError(f"exact entry of type {t.__name__} is not rational")
-                e.setflags(write=False)
-                floats[id(given)] = e.astype(float)
-        ops = tuple(np.array(floats.get(id(k), k), dtype=complex) for k in self.ops)
-        if not ops:
-            raise ValueError("a Kraus family needs at least one operator")
-        if not any(k.imag.any() for k in ops):
-            ops = tuple(np.array(k.real) for k in ops)
+            exact = _exact_stack(self.exact_ops, (self.d_out, self.d_in))
+            exact_floats = exact.astype(float)
+            floats = {id(given): e for given, e in zip(self.exact_ops, exact_floats)}
+        raw = [np.asarray(floats.get(id(k), k)) for k in self.ops]
+        if all(k.dtype.kind in "biuf" for k in raw):
+            ops = tuple(np.array(k, dtype=float) for k in raw)
+        else:
+            ops = tuple(np.array(k, dtype=complex) for k in raw)
+            if not any(k.imag.any() for k in ops):
+                ops = tuple(np.array(k.real) for k in ops)
         for k in ops:
             if k.shape != (self.d_out, self.d_in):
                 raise ValueError(
@@ -107,8 +124,12 @@ class KrausFamily:
             k.setflags(write=False)
         object.__setattr__(self, "ops", ops)
         if exact is not None:
-            _check_proportional(ops, [floats[id(e)] for e in self.exact_ops])
-            object.__setattr__(self, "exact_ops", exact)
+            _check_proportional(np.stack(ops), exact_floats)
+            integer = integer_entries(exact).reshape(exact.shape)
+            exact.setflags(write=False)
+            integer.setflags(write=False)
+            object.__setattr__(self, "exact_ops", tuple(exact))
+            object.__setattr__(self, "integer_ops", integer)
 
     @property
     def r(self) -> int:
@@ -128,16 +149,49 @@ class KrausFamily:
         return abs(total - 1.0) <= atol
 
 
-def _check_proportional(ops: tuple[np.ndarray, ...], floats: list[np.ndarray]) -> None:
-    num = sum(float(np.vdot(k, k).real) for k in ops)
-    den = sum(float((f * f).sum()) for f in floats)
+def _exact_stack(given: tuple[np.ndarray, ...], shape: tuple[int, int]) -> np.ndarray:
+    """The exact operators as one (r, d_out, d_in) object array of Python
+    ints and Fractions of Python ints.
+
+    A numpy integer inside an object array keeps int64 arithmetic, so the
+    products of :func:`exact_marginals` and :func:`extremality.block_gram`
+    would wrap around silently; such entries are converted here, once.
+    """
+    mats = [np.array(e, dtype=object) for e in given]
+    if any(e.shape != shape for e in mats):
+        raise ValueError("exact operator shape mismatch")
+    stack = np.stack(mats)
+    kinds = set(map(type, stack.flat))
+    for t in kinds:
+        if not issubclass(t, (int, np.integer, Fraction)):
+            raise ValueError(f"exact entry of type {t.__name__} is not rational")
+    if kinds != {int}:
+        stack = np.array([_python_rational(x) for x in stack.flat], dtype=object).reshape(stack.shape)
+    return stack
+
+
+def _python_rational(x: int | np.integer | Fraction) -> int | Fraction:
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        if type(x.numerator) is int and type(x.denominator) is int:
+            return x
+        return Fraction(int(x.numerator), int(x.denominator))
+    return int(x)
+
+
+def _check_proportional(ops: np.ndarray, floats: np.ndarray) -> None:
+    """``ops`` (r, d_out, d_in) equals a positive multiple of ``floats``, the
+    exact operators as floats, up to rounding."""
+    num = float(np.vdot(ops, ops).real)
+    den = float(np.vdot(floats, floats))
     if den == 0.0:
         if num > 1e-24:
             raise ValueError("exact_ops are all zero but ops are not")
         return
     scale = np.sqrt(num / den)
-    worst = max(float(np.abs(k - scale * f).max()) for k, f in zip(ops, floats))
-    bound = 1e-12 * max(1.0, scale * max(float(np.abs(f).max()) for f in floats))
+    worst = float(np.abs(ops - scale * floats).max())
+    bound = 1e-12 * max(1.0, scale * float(np.abs(floats).max()))
     if worst > bound:
         raise ValueError(
             f"exact_ops are not proportional to ops (deviation {worst:.3e} at scale {scale:.6g})"
@@ -156,10 +210,16 @@ def apply(f: KrausFamily, x: np.ndarray) -> np.ndarray:
 
 
 def marginals(f: KrausFamily) -> MarginalPair:
-    """Both marginals, exactly as computed from the operators."""
-    s1 = sum(k.conj().T @ k for k in f.ops)
-    s2 = sum(k @ k.conj().T for k in f.ops)
-    return MarginalPair(rho1=s1.T, rho2=s2)
+    """Both marginals, one product per side.
+
+    With M the operators stacked on top of each other, (r d_out) x d_in,
+    sum_i K_i^dagger K_i = M^dagger M; with L the operators side by side,
+    d_out x (r d_in), sum_i K_i K_i^dagger = L L^dagger.
+    """
+    k = np.stack(f.ops)
+    m = k.reshape(f.r * f.d_out, f.d_in)
+    side = k.transpose(1, 0, 2).reshape(f.d_out, f.r * f.d_in)
+    return MarginalPair(rho1=(m.conj().T @ m).T, rho2=side @ side.conj().T)
 
 
 def exact_marginals(f: KrausFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +258,12 @@ def choi(f: KrausFamily) -> np.ndarray:
 def choi_rank(f: KrausFamily, tol: float | None = None) -> RankResult:
     """Rank of the Choi matrix, i.e. the span dimension of the vectorized operators.
 
-    Computed from the stacked vectorizations, exactly when the family carries
-    certified rational operators, and otherwise by an SVD in the operators'
-    own real or complex arithmetic.
+    Computed from the stacked vectorizations: exactly from the family's
+    integer stack when it carries certified rational operators, and
+    otherwise by an SVD in the operators' own real or complex arithmetic.
     """
-    if f.exact_ops is not None:
-        return rank(_vecs(f.exact_ops), mode="exact")
+    if f.integer_ops is not None:
+        return rank(_vecs(f.integer_ops), mode="exact")
     return rank(_vecs(f.ops), mode="numerical", tol=tol)
 
 

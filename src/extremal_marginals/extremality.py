@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, MarginalPair, marginals
-from .linalg import Coo, RankResult, coo_is_cheaper, group_pairs, integer_entries, rank
+from .linalg import Coo, RankResult, coo_is_cheaper, group_pairs, rank
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -160,14 +160,15 @@ def _sparse_block_vectors(k: np.ndarray, first: int) -> Coo:
 def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     """The r^2 block vectors as rows, exact or in the operators' own dtype.
 
-    Exact: the stacked exact operators are scaled to integers by the lcm of
-    all their denominators, which multiplies every row by one scalar and so
-    keeps every rank; the rows are int64 when the product bound allows and
-    Python ints otherwise. Column 0, the (0, 0) entry of K_i^dagger K_j, is
-    dropped: by the trace identity tr K_i^dagger K_j = tr K_j K_i^dagger it
-    equals the sum of the diagonal columns of K_j K_i^dagger minus the other
-    diagonal columns of K_i^dagger K_j, in every row and after any row
-    scaling, so the column space and every rank are unchanged. Dropping it
+    Exact: from the family's ``integer_ops``, the exact operators scaled to
+    integers by the lcm of all their denominators once, at construction,
+    which multiplies every row by one scalar and so keeps every rank; the
+    rows are int64 when the product bound allows and Python ints otherwise.
+    Column 0, the (0, 0) entry of K_i^dagger K_j, is dropped: by the trace
+    identity tr K_i^dagger K_j = tr K_j K_i^dagger it equals the sum of the
+    diagonal columns of K_j K_i^dagger minus the other diagonal columns of
+    K_i^dagger K_j, in every row and after any row scaling, so the column
+    space and every rank are unchanged. Dropping it
     lets a family with r^2 >= d_in^2 + d_out^2 and rank
     d_in^2 + d_out^2 - 1 be certified mod p.
     Numerical: the full span, float64 for a real family and complex128
@@ -177,9 +178,9 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     else a dense array.
     """
     if exact:
-        if f.exact_ops is None:
+        k = f.integer_ops
+        if k is None:
             raise ValueError("family carries no certified rational operators")
-        k = integer_entries(np.stack(f.exact_ops)).reshape(f.r, f.d_out, f.d_in)
         if k.dtype == np.int64:
             big = max(int(k.max()), -int(k.min()))
             if big * big * max(f.d_in, f.d_out) >= _INT64_PRODUCT_LIMIT:

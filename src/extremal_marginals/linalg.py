@@ -16,7 +16,9 @@ zeros up to the smaller side), and its eigenvalues are those of its blocks.
 Blocks of one shape are solved together, and rank runs on the short side in
 both modes: numerically in one stacked LAPACK call on the tall orientation,
 exactly in one inverse-free elimination modulo the prime over all the
-stack's rows, which stops once every row has been a pivot.
+stack's rows, which takes the nonzero columns sparsest first to limit
+fill-in and stops once every row has been a pivot. Integer arrays enter
+exact rank as they are; only object arrays are converted.
 
 A matrix may also be given as its nonzero entries, a :class:`Coo`. One
 gatherer labels the components of either input from its nonzero entries
@@ -396,10 +398,15 @@ def integer_entries(entries: Iterable[object]) -> np.ndarray:
     """The entries times the lcm of their denominators, as a 1-d array of
     integers: int64 when every one fits, else Python ints (dtype object).
 
-    Integers pass through unchanged. Callers scale a whole matrix or a whole
-    operator this way, which keeps every rank it enters; floating-point
-    input is rejected because it is not certified rational.
+    Integers pass through unchanged, and an array of a numpy integer dtype
+    that int64 holds is returned as int64 without a step through Python
+    objects. Callers scale a whole matrix or a whole operator this way,
+    which keeps every rank it enters; floating-point input is rejected
+    because it is not certified rational.
     """
+    if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
+        a = entries.reshape(-1)
+        return a.astype(np.int64, copy=False) if np.can_cast(a.dtype, np.int64) else a.astype(object)
     a = np.asarray(entries if isinstance(entries, np.ndarray) else list(entries), dtype=object)
     a = a.reshape(-1)
     if not all(issubclass(t, (int, np.integer)) for t in set(map(type, a))):
@@ -427,9 +434,7 @@ def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError("rank expects a 2-d matrix")
-    if np.issubdtype(a.dtype, np.integer):
-        return a.astype(np.int64) if np.can_cast(a.dtype, np.int64) else a.astype(object)
-    if a.dtype != object:
+    if a.dtype.kind not in "iuO":
         raise ValueError("exact rank requires integer or Fraction entries, not floating point")
     return integer_entries(a).reshape(a.shape)
 
@@ -439,6 +444,15 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     residues in [0, RANK_PRIME), by one inverse-free elimination over all
     k * p rows.
 
+    Columns are eliminated sparsest first: the stack's all-zero columns are
+    dropped and the rest taken in a stable order of their nonzero count
+    summed over the stack, so a dense stack keeps its order. Pivoting on a
+    sparse column touches few rows and so makes little fill-in (Markowitz
+    1957; LaMacchia-Odlyzko 1990); a column permutation keeps every block's
+    rank. On the 73 x 121 block of the exact ``shift_family(7, 10)`` span
+    this takes 73 column steps and 13,266 entry updates instead of 120 steps
+    (47 of them on a column with no candidate row) and 39,781 updates.
+
     Column by column, a block's pivot is its first row with a nonzero entry
     there, and every other such row of the block becomes
     ``piv * row - a_rc * pivot_row`` mod RANK_PRIME. The pivot is a unit mod
@@ -447,16 +461,21 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     exact. A pivot row takes
     no further part and is cleared. The loop ends once every row has been a
     pivot, so a wide stack of full row rank stops after about p columns.
-    Keeping the given orientation was measured no slower than transposing a
-    wide stack on the Kraus vectors and on random integer blocks.
+    The given orientation is kept: transposing a wide stack slowed the
+    stacked Kraus vectors ~3x, and with the column order it no longer helps
+    the shift spans' blocks either.
     """
     k, p, q = stack.shape
-    a = stack.reshape(k * p, q).copy()
+    a = stack.reshape(k * p, q)
+    filled = np.count_nonzero(a, axis=0)
+    order = np.argsort(filled, kind="stable")
+    # a fancy-indexed copy, so the elimination never writes to the caller's stack
+    a = a[:, order[filled[order] > 0]]
     pivots = []
     pivot_of = np.empty(k, dtype=np.int64)
     left = k * p
-    for c in range(q):
-        rows = np.flatnonzero(a[:, c])
+    for c in range(a.shape[1]):
+        rows = a[:, c].nonzero()[0]
         if rows.size == 0:
             continue
         if k == 1:

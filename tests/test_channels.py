@@ -28,7 +28,7 @@ from extremal_marginals import (
     tensor,
     vec,
 )
-from extremal_marginals.extremality import _span
+from extremal_marginals.extremality import _span, is_extremal
 from extremal_marginals.separability import _partial_transposed_choi
 from conftest import random_density, random_unitary, reorder_subsystems
 
@@ -43,11 +43,79 @@ class TestKrausFamily:
             KrausFamily(d_in=2, d_out=3, ops=(np.eye(2),))
         with pytest.raises(ValueError):
             KrausFamily(d_in=2, d_out=2, ops=())
+        with pytest.raises(ValueError, match="at least one operator"):
+            KrausFamily(d_in=2, d_out=2, ops=(), exact_ops=())
 
     def test_ops_are_immutable(self):
         f = identity_family()
         with pytest.raises(ValueError):
             f.ops[0][0, 0] = 5.0
+
+    def test_real_operators_are_converted_once(self):
+        given = np.arange(6.0).reshape(3, 2) / 10
+        f = KrausFamily(d_in=2, d_out=3, ops=(given, given.astype(complex)))
+        assert all(k.dtype == np.float64 for k in f.ops)
+        assert not any(np.shares_memory(k, given) for k in f.ops)
+        assert given.flags.writeable
+        assert np.array_equal(f.ops[0], given) and np.array_equal(f.ops[1], given)
+
+    def test_numpy_integer_exact_entries_do_not_wrap_around(self):
+        """np.int64 scalars given in object arrays become Python ints inside
+        the family, so the object-dtype products are exact: (3 * 2^31)^2
+        overflows int64."""
+        big = 3 * 2**31
+        given = tuple(
+            np.array([[np.int64(x) for x in row] for row in m], dtype=object)
+            for m in ([[big, 0], [0, big]], [[0, big], [big, 1]])
+        )
+        total = float(sum((e.astype(float) ** 2).sum() for e in given))
+        f = KrausFamily(d_in=2, d_out=2, ops=tuple(e / np.sqrt(total) for e in given), exact_ops=given)
+        assert {type(x) for e in f.exact_ops for x in e.flat} == {int}
+        t = 4 * big**2 + 1
+        rho1, rho2 = exact_marginals(f)
+        assert rho1[0, 0] == Fraction(2 * big**2, t)
+        assert rho1[1, 1] == rho2[1, 1] == Fraction(2 * big**2 + 1, t)
+        assert rho1[0, 1] == rho2[0, 1] == Fraction(big, t)
+        assert block_gram(f)[0, 0] == 4 * big**4
+        # a Fraction built from numpy integers keeps them as its parts
+        half = np.array([[Fraction(np.int64(big), np.int64(2)), 0], [0, 1]], dtype=object)
+        g = KrausFamily(d_in=2, d_out=2, ops=(half,), exact_ops=(half,))
+        assert type(g.exact_ops[0][0, 0].numerator) is int
+        assert block_gram(g)[0, 0] == 2 * ((big // 2) ** 4 + 1)
+
+    def test_integer_stack_is_decided_once(self):
+        """``integer_ops`` is the exact operators times the lcm of their
+        denominators, int64 when it fits; the exact span and Choi rank it
+        feeds give the ranks and engines of the per-call conversion."""
+
+        def family(mats):
+            return KrausFamily(d_in=2, d_out=3, ops=tuple(mats), exact_ops=tuple(mats))
+
+        h = Fraction
+        fractions = [
+            [[h(1, 2), 0], [0, h(1, 3)], [0, 0]],
+            [[0, h(1, 4)], [h(1, 6), 0], [0, 1]],
+            [[1, 1], [0, 0], [h(1, 5), 0]],
+            [[h(1, 2), h(1, 4)], [h(1, 6), h(1, 3)], [0, 1]],
+        ]
+        big = [[[2**63, 0], [0, 1], [0, 0]], [[0, 1], [1, 0], [0, 2**64 + 3]], [[1, 1], [0, 0], [1, 0]]]
+        small = [[[3, 0], [0, -2], [1, 1]], [[0, 1], [2, 0], [0, 0]], [[3, 1], [2, -2], [1, 1]]]
+        # (operators, stack dtype, lcm, span rank and engine, Choi rank and engine)
+        cases = [
+            ([np.array(m, dtype=object) for m in fractions], np.int64, 60, (9, "bareiss"), (3, "bareiss")),
+            ([np.array(m, dtype=object) for m in big], object, 1, (9, "mod-p"), (3, "mod-p")),
+            ([np.array(m, dtype=np.int64) for m in small], np.int64, 1, (4, "bareiss"), (2, "bareiss")),
+        ]
+        for mats, dtype, lcm, span, vecs in cases:
+            f = family(mats)
+            k = f.integer_ops
+            assert k.shape == (f.r, f.d_out, f.d_in) and k.dtype == dtype
+            assert not k.flags.writeable
+            assert [[[lcm * x for x in row] for row in e.tolist()] for e in f.exact_ops] == k.tolist()
+            rr = is_extremal(f).gram_rank
+            assert (rr.rank, rr.engine) == span
+            assert (choi_rank(f).rank, choi_rank(f).engine) == vecs
+        assert sigma_rank2().integer_ops is None
 
     def test_hermitian_flag(self):
         assert sigma_rank2().hermitian_kraus
@@ -162,6 +230,25 @@ class TestMarginals:
         mp = marginals(KrausFamily(d_in=4, d_out=4, ops=(u / 2,)))
         assert np.abs(mp.rho1 - np.eye(4) / 4).max() <= 1e-12
         assert np.abs(mp.rho2 - np.eye(4) / 4).max() <= 1e-12
+
+    def test_one_product_per_side_matches_the_per_operator_sum(self, rng):
+        families = [
+            sigma_rank2(),
+            ohno_rank4(),
+            ohno_rank_d(5),
+            rank8_66(),
+            rank8k_6k(3),
+            shift_family(4, 4),
+            *(random_family(rng, int(a), int(b), int(r)) for a, b, r in rng.integers(1, 7, size=(10, 3))),
+        ]
+        for f in families:
+            mp = marginals(f)
+            rho1 = sum(k.conj().T @ k for k in f.ops).T
+            rho2 = sum(k @ k.conj().T for k in f.ops)
+            bound = 4 * f.r * np.finfo(float).eps * float(np.trace(rho1).real)
+            assert mp.rho1.dtype == mp.rho2.dtype == f.ops[0].dtype
+            assert np.abs(mp.rho1 - rho1).max() <= bound
+            assert np.abs(mp.rho2 - rho2).max() <= bound
 
     def test_exact_marginals_of_shift_family(self):
         rho1, rho2 = exact_marginals(shift_family(3, 2))

@@ -264,6 +264,22 @@ class TestStackedEliminationModP:
             got = _stack_ranks_mod_p(stack % RANK_PRIME)
             assert got.tolist() == [_bareiss_rank(b.tolist()) for b in stack]
 
+    @pytest.mark.parametrize("orientation", ["wide", "tall", "square"])
+    def test_ranks_are_invariant_under_column_permutation(self, rng, orientation):
+        # the kernel drops zero columns and reorders the rest by fill, so
+        # any given column order, zero columns included, gives the same ranks
+        for k in range(1, 21):
+            a, b = sorted(int(x) for x in rng.integers(1, 13, size=2))
+            p, q = {"wide": (a, b + 1), "tall": (b + 1, a), "square": (b, b)}[orientation]
+            stack = planted_stack(rng, k, p, q)
+            stack[:, :, rng.random(q) < 0.3] = 0
+            want = [_bareiss_rank(b.tolist()) for b in stack]
+            for seed in range(5):
+                perm = np.random.default_rng(seed).permutation(q)
+                got = _stack_ranks_mod_p(stack[:, :, perm] % RANK_PRIME)
+                assert got.tolist() == want
+            assert _stack_ranks_mod_p(np.zeros_like(stack)).tolist() == [0] * k
+
     def test_deficient_only_mod_p_goes_to_bareiss(self, rng):
         # five full-rank 6 x 9 blocks on the diagonal are one stack of k = 5
         stack = np.stack([planted_stack(rng, 1, 6, 9)[0] for _ in range(5)])
@@ -294,6 +310,19 @@ class TestStackedEliminationModP:
         assert all(type(x) is int for x in big)
         with pytest.raises(ValueError):
             integer_entries([1, 0.5])
+
+    def test_integer_arrays_pass_straight_through(self):
+        a = np.arange(-6, 6, dtype=np.int64).reshape(3, 4)
+        out = integer_entries(a)
+        # int64 in, a view of it out: no step through Python objects
+        assert out.dtype == np.int64 and np.shares_memory(out, a)
+        assert out.tolist() == a.ravel().tolist()
+        assert integer_entries(np.array([3, 250], dtype=np.uint8)).dtype == np.int64
+        huge = integer_entries(np.array([2**64 - 1, 1], dtype=np.uint64))
+        assert huge.dtype == object and huge.tolist() == [2**64 - 1, 1]
+        coo = Coo(np.array([0, 1]), np.array([1, 0]), np.array([5, -7], dtype=np.int64), (2, 2))
+        assert np.shares_memory(_integer_matrix(coo).vals, coo.vals)
+        assert np.shares_memory(_integer_matrix(a), a)
 
 
 BUILT_INS = [
