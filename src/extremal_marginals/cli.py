@@ -131,54 +131,70 @@ class _Timer:
 
 
 BuiltFamily = tuple[KrausFamily, MarginalPair, int, bool]
+Construction = tuple[KrausFamily, MarginalPair, bool]
 
 
 def _same(rho: np.ndarray) -> MarginalPair:
     return MarginalPair(rho1=rho, rho2=rho)
 
 
-def _paper(d: int, m: int) -> BuiltFamily:
+def _paper_rank(d: int, m: int) -> int:
     if d < 2 or m < 1:
         raise UsageError("paper family needs d >= 2 and m >= 1")
-    return shift_family(d, m), shift_targets(d, m), d + m, True
+    return d + m
 
 
-def _ohno_d(d: int) -> BuiltFamily:
+def _ohno_d_rank(d: int) -> int:
     if d < 3:
         raise UsageError("ohno-d needs d >= 3")
-    return ohno_rank_d(d), _same(np.eye(d) / d), d, False
+    return d
 
 
-def _rank8k(k: int) -> BuiltFamily:
+def _rank8k_rank(k: int) -> int:
     if k < 3:
         raise UsageError("rank8k needs k >= 3")
-    return rank8k_6k(k), _same(rank8k_marginal(k)), 8 * k, False
+    return 8 * k
 
 
-# CLI name -> (parameter names, builder). A builder checks its integer
-# parameters and returns (family, declared marginals, expected Choi rank,
-# whether the separability verdict is asserted). It calls the constructors
-# through this module's globals at call time, never through stored function
-# objects, so a wrapper installed on them here is the one that runs.
-FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., BuiltFamily]]] = {
-    "paper": (("d", "m"), _paper),
-    "sigma2": ((), lambda: (sigma_rank2(), _same(sigma_marginal()), 2, False)),
-    "ohno4": ((), lambda: (ohno_rank4(), _same(np.eye(3) / 3), 4, False)),
-    "ohno-d": (("d",), _ohno_d),
-    "rank8-66": ((), lambda: (rank8_66(), _same(rank8_66_marginal()), 8, False)),
-    "rank8k": (("k",), _rank8k),
+# CLI name -> (parameter names, rank, builder). The rank checks the integer
+# parameters and returns the family's number of Kraus operators r, which is
+# also its expected Choi rank, from the parameters alone, so the span limit
+# on r^2 is checked before anything is built. The builder returns (family,
+# declared marginals, whether the separability verdict is asserted). It
+# calls the constructors through this module's globals at call time, never
+# through stored function objects, so a wrapper installed on them here is
+# the one that runs.
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., int], Callable[..., Construction]]] = {
+    "paper": (
+        ("d", "m"),
+        _paper_rank,
+        lambda d, m: (shift_family(d, m), shift_targets(d, m), True),
+    ),
+    "sigma2": ((), lambda: 2, lambda: (sigma_rank2(), _same(sigma_marginal()), False)),
+    "ohno4": ((), lambda: 4, lambda: (ohno_rank4(), _same(np.eye(3) / 3), False)),
+    "ohno-d": (("d",), _ohno_d_rank, lambda d: (ohno_rank_d(d), _same(np.eye(d) / d), False)),
+    "rank8-66": ((), lambda: 8, lambda: (rank8_66(), _same(rank8_66_marginal()), False)),
+    "rank8k": (("k",), _rank8k_rank, lambda k: (rank8k_6k(k), _same(rank8k_marginal(k)), False)),
 }
 
 
-def _build_family(name: str, params: list[int]) -> BuiltFamily:
+def _family_rank(name: str, params: list[int]) -> int:
+    """The number of Kraus operators of a FAMILIES entry, from its name and
+    parameters alone; bad names and parameters are usage errors."""
     if name not in FAMILIES:
         raise UsageError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
-    names, build = FAMILIES[name]
+    names, rank_of, _ = FAMILIES[name]
     if len(params) != len(names):
         raise UsageError(
             f"family {name!r} takes {len(names)} integer parameter(s), got {len(params)}"
         )
-    return build(*params)
+    return rank_of(*params)
+
+
+def _build_family(name: str, params: list[int]) -> BuiltFamily:
+    expected_rank = _family_rank(name, params)
+    fam, targets, assert_separable = FAMILIES[name][2](*params)
+    return fam, targets, expected_rank, assert_separable
 
 
 def _guard_span_rows(rows: int, max_dim: int | None) -> None:
@@ -201,9 +217,10 @@ def cmd_verify(
         command="verify",
         inputs={"family": family_name, "params": list(params), "mode": mode, "tol": tol},
     )
+    r = _family_rank(family_name, params)
+    _guard_span_rows(r * r, max_dim)
     with _Timer(report, "construct"):
         fam, targets, expected_rank, assert_separable = _build_family(family_name, params)
-    _guard_span_rows(fam.r * fam.r, max_dim)
     exact = mode == "exact" or (mode is None and fam.exact_ops is not None)
     if tol is not None and exact:
         raise UsageError("--tol needs --numerical for a rational family")
@@ -423,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[json_flag, max_dim_flag],
         help="construct a named family and certify it",
         description="Families: "
-        + " | ".join(" ".join((name, *params)) for name, (params, _) in FAMILIES.items()),
+        + " | ".join(" ".join((name, *params)) for name, (params, _, _) in FAMILIES.items()),
     )
     p_verify.add_argument("family", choices=FAMILIES)
     p_verify.add_argument("params", nargs="*", type=int)

@@ -174,8 +174,11 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     Numerical: the full span, float64 for a real family and complex128
     otherwise, as the family stores its operators.
     The span is a :class:`linalg.Coo` when the products of nonzero entries
-    that build it are few for its size (:func:`linalg.coo_is_cheaper`),
-    else a dense array.
+    that build it are few for its size (:func:`linalg.coo_is_cheaper`, on
+    the dtype of the operators it multiplies), else a dense array. Integer
+    products cross over earlier than float ones, so the exact spans of the
+    shift family from ``paper 5 6`` up are built sparse while their float
+    spans up to ``paper 6 8`` are dense.
     """
     if exact:
         k = f.integer_ops
@@ -189,7 +192,7 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
         k = np.stack(f.ops)
     first = 1 if exact else 0
     shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
-    if coo_is_cheaper(shape, lambda: _span_terms(k != 0)):
+    if coo_is_cheaper(shape, lambda: _span_terms(k != 0), k.dtype):
         return _sparse_block_vectors(k, first)
     return _block_vectors(k)[:, first:]
 

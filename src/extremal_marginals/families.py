@@ -83,7 +83,7 @@ def shift_family(d: int, m: int) -> KrausFamily:
     """The normalized shift family: d+m operators scaled by 1/sqrt(d(d+m))."""
     exact = shift_operators(d, m)
     scale = 1.0 / np.sqrt(d * (d + m))
-    ops = tuple(np.array([[float(x) for x in row] for row in e]) * scale for e in exact)
+    ops = tuple(e.astype(float) * scale for e in exact)
     return KrausFamily(d_in=d, d_out=d + m, ops=ops, exact_ops=tuple(exact))
 
 

@@ -17,8 +17,10 @@ Blocks of one shape are solved together, and rank runs on the short side in
 both modes: numerically in one stacked LAPACK call on the tall orientation,
 exactly in one inverse-free elimination modulo the prime over all the
 stack's rows, which takes the nonzero columns sparsest first to limit
-fill-in and stops once every row has been a pivot. Integer arrays enter
-exact rank as they are; only object arrays are converted.
+fill-in and stops once every row has been a pivot. A stack of one block is
+eliminated in place, pivot by scalar pivot. Integer arrays enter exact rank
+as they are; only object arrays are converted, and an int64 stack whose
+entries are already residues mod the prime is not reduced again.
 
 A matrix may also be given as its nonzero entries, a :class:`Coo`. One
 gatherer labels the components of either input from its nonzero entries
@@ -65,6 +67,15 @@ _SPLIT_MIN_SIDE = 48
 # wins (ohno-d 5: 0.12 vs 0.34 ms). From 8 to 30 entries per product,
 # sparse random families were within +-10% either way.
 _COO_ENTRIES_PER_TERM = 32
+# Integer (exact) spans cross over earlier: the dense build is int64 batched
+# matmuls, which numpy runs without BLAS, and the dense span must then be
+# scanned for its nonzero pattern. On a 2-core machine, building the exact
+# span and gathering its blocks took, dense vs sparse: paper 4 4 (13.3
+# entries per product) 0.51 vs 0.52 ms, paper 5 6 (20.1) 0.95 vs 0.66 ms,
+# paper 6 8 (27.1) 1.86 vs 0.81 ms, paper 7 10 (34.2) 3.60 vs 1.05 ms;
+# sparse integer families in [-2, 2] at 5-14 entries per product were
+# 6-24% slower sparse.
+_COO_INT_ENTRIES_PER_TERM = 16
 
 __all__ = [
     "HERMITIAN_ATOL",
@@ -198,15 +209,22 @@ class Coo:
         return cls(key // shape[1], key % shape[1], sums[keep], shape)
 
 
-def coo_is_cheaper(shape: tuple[int, int], count_terms: Callable[[], int]) -> bool:
+def coo_is_cheaper(
+    shape: tuple[int, int], count_terms: Callable[[], int], dtype: np.dtype
+) -> bool:
     """Whether a matrix of this shape is cheaper to build as a :class:`Coo`,
-    summed from ``count_terms()`` products of nonzero entries, than densely.
+    summed from ``count_terms()`` products of nonzero entries of this
+    ``dtype``, than densely.
 
-    ``count_terms`` runs only when the shape alone does not decide.
+    Integer entries (int64 or Python ints) cross over at fewer dense entries
+    per product than floating-point ones. ``count_terms`` runs only when the
+    shape alone does not decide.
     """
     if min(shape) < _SPLIT_MIN_SIDE:
         return False
-    return shape[0] * shape[1] >= _COO_ENTRIES_PER_TERM * count_terms()
+    floating = np.dtype(dtype).kind in "fc"
+    per_term = _COO_ENTRIES_PER_TERM if floating else _COO_INT_ENTRIES_PER_TERM
+    return shape[0] * shape[1] >= per_term * count_terms()
 
 
 def group_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,7 +460,7 @@ def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
 def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     """Rank over GF(RANK_PRIME) of each block of a (k, p, q) stack of int64
     residues in [0, RANK_PRIME), by one inverse-free elimination over all
-    k * p rows.
+    k * p rows. The stack itself is never written to.
 
     Columns are eliminated sparsest first: the stack's all-zero columns are
     dropped and the rest taken in a stable order of their nonzero count
@@ -463,7 +481,9 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     pivot, so a wide stack of full row rank stops after about p columns.
     The given orientation is kept: transposing a wide stack slowed the
     stacked Kraus vectors ~3x, and with the column order it no longer helps
-    the shift spans' blocks either.
+    the shift spans' blocks either. A stack of one block (k = 1) goes to
+    :func:`_block_rank_mod_p`, the same elimination without the grouping of
+    rows by block.
     """
     k, p, q = stack.shape
     a = stack.reshape(k * p, q)
@@ -471,6 +491,8 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     order = np.argsort(filled, kind="stable")
     # a fancy-indexed copy, so the elimination never writes to the caller's stack
     a = a[:, order[filled[order] > 0]]
+    if k == 1:
+        return np.array([_block_rank_mod_p(a)])
     pivots = []
     pivot_of = np.empty(k, dtype=np.int64)
     left = k * p
@@ -478,17 +500,13 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
         rows = a[:, c].nonzero()[0]
         if rows.size == 0:
             continue
-        if k == 1:
-            # no grouping by block: a 17 x 119 matrix ranks ~2x faster
-            piv, tgt, src = rows[:1], rows[1:], rows[0]
-        else:
-            block = rows // p
-            first = np.empty(rows.size, dtype=bool)
-            first[0] = True
-            np.not_equal(block[1:], block[:-1], out=first[1:])
-            piv, tgt = rows[first], rows[~first]
-            pivot_of[block[first]] = piv
-            src = pivot_of[block[~first]]
+        block = rows // p
+        first = np.empty(rows.size, dtype=bool)
+        first[0] = True
+        np.not_equal(block[1:], block[:-1], out=first[1:])
+        piv, tgt = rows[first], rows[~first]
+        pivot_of[block[first]] = piv
+        src = pivot_of[block[~first]]
         pivots.append(piv)
         left -= piv.size
         if left == 0:
@@ -502,6 +520,45 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     if not pivots:
         return np.zeros(k, dtype=np.int64)
     return np.bincount(np.concatenate(pivots) // p, minlength=k)
+
+
+def _block_rank_mod_p(a: np.ndarray) -> int:
+    """The elimination of :func:`_stack_ranks_mod_p` for a single block,
+    on its own ordered copy ``a``, which it overwrites.
+
+    With one block the pivot is a row and its entries are scalars, so each
+    step counts the pivot, updates the gathered target rows in place and
+    clears the pivot row by index, with no per-step pivot arrays or
+    broadcasts over them. On a 2-core machine the 73 x 121 block of the
+    exact ``shift_family(7, 10)`` span ranks in ~1.0 ms instead of ~1.25 ms.
+    """
+    n_rows = a.shape[0]
+    rank_ = 0
+    for c in range(a.shape[1]):
+        rows = a[:, c].nonzero()[0]
+        if rows.size == 0:
+            continue
+        rank_ += 1
+        if rank_ == n_rows:
+            break
+        src = rows[0]
+        if rows.size > 1:
+            tgt = rows[1:]
+            t = a[tgt, c + 1 :]
+            t *= a[src, c]
+            t -= a[tgt, c, None] * a[src, c + 1 :]
+            t %= RANK_PRIME
+            a[tgt, c + 1 :] = t
+        a[src] = 0
+    return rank_
+
+
+def _residues(stack: np.ndarray) -> np.ndarray:
+    """The stack's entries mod RANK_PRIME as int64; an int64 stack already in
+    [0, RANK_PRIME) is returned as it is, not reduced again."""
+    if stack.dtype == np.int64 and stack.min(initial=0) >= 0 and stack.max(initial=0) < RANK_PRIME:
+        return stack
+    return (stack % RANK_PRIME).astype(np.int64, copy=False)
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -583,11 +640,14 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     exact: requires entries that are integers or Fractions by construction,
     converted to int64 at once where every entry fits. The blocks of each
     shape are first ranked mod RANK_PRIME by one inverse-free elimination
-    over the whole stack; a full rank there is a full rank over the
-    rationals (a nonzero minor mod p is a nonzero integer), so it is
-    certified as is. A deficient rank mod p may be an
-    artefact of the prime, so that block is settled by fraction-free
-    (Bareiss) elimination over the integers, and the engine is "bareiss".
+    over the whole stack (in place for a single block); a full rank there is
+    a full rank over the rationals (a nonzero minor mod p is a nonzero
+    integer), so it is certified as is. A stack is reduced mod RANK_PRIME
+    first unless it is int64 with every entry in [0, RANK_PRIME), as the
+    span of a family of nonnegative integer operators is. A deficient rank
+    mod p may be an artefact of the prime, so that block is settled by
+    fraction-free (Bareiss) elimination over its integer entries, never its
+    residues, and the engine is "bareiss". The input is never written to.
     A ``tol`` that is not a finite number >= 0 raises ValueError in both modes.
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
@@ -596,7 +656,7 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
         total = blocks = 0
         engine = "mod-p"
         for stack in _blocks(_integer_matrix(m), symmetric=False):
-            ranks = _stack_ranks_mod_p((stack % RANK_PRIME).astype(np.int64, copy=False))
+            ranks = _stack_ranks_mod_p(_residues(stack))
             for i in np.flatnonzero(ranks < min(stack.shape[1:])).tolist():
                 ranks[i] = _bareiss_rank(stack[i].tolist())
                 engine = "bareiss"

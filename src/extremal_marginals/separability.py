@@ -117,7 +117,9 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     """
     side = f.d_in * f.d_out
     # one product per pair of entries of one operator
-    if coo_is_cheaper((side, side), lambda: sum(int(np.count_nonzero(x)) ** 2 for x in f.ops)):
+    if coo_is_cheaper(
+        (side, side), lambda: sum(int(np.count_nonzero(x)) ** 2 for x in f.ops), f.ops[0].dtype
+    ):
         k = np.stack(f.ops)
         trace = float(np.vdot(k, k).real)
         is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from extremal_marginals import sigma_rank2
+from extremal_marginals import cli, sigma_rank2
 from extremal_marginals.cli import (
     EXIT_BORDERLINE,
     EXIT_FAIL,
@@ -99,6 +99,19 @@ class TestVerify:
         code, report = run(capsys, "verify", "rank8k", "5", "--max-dim", "1600")
         assert code == EXIT_PASS
         assert report["verdicts"][0]["choi_rank"] == 40
+
+    @pytest.mark.parametrize("argv", [["paper", "150", "150"], ["rank8k", "40"]])
+    def test_span_limit_is_checked_before_construction(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("the family was built before the span limit was checked")
+
+        monkeypatch.setattr(cli, "shift_family", never)
+        monkeypatch.setattr(cli, "rank8k_6k", never)
+        assert main(["verify", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: r^2 = ")
+        assert "exceed the desk-scale limit 1024" in captured.err
+        assert captured.out == ""
 
     def test_json_file_output(self, capsys, tmp_path):
         path = tmp_path / "report.json"

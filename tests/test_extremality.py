@@ -24,6 +24,7 @@ from extremal_marginals import (
     shift_targets,
     sigma_rank2,
 )
+from extremal_marginals import linalg
 from extremal_marginals.extremality import _block_vectors, _sparse_block_vectors, _span
 from extremal_marginals.linalg import (
     RANK_PRIME,
@@ -464,6 +465,42 @@ class TestSparseSpan:
             cancelled += int(((terms != 0) & (dense == 0)).sum())
         assert cancelled > 0
 
+    def test_exact_span_ranks_alike_dense_and_sparse(self, rng, monkeypatch):
+        """The exact span forced dense and forced to a Coo (where its sides
+        allow one) gets the same RankResult: rank, engine, prime and blocks."""
+
+        def ranked(f, per_term):
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "_COO_INT_ENTRIES_PER_TERM", per_term)
+                sides = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
+                assert isinstance(_span(f, exact=True), Coo) == (
+                    per_term == 0 and min(sides) >= linalg._SPLIT_MIN_SIDE
+                )
+                return is_extremal(f).gram_rank
+
+        def check(f):
+            assert ranked(f, 0) == ranked(f, 10**9)
+
+        for d in range(2, 9):
+            for m in range(1, 13):
+                check(shift_family(d, m))
+        # seeded sparse integer families with both sides at least 48, on both
+        # sides of the integer crossover
+        sides = set()
+        for n in range(24):
+            r, d_out, d_in = 7 + n % 2, int(rng.integers(6, 10)), int(rng.integers(4, 7))
+            shape = (r, d_out, d_in)
+            mats = rng.integers(-2, 3, size=shape) * (rng.random(shape) < (0.08, 0.12, 0.2)[n % 3])
+            f = KrausFamily(
+                d_in=d_in,
+                d_out=d_out,
+                ops=tuple(mats.astype(float)),
+                exact_ops=tuple(np.array(m.tolist(), dtype=object) for m in mats),
+            )
+            sides.add(isinstance(_span(f, exact=True), Coo))
+            check(f)
+        assert sides == {False, True}
+
     def test_blocks_of_the_sparse_span(self):
         for f, blocks, rank_ in ((ohno_rank_d(12), 133, 144), (rank8k_6k(4), 156, 1024)):
             assert isinstance(_span(f, exact=False), Coo)
@@ -482,10 +519,20 @@ class TestSparseSpan:
         assert (rr.rank, rr.engine, rr.blocks) == (289, "mod-p", 91)
 
     def test_crossover(self):
-        # at least 32 dense entries per summed product, on a side of 48 or more
-        assert coo_is_cheaper((48, 64), lambda: 96)
-        assert not coo_is_cheaper((48, 64), lambda: 97)
-        assert not coo_is_cheaper((47, 10**6), lambda: 1)
+        # on a side of 48 or more, at least 32 dense entries per summed
+        # product of floating-point entries and at least 16 per product of
+        # integer ones
+        for dtype, per_term in ((float, 32), (complex, 32), (np.int64, 16), (object, 16)):
+            assert coo_is_cheaper((48, 64), lambda: 48 * 64 // per_term, dtype)
+            assert not coo_is_cheaper((48, 64), lambda: 48 * 64 // per_term + 1, dtype)
+            assert not coo_is_cheaper((47, 10**6), lambda: 1, dtype)
+        # the exact shift spans: paper 4 4 (13.3 entries per product) is
+        # built densely, paper 5 6 (20.1) and 6 8 (27.1) as a Coo; the float
+        # span of paper 6 8 is built densely
+        assert isinstance(_span(shift_family(4, 4), exact=True), np.ndarray)
+        assert isinstance(_span(shift_family(5, 6), exact=True), Coo)
+        assert isinstance(_span(shift_family(6, 8), exact=True), Coo)
+        assert isinstance(_span(shift_family(6, 8), exact=False), np.ndarray)
         # rank8-66: a 64 x 72 span from 272 products (17 entries each) is
         # built densely; ohno-d 8: 64 x 128 from 154 products (53 each) is not
         assert isinstance(_span(rank8_66(), exact=False), np.ndarray)

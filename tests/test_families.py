@@ -110,6 +110,22 @@ class TestShiftFamily:
             assert all(isinstance(x, (int, np.integer)) for x in g.reshape(-1))
             assert rank(g, mode="exact").rank == (d + m) ** 2
 
+    def test_float_operators_are_the_per_entry_conversion(self):
+        # one astype on the exact operators gives, bit for bit, the operators
+        # converted entry by entry with float() and then scaled
+        for d in range(2, 9):
+            for m in range(1, 13):
+                scale = 1.0 / np.sqrt(d * (d + m))
+                want = [
+                    np.array([[float(x) for x in row] for row in e]) * scale
+                    for e in shift_operators(d, m)
+                ]
+                got = shift_family(d, m).ops
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
     def test_operator_count_and_shapes(self):
         ops = shift_operators(4, 3)
         assert len(ops) == 7

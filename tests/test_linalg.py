@@ -32,6 +32,7 @@ from extremal_marginals.linalg import (
     _bareiss_rank,
     _blocks,
     _integer_matrix,
+    _residues,
     _singular_values,
     _stack_ranks_mod_p,
     integer_entries,
@@ -293,6 +294,31 @@ class TestStackedEliminationModP:
         rr = rank(m, mode="exact")
         assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (sum(full), "bareiss", None, 5)
 
+    @pytest.mark.parametrize("orientation", ["wide", "tall", "square"])
+    def test_single_block_matches_bareiss(self, rng, orientation):
+        # a stack of one block takes its own in-place elimination
+        for _ in range(60):
+            a, b = sorted(int(x) for x in rng.integers(1, 16, size=2))
+            p, q = {"wide": (a, b + 1), "tall": (b + 1, a), "square": (b, b)}[orientation]
+            block = planted_stack(rng, 1, p, q)
+            block[:, :, rng.random(q) < 0.2] = 0
+            assert _stack_ranks_mod_p(block % RANK_PRIME).tolist() == [_bareiss_rank(block[0].tolist())]
+
+    def test_single_block_stops_at_full_row_rank(self, rng):
+        # every row a pivot before the last column: the rank is the row count
+        for p in range(1, 12):
+            q = p + int(rng.integers(1, 8))
+            block = np.hstack([np.eye(p, dtype=np.int64), rng.integers(-3, 4, size=(p, q - p))])
+            block = block[rng.permutation(p)][:, rng.permutation(q)]
+            assert _stack_ranks_mod_p(block[None] % RANK_PRIME).tolist() == [p]
+        assert _stack_ranks_mod_p(np.zeros((1, 4, 6), dtype=np.int64)).tolist() == [0]
+
+    def test_single_block_agrees_with_its_stack(self, rng):
+        for k in range(2, 12):
+            stack = planted_stack(rng, k, 6, 9) % RANK_PRIME
+            alone = [int(_stack_ranks_mod_p(b[None])[0]) for b in stack]
+            assert _stack_ranks_mod_p(stack).tolist() == alone
+
     def test_python_ints_beyond_int64_agree_with_bareiss(self, rng):
         for _ in range(10):
             m = planted_stack(rng, 1, 7, 9)[0].astype(object)
@@ -323,6 +349,72 @@ class TestStackedEliminationModP:
         coo = Coo(np.array([0, 1]), np.array([1, 0]), np.array([5, -7], dtype=np.int64), (2, 2))
         assert np.shares_memory(_integer_matrix(coo).vals, coo.vals)
         assert np.shares_memory(_integer_matrix(a), a)
+
+
+class TestResidues:
+    """Exact rank reduces a stack mod RANK_PRIME only when its entries are not
+    already residues, and Bareiss always sees the integer block."""
+
+    def test_in_range_int64_stacks_are_not_reduced(self, rng):
+        stack = rng.integers(0, RANK_PRIME, size=(3, 4, 5))
+        assert _residues(stack) is stack
+        empty = np.zeros((1, 0, 3), dtype=np.int64)
+        assert _residues(empty) is empty
+
+    def test_other_stacks_are_reduced(self, rng):
+        stack = rng.integers(0, RANK_PRIME, size=(3, 4, 5))
+        negative, above = stack.copy(), stack.copy()
+        negative[1, 2, 3] = -1
+        above[0, 0, 0] = RANK_PRIME + 5
+        for s in (negative, above, stack.astype(object), stack.astype(np.int32) % 1000):
+            got = _residues(s)
+            assert got is not s and got.dtype == np.int64
+            assert np.array_equal(got, np.asarray(s % RANK_PRIME, dtype=np.int64))
+        assert _residues(negative)[1, 2, 3] == RANK_PRIME - 1
+        assert _residues(above)[0, 0, 0] == 5
+
+    def test_deficient_mod_p_only_still_goes_to_bareiss(self, rng):
+        # det = 46341^2 - 2 * 2317 = RANK_PRIME, from residues that need no reduction
+        in_range = np.array([[46341, 2], [2317, 46341]], dtype=np.int64)
+        assert _stack_ranks_mod_p(in_range[None]).tolist() == [1]
+        # a row times the prime: entries above it, so the stack is reduced,
+        # and Bareiss must get the integer block, not its residues
+        above = np.eye(5, 7, dtype=np.int64) + np.triu(rng.integers(0, 3, size=(5, 7)), 1)
+        above[0] *= RANK_PRIME
+        assert _bareiss_rank(above.tolist()) == 5
+        for m in (in_range, above):
+            rr = rank(m, mode="exact")
+            assert (rr.rank, rr.engine, rr.prime) == (min(m.shape), "bareiss", None)
+        # both as blocks of a matrix above the split side
+        m = np.zeros((_SPLIT_MIN_SIDE, _SPLIT_MIN_SIDE), dtype=np.int64)
+        m[:2, :2] = in_range
+        m[2:7, 2:9] = above
+        rr = rank(m, mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (7, "bareiss", None, 2)
+
+    def test_exact_rank_never_writes_to_its_input(self, rng):
+        planted, _ = planted_block_diagonal(rng, [(5, 7), (9, 4), (6, 6)], [5, 3, 6])
+        inputs = [
+            # in range and under the split side: _blocks passes on a view
+            rng.integers(0, 4, size=(6, 9)),
+            # in range, above the split side, no zero entry: a view as well
+            rng.integers(1, 5, size=(_SPLIT_MIN_SIDE, _SPLIT_MIN_SIDE + 3)),
+            np.abs(planted),
+            planted,
+            planted * RANK_PRIME,
+            planted.astype(object),
+            np.array([[1, Fraction(1, 2)], [Fraction(3, 4), 2]], dtype=object),
+        ]
+        for m in inputs:
+            before = m.copy()
+            m.setflags(write=False)
+            rank(m, mode="exact")
+            assert np.array_equal(m, before)
+        vals = np.array([3, 4, 5], dtype=np.int64)
+        vals.setflags(write=False)
+        coo = Coo(np.array([0, 1, 60]), np.array([1, 0, 2]), vals, (_SPLIT_MIN_SIDE + 20, 50))
+        assert rank(coo, mode="exact").rank == 3
+        assert vals.tolist() == [3, 4, 5]
 
 
 BUILT_INS = [
