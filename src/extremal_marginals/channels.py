@@ -14,14 +14,17 @@ the operators equal to ``ops`` up to one positive scalar. Rank computations
 are invariant under that scalar, which is what makes exact certificates
 possible for families whose normalization constant is irrational.
 
-:class:`KrausFamily` is the one place that picks the arithmetic: it stores
-the operators as float64 when every one is real and as complex128
-otherwise, and every product built from them (the Choi matrix, the stacked
-vectorizations, the block span and Gram, the partial-transposed Choi
-matrix) follows that dtype. It also decides the exact integer form once:
-``KrausFamily.integer_ops`` stacks the exact operators scaled to integers,
-and the exact span and Choi rank read that stack instead of converting the
-exact entries on every call.
+:class:`KrausFamily` stores its operators once, as one read-only
+C-ordered (r, d_out, d_in) array, and every layer reads that array as it
+is: the marginals, the Choi matrix and vectorizations, the block span and
+Gram, the partial-transposed Choi matrix and the reductions are stacked
+products, with no per-call ``np.stack`` and no loop over operators.
+It is also the one place that picks the arithmetic: the stack is float64
+when every operator is real and complex128 otherwise, and every product
+built from it follows that dtype. It decides the exact integer form once
+too: ``KrausFamily.integer_ops`` stacks the exact operators scaled to
+integers, and the exact span and Choi rank read that stack instead of
+converting the exact entries on every call.
 """
 
 from __future__ import annotations
@@ -69,16 +72,22 @@ class MarginalPair:
 class KrausFamily:
     """Ordered Kraus operators of shape d_out x d_in, immutable after construction.
 
-    The operators are stored as float64 when every one of them is real and
-    as complex128 otherwise; this is the only place that decides between
-    real and complex arithmetic.
+    ``ops`` may be given as any sequence of 2-D operators or as one 3-D
+    array; it is stored as one read-only, C-ordered (r, d_out, d_in) array,
+    a copy that never shares memory with what the caller gave, so
+    ``f.ops[i]``, iteration and ``len`` still see the operators one by one.
+    The shapes are checked first, and then the operators are converted
+    once: to float64 when every one has a real dtype, else to complex128,
+    kept as float64 when no entry has an imaginary part. This is the only
+    place that decides between real and complex arithmetic.
 
     ``exact_ops``, when present, holds integer/Fraction operators proportional
     to ``ops`` by a single positive scalar; the constructor verifies the
     proportionality so the rational form is certified, not assumed. An
     operator given in ``ops`` as the very array given in ``exact_ops`` is
     that exact operator converted to floats, once. The exact entries are
-    kept as Python ints and Fractions, never as numpy integers.
+    kept as Python ints and Fractions, never as numpy integers, and
+    ``exact_ops`` stays a tuple of 2-D object arrays.
 
     The integer form is decided here once too: ``integer_ops`` is the
     read-only (r, d_out, d_in) stack of the exact operators times the lcm
@@ -90,7 +99,7 @@ class KrausFamily:
 
     d_in: int
     d_out: int
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
     exact_ops: tuple[np.ndarray, ...] | None = None
     integer_ops: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -99,32 +108,36 @@ class KrausFamily:
             raise ValueError("dimensions must be positive")
         if len(self.ops) == 0:
             raise ValueError("a Kraus family needs at least one operator")
+        shape = (self.d_out, self.d_in)
         exact, floats = None, {}
         if self.exact_ops is not None:
             if len(self.exact_ops) != len(self.ops):
                 raise ValueError("exact_ops must match ops one to one")
-            exact = _exact_stack(self.exact_ops, (self.d_out, self.d_in))
+            exact = _exact_stack(self.exact_ops, shape)
             exact_floats = exact.astype(float)
             floats = {id(given): e for given, e in zip(self.exact_ops, exact_floats)}
-        raw = [np.asarray(floats.get(id(k), k)) for k in self.ops]
-        if all(k.dtype.kind in "biuf" for k in raw):
-            ops = tuple(np.array(k, dtype=float) for k in raw)
+        if isinstance(self.ops, np.ndarray) and self.ops.ndim == 3:
+            raw, shapes, kinds = self.ops, [self.ops.shape[1:]], {self.ops.dtype.kind}
         else:
-            ops = tuple(np.array(k, dtype=complex) for k in raw)
-            if not any(k.imag.any() for k in ops):
-                ops = tuple(np.array(k.real) for k in ops)
-        for k in ops:
-            if k.shape != (self.d_out, self.d_in):
+            raw = [np.asarray(floats.get(id(k), k)) for k in self.ops]
+            shapes, kinds = [k.shape for k in raw], {k.dtype.kind for k in raw}
+        for s in shapes:
+            if s != shape:
                 raise ValueError(
-                    f"operator shape {k.shape} does not match d_out x d_in = "
-                    f"({self.d_out}, {self.d_in})"
+                    f"operator shape {s} does not match d_out x d_in = ({self.d_out}, {self.d_in})"
                 )
-            if not np.isfinite(k).all():
-                raise ValueError("operator entries must be finite (no NaN or inf)")
-            k.setflags(write=False)
+        if kinds <= set("biuf"):
+            ops = np.array(raw, dtype=float, order="C")
+        else:
+            ops = np.array(raw, dtype=complex, order="C")
+            if not ops.imag.any():
+                ops = np.ascontiguousarray(ops.real)
+        if not np.isfinite(ops).all():
+            raise ValueError("operator entries must be finite (no NaN or inf)")
+        ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
         if exact is not None:
-            _check_proportional(np.stack(ops), exact_floats)
+            _check_proportional(ops, exact_floats)
             integer = integer_entries(exact).reshape(exact.shape)
             exact.setflags(write=False)
             integer.setflags(write=False)
@@ -141,12 +154,17 @@ class KrausFamily:
         """True iff d_in = d_out and every operator is Hermitian within 1e-12."""
         if self.d_in != self.d_out:
             return False
-        return all(float(np.abs(k - k.conj().T).max()) <= HERMITIAN_ATOL for k in self.ops)
+        return float(np.abs(self.ops - _dagger(self.ops)).max()) <= HERMITIAN_ATOL
 
     def is_normalized(self, atol: float = HERMITIAN_ATOL) -> bool:
         """True iff tr(sum_i K_i^dagger K_i) = 1 within atol."""
-        total = sum(float(np.vdot(k, k).real) for k in self.ops)
-        return abs(total - 1.0) <= atol
+        return abs(float(np.vdot(self.ops, self.ops).real) - 1.0) <= atol
+
+
+def _dagger(k: np.ndarray) -> np.ndarray:
+    """K_i^dagger for every operator of an (r, d_out, d_in) stack; a view of
+    a real stack, whose ``conj`` is the stack itself."""
+    return k.conj().transpose(0, 2, 1)
 
 
 def _exact_stack(given: tuple[np.ndarray, ...], shape: tuple[int, int]) -> np.ndarray:
@@ -216,7 +234,7 @@ def marginals(f: KrausFamily) -> MarginalPair:
     sum_i K_i^dagger K_i = M^dagger M; with L the operators side by side,
     d_out x (r d_in), sum_i K_i K_i^dagger = L L^dagger.
     """
-    k = np.stack(f.ops)
+    k = f.ops
     m = k.reshape(f.r * f.d_out, f.d_in)
     side = k.transpose(1, 0, 2).reshape(f.d_out, f.r * f.d_in)
     return MarginalPair(rho1=(m.conj().T @ m).T, rho2=side @ side.conj().T)
@@ -240,9 +258,11 @@ def exact_marginals(f: KrausFamily) -> tuple[np.ndarray, np.ndarray]:
     return s1.T / t, s2 / t
 
 
-def _vecs(ops: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Row i is vec K_i: column-stacking is row-major flattening of K_i^T."""
-    return np.array([k.T for k in ops]).reshape(len(ops), -1)
+def _vecs(k: np.ndarray) -> np.ndarray:
+    """Row i is vec K_i for the (r, d_out, d_in) stack ``k``: column-stacking
+    is row-major flattening of K_i^T, so all r rows are one copy of the
+    stack with its last two axes swapped."""
+    return k.transpose(0, 2, 1).reshape(len(k), -1)
 
 
 def choi(f: KrausFamily) -> np.ndarray:
@@ -277,28 +297,32 @@ def adjoint(f: KrausFamily) -> KrausFamily:
     exact = None
     if f.exact_ops is not None:
         exact = tuple(np.conjugate(e).T for e in f.exact_ops)
-    return KrausFamily(
-        d_in=f.d_out,
-        d_out=f.d_in,
-        ops=tuple(k.conj().T for k in f.ops),
-        exact_ops=exact,
-    )
+    return KrausFamily(d_in=f.d_out, d_out=f.d_in, ops=_dagger(f.ops), exact_ops=exact)
 
 
 def tensor(f: KrausFamily, g: KrausFamily) -> KrausFamily:
-    """Tensor product with operators K_i (x) G_j in lexicographic (i, j) order."""
+    """Tensor product with operators K_i (x) G_j in lexicographic (i, j) order,
+    all r_f r_g of them from one broadcast product of the two stacks."""
     if not f.is_normalized() or not g.is_normalized():
         raise ValueError("tensor requires normalized families")
-    ops = tuple(np.kron(a, b) for a in f.ops for b in g.ops)
     exact = None
     if f.exact_ops is not None and g.exact_ops is not None:
-        exact = tuple(np.kron(a, b) for a in f.exact_ops for b in g.exact_ops)
+        exact = _kron_stack(np.stack(f.exact_ops), np.stack(g.exact_ops))
     return KrausFamily(
         d_in=f.d_in * g.d_in,
         d_out=f.d_out * g.d_out,
-        ops=ops,
+        ops=_kron_stack(f.ops, g.ops),
         exact_ops=exact,
     )
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a[i], b[j]) for every pair in lexicographic (i, j) order, as one
+    broadcast product: entry (i r_b + j, s m + t, u n + v) is a[i, s, u] b[j, t, v],
+    one multiplication each, as in np.kron."""
+    (ra, p, q), (rb, m, n) = a.shape, b.shape
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return prod.reshape(ra * rb, p * m, q * n)
 
 
 def random_family(

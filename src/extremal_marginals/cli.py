@@ -354,7 +354,7 @@ def _restrict_ok(f: KrausFamily) -> bool:
     padded = KrausFamily(
         d_in=f.d_in + 1,
         d_out=f.d_out + 1,
-        ops=tuple(np.pad(k, ((0, 1), (0, 1))) for k in f.ops),
+        ops=np.pad(f.ops, ((0, 0), (0, 1), (0, 1))),
     )
     once = restrict_to_support(padded)
     twice = restrict_to_support(once)
@@ -386,6 +386,8 @@ def cmd_proptest(seed: int, count: int = 50) -> Report:
     """Seeded random-family property checks for the reduction theorems."""
     if count < 1:
         raise UsageError("count must be positive")
+    if seed < 0:
+        raise UsageError("seed must be non-negative")
     report = Report(command="proptest", inputs={"seed": seed, "count": count})
     rng = np.random.default_rng(seed)
     for name, ranges, holds in _PROPTESTS:

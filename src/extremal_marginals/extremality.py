@@ -114,20 +114,19 @@ def block_gram(f: KrausFamily) -> np.ndarray:
     Gram; any other family gets the floating-point Gram, made Hermitian.
     """
     if f.exact_ops is not None:
-        x = _block_vectors(f.exact_ops)
+        x = _block_vectors(np.stack(f.exact_ops))
         return np.conjugate(x) @ x.T
     x = _block_vectors(f.ops)
     g = np.conjugate(x) @ x.T
     return (g + g.conj().T) / 2
 
 
-def _block_vectors(ops: tuple[np.ndarray, ...] | np.ndarray) -> np.ndarray:
+def _block_vectors(k: np.ndarray) -> np.ndarray:
     """Row i*r + j is K_i^dagger K_j followed by K_j K_i^dagger, each flattened
-    row-major, in the operators' dtype; all r^2 products come from two
-    stacked matmuls."""
-    k = np.stack(ops)
+    row-major, for the (r, d_out, d_in) stack ``k`` in its dtype; all r^2
+    products come from two stacked matmuls."""
     r = k.shape[0]
-    adj = np.conjugate(k).transpose(0, 2, 1)
+    adj = k.conj().transpose(0, 2, 1)
     p = adj[:, None] @ k[None, :]
     q = k[None, :] @ adj[:, None]
     return np.concatenate([p.reshape(r * r, -1), q.reshape(r * r, -1)], axis=1)
@@ -189,7 +188,7 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
             if big * big * max(f.d_in, f.d_out) >= _INT64_PRODUCT_LIMIT:
                 k = k.astype(object)
     else:
-        k = np.stack(f.ops)
+        k = f.ops
     first = 1 if exact else 0
     shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
     if coo_is_cheaper(shape, lambda: _span_terms(k != 0), k.dtype):

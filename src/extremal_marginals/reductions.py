@@ -5,6 +5,11 @@ the adjoint swaps the two marginals (up to transpose) without changing the
 verdict, conjugation by local unitaries makes both marginals diagonal, and
 compression onto the marginal supports removes null directions. Each leaves
 the block-Gram rank unchanged.
+
+Both unitary reductions act on the family's whole operator stack at once:
+``v @ f.ops @ u^dagger`` is one batched matmul over the (r, d_out, d_in)
+array, and every eigenvector's phase is fixed in one vectorized step.
+Each entry is still the product a per-operator loop would form.
 """
 
 from __future__ import annotations
@@ -45,14 +50,14 @@ class CanonicalizationRecord:
 
 
 def _phase_fixed_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh with each eigenvector's first nonzero component made real positive."""
+    """eigh with each eigenvector's first component of modulus above 1e-9 made
+    real positive, all columns at once; a column with no such component is
+    turned by its first entry instead, unless that entry is 0."""
     w, vecs = np.linalg.eigh((h + h.conj().T) / 2)
-    for col in range(vecs.shape[1]):
-        v = vecs[:, col]
-        idx = int(np.argmax(np.abs(v) > 1e-9))
-        pivot = v[idx]
-        if abs(pivot) > 0:
-            vecs[:, col] = v * (pivot.conjugate() / abs(pivot))
+    pivot = vecs[np.argmax(np.abs(vecs) > 1e-9, axis=0), np.arange(vecs.shape[1])]
+    size = np.abs(pivot)
+    turn = size > 0
+    vecs[:, turn] *= pivot[turn].conjugate() / size[turn]
     return w, vecs
 
 
@@ -67,9 +72,8 @@ def diagonalize_marginals(f: KrausFamily) -> CanonicalizationRecord:
     w2, v0 = _phase_fixed_eigh(np.asarray(mp.rho2, dtype=complex))
     u = u0.conj().T
     v = v0.conj().T
-    ops = tuple(v @ k @ u.conj().T for k in f.ops)
     return CanonicalizationRecord(
-        family=KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=ops),
+        family=KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=v @ f.ops @ u.conj().T),
         u=u,
         v=v,
         d1_diag=w1,
@@ -119,5 +123,4 @@ def restrict_to_support(f: KrausFamily) -> KrausFamily:
         return f
     p_in = u1[:, keep1]
     p_out = u2[:, keep2]
-    ops = tuple(p_out.conj().T @ k @ p_in for k in f.ops)
-    return KrausFamily(d_in=s1, d_out=s2, ops=ops)
+    return KrausFamily(d_in=s1, d_out=s2, ops=p_out.conj().T @ f.ops @ p_in)

@@ -116,11 +116,11 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     :func:`channels.choi_rank`.
     """
     side = f.d_in * f.d_out
+    k = f.ops
     # one product per pair of entries of one operator
     if coo_is_cheaper(
-        (side, side), lambda: sum(int(np.count_nonzero(x)) ** 2 for x in f.ops), f.ops[0].dtype
+        (side, side), lambda: int(((k != 0).sum(axis=(1, 2)) ** 2).sum()), k.dtype
     ):
-        k = np.stack(f.ops)
         trace = float(np.vdot(k, k).real)
         is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace)
     else:

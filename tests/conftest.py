@@ -33,3 +33,8 @@ def reorder_subsystems(c, dims, perm):
     axes = list(perm) + [p + n for p in perm]
     side = int(np.prod(dims))
     return t.transpose(axes).reshape(side, side)
+
+
+def same_bits(a, b):
+    """Same dtype, shape and bytes: equality that also tells -0.0 from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -15,6 +15,7 @@ from extremal_marginals import (
     family_to_json,
     is_minimal,
     marginals,
+    matrix_to_json,
     min_eigenvalue,
     ohno_rank4,
     ohno_rank_d,
@@ -30,7 +31,7 @@ from extremal_marginals import (
 )
 from extremal_marginals.extremality import _span, is_extremal
 from extremal_marginals.separability import _partial_transposed_choi
-from conftest import random_density, random_unitary, reorder_subsystems
+from conftest import random_density, random_unitary, reorder_subsystems, same_bits
 
 
 def identity_family(d=2):
@@ -177,6 +178,64 @@ class TestKrausFamily:
         k[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             KrausFamily(d_in=2, d_out=2, ops=(np.eye(2) / 2, k))
+
+
+def seeded_families(rng):
+    """A real, a complex and an exact seeded family, each with the operators
+    it was given: the exact one gets its object arrays as ``ops`` too."""
+    real = tuple(rng.standard_normal((3, 2)) for _ in range(3))
+    complex_ = tuple(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)) for _ in range(2))
+    exact = tuple(np.array(m.tolist(), dtype=object) for m in rng.integers(-2, 3, size=(4, 3, 3)))
+    return [
+        (KrausFamily(d_in=2, d_out=3, ops=real), real, np.float64),
+        (KrausFamily(d_in=4, d_out=2, ops=complex_), complex_, np.complex128),
+        (KrausFamily(d_in=3, d_out=3, ops=exact, exact_ops=exact), exact, np.float64),
+    ]
+
+
+class TestOperatorStack:
+    def test_one_read_only_stack(self, rng):
+        for f, given, dtype in seeded_families(rng):
+            k = f.ops
+            assert isinstance(k, np.ndarray) and k.dtype == dtype
+            assert k.shape == (len(given), f.d_out, f.d_in) == (f.r, f.d_out, f.d_in)
+            assert k.flags.c_contiguous and not k.flags.writeable
+            assert not any(np.shares_memory(k, g) for g in given)
+            for i, (op, g) in enumerate(zip(f.ops, given)):
+                assert same_bits(op, np.array(g, dtype=dtype)) and same_bits(k[i], op)
+            assert len(f.ops) == f.r
+
+    def test_a_stack_is_copied_into_c_order(self, rng):
+        given = np.asfortranarray(rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4)))
+        f = KrausFamily(d_in=4, d_out=2, ops=given)
+        assert f.ops.flags.c_contiguous and not np.shares_memory(f.ops, given)
+        assert same_bits(f.ops, np.ascontiguousarray(given)) and given.flags.writeable
+        real = KrausFamily(d_in=4, d_out=2, ops=given.real.astype(complex))
+        assert same_bits(real.ops, np.ascontiguousarray(given.real))
+
+    def test_bad_operators_keep_their_messages(self):
+        bad_shape = "operator shape \\(3, 2\\) does not match d_out x d_in = \\(2, 2\\)"
+        with pytest.raises(ValueError, match=bad_shape):
+            KrausFamily(d_in=2, d_out=2, ops=(np.ones((3, 2)),))
+        with pytest.raises(ValueError, match=bad_shape):
+            KrausFamily(d_in=2, d_out=2, ops=(np.eye(2), np.ones((3, 2))))
+        with pytest.raises(ValueError, match=bad_shape):
+            KrausFamily(d_in=2, d_out=2, ops=np.ones((2, 3, 2)))
+        nan = np.eye(2)
+        nan[1, 0] = np.nan
+        for ops in ((np.eye(2), nan), np.stack([np.eye(2), nan]), (nan + 1j,)):
+            with pytest.raises(ValueError, match="must be finite"):
+                KrausFamily(d_in=2, d_out=2, ops=ops)
+
+    def test_adjoint_and_tensor_match_per_operator_products(self, rng):
+        fams = [f for f, _, _ in seeded_families(rng)]
+        for f in fams:
+            assert same_bits(adjoint(f).ops, np.array([k.conj().T for k in f.ops]))
+        normalized = [random_family(rng, 2, 3, 2), shift_family(2, 1), sigma_rank2()]
+        for f in normalized:
+            for g in normalized:
+                want = np.array([np.kron(a, b) for a in f.ops for b in g.ops])
+                assert same_bits(tensor(f, g).ops, want)
 
 
 class TestApply:
@@ -463,12 +522,26 @@ class TestFamilyJson:
         assert choi_rank(back).mode == "exact"
 
     def test_roundtrip_of_fortran_ordered_operators(self, rng):
-        # adjoint stores K^dagger = K.conj().T, which is Fortran-ordered
-        for f in (adjoint(shift_family(2, 2)), adjoint(random_family(rng, 2, 3, 3))):
-            assert not f.ops[0].flags.c_contiguous
-            back = family_from_json(family_to_json(f))
-            for a, b in zip(back.ops, f.ops):
-                assert np.array_equal(a.view(np.int64), np.ascontiguousarray(b).view(np.int64))
+        """Fortran-ordered operators, given to the constructor or taken as the
+        transposed views K.conj().T that adjoint reads, cross the JSON
+        boundary bit for bit, through matrix_to_json and through the stack."""
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        for f in (shift_family(2, 2), random_family(rng, 2, 3, 3)):
+            fortran = tuple(np.asfortranarray(k) for k in f.ops)
+            daggers = tuple(k.conj().T for k in f.ops)
+            built = (KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=fortran), adjoint(f))
+            for given, g in zip((fortran, daggers), built):
+                assert not any(k.flags.c_contiguous for k in given)
+                for k, stored in zip(given, g.ops):
+                    row_major = [[z.real, z.imag] for z in k.astype(complex).flat]
+                    assert np.array_equal(bits(matrix_to_json(k)["entries"]), bits(row_major))
+                    assert matrix_to_json(k) == matrix_to_json(stored)
+                back = family_from_json(family_to_json(g))
+                for a, b in zip(back.ops, given):
+                    assert np.array_equal(bits(a), bits(b))
 
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError):

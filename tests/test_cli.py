@@ -207,6 +207,16 @@ class TestProptest:
         second.pop("timings_ms")
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--seed", "-5", "--count", "1"], "seed must be non-negative"), (["--count", "0"], "count must be positive")],
+    )
+    def test_bad_seed_or_count_is_usage_error(self, capsys, argv, message):
+        assert main(["proptest", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
 
 class TestReportShape:
     def test_report_keys(self, capsys):

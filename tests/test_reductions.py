@@ -17,7 +17,8 @@ from extremal_marginals import (
     shift_family,
     sigma_rank2,
 )
-from conftest import random_unitary
+from extremal_marginals.reductions import SUPPORT_ATOL, _phase_fixed_eigh
+from conftest import random_unitary, same_bits
 from test_extremality import e_basis_family
 
 
@@ -87,6 +88,84 @@ class TestDiagonalizeMarginals:
         rec_adj = diagonalize_marginals(adjoint(f))
         assert np.abs(rec_adj.d1_diag - rec.d2_diag).max() <= 1e-10
         assert np.abs(rec_adj.d2_diag - rec.d1_diag).max() <= 1e-10
+
+
+def mixed_families(rng):
+    """Complex and integer families, d_in and d_out in 2..4 and r in 1..5,
+    with one padded so that restriction has something to drop."""
+    fams = []
+    for _ in range(12):
+        d_in, d_out = (int(x) for x in rng.integers(2, 5, size=2))
+        r = int(rng.integers(1, 6))
+        fams.append(random_family(rng, d_in, d_out, r))
+        mats = rng.integers(-2, 3, size=(r, d_out, d_in)) * (rng.random((r, d_out, d_in)) < 0.5)
+        if mats.any():
+            exact = tuple(np.array(m.tolist(), dtype=object) for m in mats)
+            fams.append(KrausFamily(d_in=d_in, d_out=d_out, ops=exact, exact_ops=exact))
+    f = shift_family(2, 1)
+    fams.append(KrausFamily(d_in=3, d_out=4, ops=np.pad(f.ops, ((0, 0), (0, 1), (0, 1)))))
+    return fams
+
+
+class TestBatchedReductions:
+    """The reductions act on the whole operator stack at once; every entry is
+    still the product a per-operator loop forms, bit for bit."""
+
+    def test_diagonalize_matches_per_operator_products(self, rng):
+        for f in mixed_families(rng):
+            rec = diagonalize_marginals(f)
+            want = KrausFamily(f.d_in, f.d_out, tuple(rec.v @ k @ rec.u.conj().T for k in f.ops))
+            assert same_bits(rec.family.ops, want.ops)
+
+    def test_restrict_matches_per_operator_products(self, rng):
+        restricted = 0
+        for f in mixed_families(rng):
+            g = restrict_to_support(f)
+            if g is f:
+                continue
+            restricted += 1
+            mp = marginals(f)
+            w1, u1 = np.linalg.eigh(np.asarray(mp.rho1, dtype=complex).T)
+            w2, u2 = np.linalg.eigh(np.asarray(mp.rho2, dtype=complex))
+            cut = SUPPORT_ATOL * float(np.trace(mp.rho1).real)
+            p_in, p_out = u1[:, w1 > cut], u2[:, w2 > cut]
+            want = KrausFamily(g.d_in, g.d_out, tuple(p_out.conj().T @ k @ p_in for k in f.ops))
+            assert same_bits(g.ops, want.ops)
+        assert restricted >= 2
+
+    def test_phase_fixed_eigh(self, rng):
+        """Every eigenvector's first component of modulus above 1e-9 is real
+        and positive, also when the components before it are below 1e-9,
+        and the columns equal a per-column phase fix bit for bit."""
+
+        def per_column(h):
+            w, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+            for col in range(vecs.shape[1]):
+                v = vecs[:, col]
+                pivot = v[int(np.argmax(np.abs(v) > 1e-9))]
+                if abs(pivot) > 0:
+                    vecs[:, col] = v * (pivot.conjugate() / abs(pivot))
+            return w, vecs
+
+        # columns 1..3 of q start with exactly 0 and, after a rotation by
+        # 4e-10 between the first two axes, with entries of modulus below 1e-9
+        q = np.eye(4, dtype=complex)
+        q[1:, 1:] = random_unitary(rng, 3)
+        t = 4e-10
+        g = np.eye(4, dtype=complex)
+        g[:2, :2] = [[np.cos(t), -np.sin(t) * 1j], [-np.sin(t) * 1j, np.cos(t)]]
+        tiny = 0
+        for u in (q, g @ q, random_unitary(rng, 4)):
+            h = u @ np.diag([1.0, 2.0, 3.0, 4.0]) @ u.conj().T
+            w, vecs = _phase_fixed_eigh(h)
+            want_w, want = per_column(h)
+            assert same_bits(w, want_w) and same_bits(vecs, want)
+            for v in vecs.T:
+                idx = int(np.argmax(np.abs(v) > 1e-9))
+                tiny += idx > 0 and bool(np.abs(v[0]) > 0)
+                assert np.abs(v[:idx]).max(initial=0.0) <= 1e-9
+                assert v[idx].real > 1e-9 and abs(v[idx].imag) <= 1e-15 * abs(v[idx])
+        assert tiny >= 1
 
 
 class TestAdjointDuality:
