@@ -22,9 +22,9 @@ products, with no per-call ``np.stack`` and no loop over operators.
 It is also the one place that picks the arithmetic: the stack is float64
 when every operator is real and complex128 otherwise, and every product
 built from it follows that dtype. It decides the exact integer form once
-too: ``KrausFamily.integer_ops`` stacks the exact operators scaled to
-integers, and the exact span and Choi rank read that stack instead of
-converting the exact entries on every call.
+too, in the pass that certifies the exact entries: ``KrausFamily.integer_ops``
+stacks the exact operators scaled to integers, and the exact span and Choi
+rank read that stack instead of converting the exact entries on every call.
 """
 
 from __future__ import annotations
@@ -83,18 +83,17 @@ class KrausFamily:
 
     ``exact_ops``, when present, holds integer/Fraction operators proportional
     to ``ops`` by a single positive scalar; the constructor verifies the
-    proportionality so the rational form is certified, not assumed. An
-    operator given in ``ops`` as the very array given in ``exact_ops`` is
-    that exact operator converted to floats, once. The exact entries are
-    kept as Python ints and Fractions, never as numpy integers, and
-    ``exact_ops`` stays a tuple of 2-D object arrays.
-
-    The integer form is decided here once too: ``integer_ops`` is the
-    read-only (r, d_out, d_in) stack of the exact operators times the lcm
-    of all their denominators, int64 when every entry fits and Python ints
-    otherwise, or None without ``exact_ops``. One positive scalar on every
-    operator keeps every rank, so the exact span and Choi rank read it
-    as it is.
+    proportionality so the rational form is certified, not assumed. One
+    pass of :func:`linalg.integer_entries` over the exact entries checks
+    their types and gives both the entries as Python ints and Fractions of
+    Python ints (``exact_ops`` stays a tuple of 2-D object arrays) and
+    ``integer_ops``, the read-only (r, d_out, d_in) stack of the exact
+    operators times the lcm of all their denominators, int64 when every
+    entry fits and Python ints otherwise, or None without ``exact_ops``.
+    One positive scalar on every operator keeps every rank, so exact ranks
+    read that stack as it is. An operator given in ``ops`` as the very
+    array given in ``exact_ops`` is that exact operator as floats: the
+    stack divided by the lcm, or ``float`` of each entry past 2^53.
     """
 
     d_in: int
@@ -113,8 +112,19 @@ class KrausFamily:
         if self.exact_ops is not None:
             if len(self.exact_ops) != len(self.ops):
                 raise ValueError("exact_ops must match ops one to one")
-            exact = _exact_stack(self.exact_ops, shape)
-            exact_floats = exact.astype(float)
+            if any(np.shape(e) != shape for e in self.exact_ops):
+                raise ValueError("exact operator shape mismatch")
+            stack = np.array(self.exact_ops, dtype=object)
+            integer, exact, lcm = integer_entries(stack, rationals=True)
+            integer, exact = integer.reshape(stack.shape), exact.reshape(stack.shape)
+            # int64 -> float rounds to nearest as float(int) does, and n / lcm of
+            # two exactly held floats is rounded once, as float(Fraction) is
+            if integer.dtype == np.int64 and (
+                lcm == 1 or max(lcm, int(integer.max()), -int(integer.min())) < 2**53
+            ):
+                exact_floats = integer / lcm
+            else:
+                exact_floats = exact.astype(float)
             floats = {id(given): e for given, e in zip(self.exact_ops, exact_floats)}
         if isinstance(self.ops, np.ndarray) and self.ops.ndim == 3:
             raw, shapes, kinds = self.ops, [self.ops.shape[1:]], {self.ops.dtype.kind}
@@ -138,7 +148,6 @@ class KrausFamily:
         object.__setattr__(self, "ops", ops)
         if exact is not None:
             _check_proportional(ops, exact_floats)
-            integer = integer_entries(exact).reshape(exact.shape)
             exact.setflags(write=False)
             integer.setflags(write=False)
             object.__setattr__(self, "exact_ops", tuple(exact))
@@ -165,37 +174,6 @@ def _dagger(k: np.ndarray) -> np.ndarray:
     """K_i^dagger for every operator of an (r, d_out, d_in) stack; a view of
     a real stack, whose ``conj`` is the stack itself."""
     return k.conj().transpose(0, 2, 1)
-
-
-def _exact_stack(given: tuple[np.ndarray, ...], shape: tuple[int, int]) -> np.ndarray:
-    """The exact operators as one (r, d_out, d_in) object array of Python
-    ints and Fractions of Python ints.
-
-    A numpy integer inside an object array keeps int64 arithmetic, so the
-    products of :func:`exact_marginals` and :func:`extremality.block_gram`
-    would wrap around silently; such entries are converted here, once.
-    """
-    mats = [np.array(e, dtype=object) for e in given]
-    if any(e.shape != shape for e in mats):
-        raise ValueError("exact operator shape mismatch")
-    stack = np.stack(mats)
-    kinds = set(map(type, stack.flat))
-    for t in kinds:
-        if not issubclass(t, (int, np.integer, Fraction)):
-            raise ValueError(f"exact entry of type {t.__name__} is not rational")
-    if kinds != {int}:
-        stack = np.array([_python_rational(x) for x in stack.flat], dtype=object).reshape(stack.shape)
-    return stack
-
-
-def _python_rational(x: int | np.integer | Fraction) -> int | Fraction:
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        if type(x.numerator) is int and type(x.denominator) is int:
-            return x
-        return Fraction(int(x.numerator), int(x.denominator))
-    return int(x)
 
 
 def _check_proportional(ops: np.ndarray, floats: np.ndarray) -> None:
@@ -293,10 +271,9 @@ def is_minimal(f: KrausFamily) -> bool:
 
 
 def adjoint(f: KrausFamily) -> KrausFamily:
-    """The adjoint map Phi*(X) = sum_i K_i^dagger X K_i."""
-    exact = None
-    if f.exact_ops is not None:
-        exact = tuple(np.conjugate(e).T for e in f.exact_ops)
+    """The adjoint map Phi*(X) = sum_i K_i^dagger X K_i; the exact operators
+    are rational, so their adjoints are their transposes."""
+    exact = None if f.exact_ops is None else tuple(e.T for e in f.exact_ops)
     return KrausFamily(d_in=f.d_out, d_out=f.d_in, ops=_dagger(f.ops), exact_ops=exact)
 
 
@@ -325,24 +302,14 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(ra * rb, p * m, q * n)
 
 
-def random_family(
-    rng: np.random.Generator,
-    d_in: int,
-    d_out: int,
-    r: int,
-    hermitian: bool = False,
-) -> KrausFamily:
-    """Random normalized family with complex Gaussian operators."""
-    if hermitian and d_in != d_out:
-        raise ValueError("Hermitian operators need d_in = d_out")
-    ops = []
-    for _ in range(r):
-        k = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
-        if hermitian:
-            k = (k + k.conj().T) / 2
-        ops.append(k)
+def random_family(rng: np.random.Generator, d_in: int, d_out: int, r: int) -> KrausFamily:
+    """Random normalized family with complex Gaussian operators, drawn as
+    one (r, 2, d_out, d_in) array: operator i is ``z[i, 0] + 1j * z[i, 1]``,
+    the stream order of a real and an imaginary draw per operator."""
+    z = rng.standard_normal((r, 2, d_out, d_in))
+    ops = z[:, 0] + 1j * z[:, 1]
     total = sum(float(np.vdot(k, k).real) for k in ops)
-    return KrausFamily(d_in=d_in, d_out=d_out, ops=tuple(k / np.sqrt(total) for k in ops))
+    return KrausFamily(d_in=d_in, d_out=d_out, ops=ops / np.sqrt(total))
 
 
 def family_to_json(f: KrausFamily) -> dict:

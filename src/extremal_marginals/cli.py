@@ -212,7 +212,8 @@ def cmd_verify(
     tol: float | None = None,
     max_dim: int | None = None,
 ) -> Report:
-    """Construct a family and certify marginals, extremality, Choi rank and separability."""
+    """Construct a family and certify marginals, extremality, Choi rank and
+    separability; ``mode="numerical"`` drops its exact operators first."""
     report = Report(
         command="verify",
         inputs={"family": family_name, "params": list(params), "mode": mode, "tol": tol},
@@ -221,8 +222,9 @@ def cmd_verify(
     _guard_span_rows(r * r, max_dim)
     with _Timer(report, "construct"):
         fam, targets, expected_rank, assert_separable = _build_family(family_name, params)
-    exact = mode == "exact" or (mode is None and fam.exact_ops is not None)
-    if tol is not None and exact:
+        if mode == "numerical":
+            fam = KrausFamily(d_in=fam.d_in, d_out=fam.d_out, ops=fam.ops)
+    if tol is not None and fam.exact_ops is not None:
         raise UsageError("--tol needs --numerical for a rational family")
     try:
         with _Timer(report, "is_extremal"):

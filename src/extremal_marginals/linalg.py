@@ -412,35 +412,48 @@ def _to_fraction(x: object) -> Fraction:
     raise ValueError(f"entry {x!r} is not certified rational")
 
 
-def integer_entries(entries: Iterable[object]) -> np.ndarray:
+def integer_entries(entries: Iterable[object], rationals: bool = False) -> np.ndarray | tuple:
     """The entries times the lcm of their denominators, as a 1-d array of
     integers: int64 when every one fits, else Python ints (dtype object).
 
     Integers pass through unchanged, and an array of a numpy integer dtype
     that int64 holds is returned as int64 without a step through Python
     objects. Callers scale a whole matrix or a whole operator this way,
-    which keeps every rank it enters; floating-point input is rejected
-    because it is not certified rational.
+    which keeps every rank it enters; an entry that is not an integer or a
+    Fraction, floating point included, is rejected because it is not
+    certified rational.
+
+    With ``rationals`` the same pass also gives the entries as Python ints
+    and Fractions of Python ints, in a 1-d object array, and the lcm, as
+    ``(integers, entries, lcm)``.
     """
     if isinstance(entries, np.ndarray) and entries.dtype.kind in "iu":
         a = entries.reshape(-1)
-        return a.astype(np.int64, copy=False) if np.can_cast(a.dtype, np.int64) else a.astype(object)
+        ints = a.astype(np.int64, copy=False) if np.can_cast(a.dtype, np.int64) else a.astype(object)
+        return (ints, a.astype(object), 1) if rationals else ints
     a = np.asarray(entries if isinstance(entries, np.ndarray) else list(entries), dtype=object)
     a = a.reshape(-1)
-    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, a))):
-        fracs = [_to_fraction(x) for x in a]
-        den = math.lcm(*(f.denominator for f in fracs))
-        a = np.array([f.numerator * (den // f.denominator) for f in fracs], dtype=object)
-    return _int64_or_python(a)
-
-
-def _int64_or_python(a: np.ndarray) -> np.ndarray:
-    """An object array of integers as int64 in one conversion, or, when an
-    entry does not fit, as Python ints."""
+    items, lcm = a.tolist(), 1
+    if set(map(type, items)) - {int}:
+        parts = []
+        for i, x in enumerate(items):
+            if isinstance(x, Fraction):
+                parts.append((int(x.numerator), int(x.denominator)))
+                if type(x.numerator) is not int or type(x.denominator) is not int:
+                    items[i] = Fraction(*parts[-1])
+            elif isinstance(x, (int, np.integer)):
+                items[i] = int(x)
+                parts.append((items[i], 1))
+            else:
+                raise ValueError(f"exact entry of type {type(x).__name__} is not rational")
+        lcm = math.lcm(*(d for _, d in parts))
+        a = np.array(items, dtype=object)
+        items = [n * (lcm // d) for n, d in parts]
     try:
-        return a.astype(np.int64)
+        ints = np.array(items, dtype=np.int64)
     except OverflowError:
-        return np.array([int(x) for x in a.flat], dtype=object).reshape(a.shape)
+        ints = np.array(items, dtype=object)
+    return (ints, a, lcm) if rationals else ints
 
 
 def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:

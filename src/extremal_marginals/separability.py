@@ -1,8 +1,8 @@
 """PPT testing and the rank-based separability verdict for Choi states.
 
-For a state of rank at most the larger local dimension, positivity of the
-partial transpose is necessary and sufficient for separability; outside that
-regime a PPT state stays undetermined and an NPT state is entangled.
+A PPT state of rank at most its larger marginal rank is separable
+(Horodecki, Lewenstein, Vidal and Cirac, PRA 62, 032310, 2000); outside
+that regime a PPT state stays undetermined and an NPT state is entangled.
 
 PPT is decided relative to the Choi trace sum_i ||K_i||_F^2, so no verdict
 depends on the overall scale of the operators. For a sparse family the
@@ -27,6 +27,7 @@ from .linalg import (
     group_pairs,
     min_eigenvalue,
     partial_transpose,
+    rank,
 )
 
 __all__ = ["PPT_ATOL", "SeparabilityVerdict", "ppt", "separability_verdict"]
@@ -39,7 +40,8 @@ class SeparabilityVerdict:
     """Separability conclusion for a family's Choi state.
 
     ``conclusion`` is "separable" only when the state is PPT and the rank
-    criterion applies (Choi rank <= d_out), "entangled" only when it is NPT,
+    criterion applies (PPT and Choi rank <= min(d_out, max(rank rho1,
+    rank rho2)), False for an NPT state), "entangled" only when it is NPT,
     and "undetermined" otherwise.
     """
 
@@ -104,6 +106,20 @@ def _partial_transposed_choi(k: np.ndarray) -> Coo:
     )
 
 
+def _marginal_rank_reaches(f: KrausFamily, choi_rank_: int) -> bool:
+    """Whether max(rank rho1, rank rho2) >= ``choi_rank_``: rank rho2 is that
+    of the operators side by side, taken first, and rank rho1 that of the
+    operators stacked (as in :func:`channels.marginals`), exact from the
+    integer stack of a rational family and by SVD otherwise."""
+    exact = f.integer_ops is not None
+    k = f.integer_ops if exact else f.ops
+    r, d_out, d_in = k.shape
+    mode = "exact" if exact else "numerical"
+    if rank(k.transpose(1, 0, 2).reshape(d_out, r * d_in), mode=mode).rank >= choi_rank_:
+        return True
+    return rank(k.reshape(r * d_out, d_in), mode=mode).rank >= choi_rank_
+
+
 def separability_verdict(f: KrausFamily, tol: float | None = None) -> SeparabilityVerdict:
     """Choi-state separability verdict from PPT plus the low-rank criterion.
 
@@ -113,7 +129,8 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     each operator), the partial-transposed Choi matrix is built from those
     products as a :class:`linalg.Coo` and no dense Choi matrix is formed.
     ``tol`` thresholds the singular values of the Choi rank as in
-    :func:`channels.choi_rank`.
+    :func:`channels.choi_rank`. Marginal ranks are taken only for a PPT
+    state of Choi rank <= d_out.
     """
     side = f.d_in * f.d_out
     k = f.ops
@@ -126,7 +143,7 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     else:
         is_ppt, smallest = ppt(choi(f), f.d_in, f.d_out)
     cr = choi_rank(f, tol=tol).rank
-    applicable = cr <= f.d_out
+    applicable = is_ppt and cr <= f.d_out and _marginal_rank_reaches(f, cr)
     if not is_ppt:
         conclusion = "entangled"
     elif applicable:

@@ -15,6 +15,7 @@ from extremal_marginals import (
     family_to_json,
     is_minimal,
     marginals,
+    matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
     ohno_rank4,
@@ -87,7 +88,9 @@ class TestKrausFamily:
     def test_integer_stack_is_decided_once(self):
         """``integer_ops`` is the exact operators times the lcm of their
         denominators, int64 when it fits; the exact span and Choi rank it
-        feeds give the ranks and engines of the per-call conversion."""
+        feeds give the ranks and engines of the per-call conversion. The
+        exact entries keep their values, as Python ints and Fractions of
+        Python ints, however they were given."""
 
         def family(mats):
             return KrausFamily(d_in=2, d_out=3, ops=tuple(mats), exact_ops=tuple(mats))
@@ -101,14 +104,33 @@ class TestKrausFamily:
         ]
         big = [[[2**63, 0], [0, 1], [0, 0]], [[0, 1], [1, 0], [0, 2**64 + 3]], [[1, 1], [0, 0], [1, 0]]]
         small = [[[3, 0], [0, -2], [1, 1]], [[0, 1], [2, 0], [0, 0]], [[3, 1], [2, -2], [1, 1]]]
+
+        def numpy_parts(x):
+            return h(np.int64(x.numerator), np.int64(x.denominator)) if isinstance(x, h) else np.int64(x)
+
+        def to_object(convert):
+            return np.vectorize(convert, otypes=[object])
+
+        fractions_json = [matrix_to_json(np.array(m, dtype=object)) for m in fractions]
         # (operators, stack dtype, lcm, span rank and engine, Choi rank and engine)
         cases = [
             ([np.array(m, dtype=object) for m in fractions], np.int64, 60, (9, "bareiss"), (3, "bareiss")),
             ([np.array(m, dtype=object) for m in big], object, 1, (9, "mod-p"), (3, "mod-p")),
             ([np.array(m, dtype=np.int64) for m in small], np.int64, 1, (4, "bareiss"), (2, "bareiss")),
+            ([to_object(np.int64)(m) for m in small], np.int64, 1, (4, "bareiss"), (2, "bareiss")),
+            ([to_object(numpy_parts)(m) for m in fractions], np.int64, 60, (9, "bareiss"), (3, "bareiss")),
         ]
-        for mats, dtype, lcm, span, vecs in cases:
-            f = family(mats)
+        cases = [(family(mats), mats, *rest) for mats, *rest in cases]
+        from_json = family_from_json({"d_in": 2, "d_out": 3, "ops": fractions_json})
+        parsed = [matrix_from_json(m) for m in fractions_json]
+        cases.append((from_json, parsed, np.int64, 60, (9, "bareiss"), (3, "bareiss")))
+        for f, given, dtype, lcm, span, vecs in cases:
+            for e, g in zip(f.exact_ops, given):
+                assert e.tolist() == np.asarray(g).tolist()
+                for x, y in zip(e.flat, np.asarray(g, dtype=object).flat):
+                    want = Fraction if isinstance(y, Fraction) else int
+                    assert type(x) is want
+                    assert want is int or type(x.numerator) is type(x.denominator) is int
             k = f.integer_ops
             assert k.shape == (f.r, f.d_out, f.d_in) and k.dtype == dtype
             assert not k.flags.writeable
@@ -236,6 +258,20 @@ class TestOperatorStack:
             for g in normalized:
                 want = np.array([np.kron(a, b) for a in f.ops for b in g.ops])
                 assert same_bits(tensor(f, g).ops, want)
+
+
+class TestRandomFamily:
+    def test_one_draw_is_the_per_operator_draw(self):
+        """All operators come from one draw, with the bytes and the generator
+        state of a real and then an imaginary draw per operator."""
+        for seed, (d_in, d_out, r) in enumerate([(2, 3, 1), (3, 2, 4), (4, 4, 6)]):
+            drawn = np.random.default_rng(seed)
+            f = random_family(drawn, d_in, d_out, r)
+            rng = np.random.default_rng(seed)
+            ops = [rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in)) for _ in range(r)]
+            total = sum(float(np.vdot(k, k).real) for k in ops)
+            assert same_bits(f.ops, np.array([k / np.sqrt(total) for k in ops]))
+            assert drawn.standard_normal() == rng.standard_normal()
 
 
 class TestApply:
@@ -443,7 +479,23 @@ class TestAdjoint:
             assert rank(block_gram(f)).rank == rank(block_gram(adjoint(f))).rank
 
     def test_preserves_exact_ops(self):
-        assert adjoint(shift_family(2, 2)).exact_ops is not None
+        """The adjoint's exact operators are the transposes, and the tensor
+        product's the Kronecker products, of the exact entries: the same
+        values and the same Python int or Fraction type per entry."""
+        h = Fraction
+        e = [np.array(m, dtype=object) for m in ([[h(1, 2), 0], [1, h(-2, 3)]], [[0, h(4, 1)], [2, 0]])]
+        norm = np.sqrt(float(sum(x * x for m in e for x in m.flat)))
+        fractions = KrausFamily(d_in=2, d_out=2, ops=tuple(m.astype(float) / norm for m in e), exact_ops=tuple(e))
+        for f in (shift_family(2, 2), fractions):
+            want = [m.T for m in f.exact_ops]
+            products = [np.kron(a, b) for a in f.exact_ops for b in shift_family(2, 1).exact_ops]
+            got = (adjoint(f).exact_ops, tensor(f, shift_family(2, 1)).exact_ops)
+            for exact, expected in zip(got, (want, products)):
+                assert len(exact) == len(expected)
+                for a, b in zip(exact, expected):
+                    assert a.tolist() == b.tolist()
+                    assert [type(x) for x in a.flat] == [type(x) for x in b.flat]
+        assert {type(x) for m in adjoint(fractions).exact_ops for x in m.flat} == {int, Fraction}
 
 
 class TestTensor:
@@ -547,15 +599,26 @@ class TestFamilyJson:
         with pytest.raises(ValueError):
             family_from_json({"d_in": 2})
 
-    def test_exact_entries_are_converted_to_float_once(self, monkeypatch):
+    def test_exact_entries_are_converted_to_float_once(self, monkeypatch, rng):
+        """The floats of parsed exact entries are the integer stack divided by
+        the lcm, with no float() of any entry, and bit for bit the floats of
+        the entries; only a family whose integers reach 2^53 takes float() of
+        each entry, once."""
         doc = family_to_json_exact(shift_family(3, 2))
-        entries = sum(len(m["entries"]) for m in doc["ops"])
+        num, den = (rng.integers(lo, hi, size=(3, 2, 2)).astype(object) for lo, hi in ((-30, 31), (1, 13)))
+        fractions = list(np.frompyfunc(Fraction, 2, 1)(num, den))
+        wide = [np.array([[Fraction(2**60 + 1, 3), 1], [0, Fraction(1, 7)]], dtype=object)]
+        docs = [{"d_in": 2, "d_out": 2, "ops": [matrix_to_json(e) for e in m]} for m in (fractions, wide)]
         calls = []
         to_float = Fraction.__float__
         monkeypatch.setattr(Fraction, "__float__", lambda x: calls.append(x) or to_float(x))
-        back = family_from_json(doc)
-        assert len(calls) == entries
+        back, parsed = family_from_json(doc), family_from_json(docs[0])
+        assert calls == []
+        big = family_from_json(docs[1])
+        assert len(calls) == 4
         monkeypatch.undo()
+        for g, given in ((parsed, fractions), (big, wide)):
+            assert same_bits(g.ops, np.array([[[float(x) for x in row] for row in e] for e in given]))
         f = shift_family(3, 2)
         scale = np.sqrt(float(sum((e.astype(float) ** 2).sum() for e in f.exact_ops)))
         for a, b in zip(back.ops, f.ops):
@@ -565,6 +628,11 @@ class TestFamilyJson:
         e = np.array([[Fraction(1, 3), 0], [0, 2]], dtype=object)
         f = KrausFamily(d_in=2, d_out=2, ops=(e, e), exact_ops=(e, e))
         assert all(np.array_equal(k, np.array([[1 / 3, 0], [0, 2]], dtype=complex)) for k in f.ops)
+        # an int64 past 2^53 rounds to the nearest float, as float(int) does
+        big = np.array([[2**60 + 1, 0], [0, -(2**62) - 3]], dtype=object)
+        g = KrausFamily(d_in=2, d_out=2, ops=(big,), exact_ops=(big,))
+        assert g.integer_ops.dtype == np.int64
+        assert same_bits(g.ops[0], np.array([[float(2**60 + 1), 0.0], [0.0, float(-(2**62) - 3)]]))
         with pytest.raises(ValueError, match="not rational"):
             bad = np.array([[0.5, 0], [0, 1]], dtype=object)
             KrausFamily(d_in=2, d_out=2, ops=(bad,), exact_ops=(bad,))

@@ -82,6 +82,12 @@ class TestVerify:
         code, report = run(capsys, "verify", "sigma2", "--numerical", "--tol", "1e9")
         assert report["verdicts"][0]["choi_rank"] == 0
         assert report["certificates"][0]["gram_rank"]["rank"] == 0
+        # --numerical ranks a rational family in floating point too: the five
+        # Kraus vectors of paper 3 2 are orthogonal, each of norm 1/sqrt(5) ~ 0.447
+        for tol, choi_rank in (("0.5", 0), ("0.4", 5)):
+            code, report = run(capsys, "verify", "paper", "3", "2", "--numerical", "--tol", tol)
+            assert report["verdicts"][0]["choi_rank"] == choi_rank
+            assert report["certificates"][0]["mode"] == "numerical"
 
     def test_borderline_exit(self, capsys):
         # --tol thresholds the singular values of the block-vector span

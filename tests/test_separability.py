@@ -4,6 +4,7 @@ import pytest
 from extremal_marginals import (
     KrausFamily,
     choi,
+    marginals,
     min_eigenvalue,
     ohno_rank4,
     ohno_rank_d,
@@ -33,6 +34,34 @@ def depolarizing_to_maximally_mixed():
             e[a, b] = 0.5
             ops.append(e)
     return KrausFamily(d_in=2, d_out=2, ops=tuple(ops))
+
+
+def tiles_upb_family(d_out):
+    """The Tiles UPB state (I - sum_k P_k)/4 on 3 x 3 (Bennett et al., PRL 82,
+    5385, 1999), bound entangled: PPT, Choi rank 4 and marginal ranks 3 and 3,
+    as a family on (3, d_out) whose operators are zero below the third row."""
+    e = np.eye(3)
+    tiles = [
+        np.kron(e[0], e[0] - e[1]) / np.sqrt(2),
+        np.kron(e[0] - e[1], e[2]) / np.sqrt(2),
+        np.kron(e[2], e[1] - e[2]) / np.sqrt(2),
+        np.kron(e[1] - e[2], e[0]) / np.sqrt(2),
+        np.kron(e.sum(axis=0), e.sum(axis=0)) / 3,
+    ]
+    w, v = np.linalg.eigh((np.eye(9) - sum(np.outer(t, t) for t in tiles)) / 4)
+    # Choi index input * 3 + output, so operator row r, column c is vec[c * 3 + r]
+    ops = (v[:, w > 0.1] * np.sqrt(w[w > 0.1])).T.reshape(-1, 3, 3).transpose(0, 2, 1)
+    return KrausFamily(d_in=3, d_out=d_out, ops=np.pad(ops, ((0, 0), (0, d_out - 3), (0, 0))))
+
+
+def replacement_channel():
+    """X -> tr(X) |0><0| on (3, 3): separable, Choi rank 3 = rank rho1, and
+    rank rho2 = 1, so only the input side reaches the Choi rank."""
+    units = [np.zeros((3, 3), dtype=object) for _ in range(3)]
+    for i, u in enumerate(units):
+        u[0, i] = 1
+    ops = tuple(u.astype(float) / np.sqrt(3) for u in units)
+    return KrausFamily(d_in=3, d_out=3, ops=ops, exact_ops=tuple(units))
 
 
 class TestPpt:
@@ -80,7 +109,7 @@ class TestSeparabilityVerdict:
     def test_identity_channel_entangled(self):
         v = separability_verdict(identity_channel())
         assert v.conclusion == "entangled"
-        assert not v.ppt
+        assert not v.ppt and not v.criterion_applicable
         assert v.min_pt_eigenvalue == pytest.approx(-0.5, abs=1e-10)
 
     def test_ppt_high_rank_undetermined(self):
@@ -90,8 +119,37 @@ class TestSeparabilityVerdict:
         assert not v.criterion_applicable
         assert v.conclusion == "undetermined"
 
+    @pytest.mark.parametrize("d_out", [4, 6])
+    def test_padded_tiles_upb_state_is_undetermined(self, d_out):
+        """Choi rank 4 <= d_out, but above both marginal ranks: the low-rank
+        criterion does not apply to this PPT entangled state."""
+        f = tiles_upb_family(d_out)
+        mp = marginals(f)
+        assert [np.linalg.matrix_rank(rho) for rho in (mp.rho1, mp.rho2)] == [3, 3]
+        v = separability_verdict(f)
+        assert v.ppt and v.choi_rank == 4
+        assert not v.criterion_applicable and v.conclusion == "undetermined"
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_marginal_ranks_output_side_first(self, monkeypatch, exact):
+        """rank rho2 is taken first, and rank rho1 only when rank rho2 falls
+        short of the Choi rank; both exactly for a rational family."""
+        modes = []
+        ranked = separability.rank
+        monkeypatch.setattr(separability, "rank", lambda m, mode: modes.append(mode) or ranked(m, mode))
+        mode = "exact" if exact else "numerical"
+        for f, calls in ((shift_family(3, 2), 1), (replacement_channel(), 2)):
+            if not exact:
+                f = KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=f.ops)
+            modes.clear()
+            v = separability_verdict(f)
+            assert v.criterion_applicable and v.conclusion == "separable"
+            assert modes == [mode] * calls
+        modes.clear()
+        assert separability_verdict(identity_channel()).conclusion == "entangled"
+        assert modes == []
+
     def test_sigma_rank2_reported_not_asserted(self):
-        # rank 2 <= d_out, so the criterion applies either way
         v = separability_verdict(sigma_rank2())
         assert v.conclusion in ("separable", "entangled")
 
