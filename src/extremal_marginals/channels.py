@@ -38,6 +38,7 @@ from .linalg import (
     HERMITIAN_ATOL,
     RankResult,
     integer_entries,
+    json_fields,
     matrix_from_json,
     matrix_to_json,
     rank,
@@ -322,10 +323,7 @@ def family_to_json(f: KrausFamily) -> dict:
 
 
 def family_from_json(obj: dict) -> KrausFamily:
-    try:
-        d_in, d_out, ops = int(obj["d_in"]), int(obj["d_out"]), obj["ops"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("family JSON needs 'd_in', 'd_out' and 'ops'") from exc
+    d_in, d_out, ops = json_fields(obj, "family", "d_in", "d_out", "ops")
     mats = tuple(matrix_from_json(m) for m in ops)
     if mats and all(m.dtype == object for m in mats):
         return KrausFamily(d_in=d_in, d_out=d_out, ops=mats, exact_ops=mats)

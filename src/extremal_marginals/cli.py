@@ -43,7 +43,7 @@ from .families import (
 )
 from .linalg import partial_transpose, rank
 from .reductions import adjoint_duality_check, diagonalize_marginals, restrict_to_support
-from .separability import ppt, separability_verdict
+from .separability import separability_verdict
 
 __all__ = [
     "EXIT_BORDERLINE",
@@ -52,7 +52,6 @@ __all__ = [
     "EXIT_USAGE",
     "Report",
     "UsageError",
-    "cmd_oracle",
     "cmd_proptest",
     "cmd_table",
     "cmd_verify",
@@ -66,8 +65,6 @@ EXIT_USAGE = 2
 EXIT_BORDERLINE = 3
 
 DEFAULT_MAX_SPAN_ROWS = 1024
-TABLE_D_LIMIT = 6
-TABLE_N_LIMIT = 12
 DEFAULT_SEED = 2024
 
 
@@ -132,6 +129,12 @@ class _Timer:
 
 BuiltFamily = tuple[KrausFamily, MarginalPair, int, bool]
 Construction = tuple[KrausFamily, MarginalPair, bool]
+FamilyEntry = tuple[
+    tuple[str, ...],
+    Callable[..., int],
+    Callable[..., Construction],
+    Callable[..., np.ndarray] | None,
+]
 
 
 def _same(rho: np.ndarray) -> MarginalPair:
@@ -156,25 +159,33 @@ def _rank8k_rank(k: int) -> int:
     return 8 * k
 
 
-# CLI name -> (parameter names, rank, builder). The rank checks the integer
-# parameters and returns the family's number of Kraus operators r, which is
-# also its expected Choi rank, from the parameters alone, so the span limit
-# on r^2 is checked before anything is built. The builder returns (family,
-# declared marginals, whether the separability verdict is asserted). It
-# calls the constructors through this module's globals at call time, never
-# through stored function objects, so a wrapper installed on them here is
-# the one that runs.
-FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., int], Callable[..., Construction]]] = {
+# CLI name -> (parameter names, rank, builder, closed-form Choi partial
+# transpose or None). The rank checks the integer parameters and returns the
+# family's number of Kraus operators r, which is also its expected Choi rank,
+# from the parameters alone, so the span limit on r^2 is checked before
+# anything is built. The builder returns (family, declared marginals, whether
+# the separability verdict is asserted). Only verify calls the closed form,
+# which returns the partial transpose over the first factor of the family's
+# Choi matrix. Builders and closed forms call the library through this
+# module's globals at call time, never through stored function objects, so a
+# wrapper installed on them here is the one that runs.
+FAMILIES: dict[str, FamilyEntry] = {
     "paper": (
         ("d", "m"),
         _paper_rank,
         lambda d, m: (shift_family(d, m), shift_targets(d, m), True),
+        lambda d, m: closed_form_choi_pt(d, m),
     ),
-    "sigma2": ((), lambda: 2, lambda: (sigma_rank2(), _same(sigma_marginal()), False)),
-    "ohno4": ((), lambda: 4, lambda: (ohno_rank4(), _same(np.eye(3) / 3), False)),
-    "ohno-d": (("d",), _ohno_d_rank, lambda d: (ohno_rank_d(d), _same(np.eye(d) / d), False)),
-    "rank8-66": ((), lambda: 8, lambda: (rank8_66(), _same(rank8_66_marginal()), False)),
-    "rank8k": (("k",), _rank8k_rank, lambda k: (rank8k_6k(k), _same(rank8k_marginal(k)), False)),
+    "sigma2": ((), lambda: 2, lambda: (sigma_rank2(), _same(sigma_marginal()), False), None),
+    "ohno4": ((), lambda: 4, lambda: (ohno_rank4(), _same(np.eye(3) / 3), False), None),
+    "ohno-d": (("d",), _ohno_d_rank, lambda d: (ohno_rank_d(d), _same(np.eye(d) / d), False), None),
+    "rank8-66": ((), lambda: 8, lambda: (rank8_66(), _same(rank8_66_marginal()), False), None),
+    "rank8k": (
+        ("k",),
+        _rank8k_rank,
+        lambda k: (rank8k_6k(k), _same(rank8k_marginal(k)), False),
+        None,
+    ),
 }
 
 
@@ -183,7 +194,7 @@ def _family_rank(name: str, params: list[int]) -> int:
     parameters alone; bad names and parameters are usage errors."""
     if name not in FAMILIES:
         raise UsageError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
-    names, rank_of, _ = FAMILIES[name]
+    names, rank_of = FAMILIES[name][:2]
     if len(params) != len(names):
         raise UsageError(
             f"family {name!r} takes {len(names)} integer parameter(s), got {len(params)}"
@@ -212,8 +223,9 @@ def cmd_verify(
     tol: float | None = None,
     max_dim: int | None = None,
 ) -> Report:
-    """Construct a family and certify marginals, extremality, Choi rank and
-    separability; ``mode="numerical"`` drops its exact operators first."""
+    """Construct a family and certify marginals, extremality, Choi rank,
+    separability and, where FAMILIES has one, the closed form of the Choi
+    partial transpose; ``mode="numerical"`` drops the exact operators first."""
     report = Report(
         command="verify",
         inputs={"family": family_name, "params": list(params), "mode": mode, "tol": tol},
@@ -226,11 +238,8 @@ def cmd_verify(
             fam = KrausFamily(d_in=fam.d_in, d_out=fam.d_out, ops=fam.ops)
     if tol is not None and fam.exact_ops is not None:
         raise UsageError("--tol needs --numerical for a rational family")
-    try:
-        with _Timer(report, "is_extremal"):
-            cert = is_extremal(fam, targets=targets, mode=mode, tol=tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _Timer(report, "is_extremal"):
+        cert = is_extremal(fam, targets=targets, mode=mode, tol=tol)
     report.certificates.append(cert)
     with _Timer(report, "separability"):
         verdict = separability_verdict(fam, tol=tol)
@@ -252,6 +261,13 @@ def cmd_verify(
     )
     if assert_separable:
         report.check("separable", verdict.conclusion == "separable", verdict.conclusion)
+    closed_form = FAMILIES[family_name][3]
+    if closed_form is not None:
+        with _Timer(report, "choi_pt_oracle"):
+            pt = partial_transpose(choi(fam), fam.d_in, fam.d_out, "first")
+            dev = float(np.abs(pt - closed_form(*params)).max())
+        report.oracle_deviations = {"choi_pt_closed_form": dev}
+        report.check("choi-pt-oracle", dev <= 1e-12, f"max deviation {dev:.3e}")
     if cert.borderline:
         report.warnings.append("numerical extremality verdict is borderline (gap ratio < 10)")
     return report
@@ -281,17 +297,11 @@ def cmd_table(
     m_max: int,
     max_dim: int | None = None,
 ) -> Report:
-    """One row per (d, m) cell plus the fixed (6,6) and (6k,6k) constructions."""
+    """One row per (d, m) cell plus the fixed (6,6) and (6k,6k) constructions;
+    the largest cell's r^2 = (d_max + m_max)^2 obeys the span limit of verify."""
     if not (2 <= d_min <= d_max and 1 <= m_min <= m_max):
         raise UsageError("table needs 2 <= d_min <= d_max and 1 <= m_min <= m_max")
-    if max_dim is None:
-        if d_max > TABLE_D_LIMIT or d_max + m_max > TABLE_N_LIMIT:
-            raise UsageError(
-                f"range exceeds desk-scale limits (d <= {TABLE_D_LIMIT}, d+m <= {TABLE_N_LIMIT}); "
-                "override with --max-dim"
-            )
-    elif (d_max + m_max) ** 2 > max_dim:
-        raise UsageError(f"(d+m)^2 exceeds --max-dim {max_dim}")
+    _guard_span_rows((d_max + m_max) ** 2, max_dim)
     report = Report(
         command="table",
         inputs={"d_min": d_min, "d_max": d_max, "m_min": m_min, "m_max": m_max},
@@ -311,35 +321,6 @@ def cmd_table(
         for name, params, label in (("rank8-66", [], "D"), ("rank8k", [3], "D1")):
             rows.append(_table_row(report, name, params, label, f"constructed-rank-{label}"))
     report.table_rows = rows
-    return report
-
-
-def cmd_oracle(d: int, m: int, max_dim: int | None = None) -> Report:
-    """Certify the full span rank of the shift family exactly, check its Choi
-    partial transpose against the closed form, and assert PPT."""
-    if d < 2 or m < 1:
-        raise UsageError("oracle needs d >= 2 and m >= 1")
-    _guard_span_rows((d + m) ** 2, max_dim)
-    report = Report(command="oracle", inputs={"d": d, "m": m})
-    with _Timer(report, "construct"):
-        fam = shift_family(d, m)
-    with _Timer(report, "is_extremal"):
-        cert = is_extremal(fam, mode="exact")
-    report.certificates.append(cert)
-    with _Timer(report, "choi_pt_oracle"):
-        c = choi(fam)
-        pt = partial_transpose(c, d, d + m, "first")
-        pt_dev = float(np.abs(pt - closed_form_choi_pt(d, m)).max())
-    with _Timer(report, "ppt"):
-        is_ppt, min_eig = ppt(c, d, d + m)
-    report.oracle_deviations = {"choi_pt_closed_form": pt_dev}
-    report.check(
-        "gram-full-rank",
-        cert.extremal,
-        f"span rank {cert.gram_rank.rank}/{cert.gram_size} ({cert.gram_rank.engine})",
-    )
-    report.check("choi-ppt", is_ppt, f"min PT eigenvalue {min_eig:.3e}")
-    report.check("choi-pt-oracle", pt_dev <= 1e-12, f"max deviation {pt_dev:.3e}")
     return report
 
 
@@ -444,20 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[json_flag, max_dim_flag],
         help="construct a named family and certify it",
         description="Families: "
-        + " | ".join(" ".join((name, *params)) for name, (params, _, _) in FAMILIES.items()),
+        + " | ".join(" ".join((name, *entry[0])) for name, entry in FAMILIES.items()),
     )
     p_verify.add_argument("family", choices=FAMILIES)
     p_verify.add_argument("params", nargs="*", type=int)
-    mode = p_verify.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exact", action="store_const", const="exact", dest="mode", help="force exact arithmetic"
-    )
-    mode.add_argument(
+    p_verify.add_argument(
         "--numerical",
         action="store_const",
         const="numerical",
         dest="mode",
-        help="force floating-point arithmetic",
+        help="drop a rational family's exact operators and rank in floating point",
     )
     p_verify.add_argument(
         "--tol",
@@ -480,15 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(
         run=lambda a: cmd_table(a.d_min, a.d_max, a.m_min, a.m_max, max_dim=a.max_dim)
     )
-
-    p_oracle = sub.add_parser(
-        "oracle",
-        parents=[json_flag, max_dim_flag],
-        help="exact span rank, Choi partial transpose against its closed form, and PPT",
-    )
-    p_oracle.add_argument("d", type=int)
-    p_oracle.add_argument("m", type=int)
-    p_oracle.set_defaults(run=lambda a: cmd_oracle(a.d, a.m, max_dim=a.max_dim))
 
     p_prop = sub.add_parser(
         "proptest", parents=[json_flag], help="seeded random-family property checks"

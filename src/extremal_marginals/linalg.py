@@ -86,6 +86,7 @@ __all__ = [
     "direct_sum",
     "group_pairs",
     "integer_entries",
+    "json_fields",
     "matrix_from_json",
     "matrix_to_json",
     "min_eigenvalue",
@@ -718,19 +719,37 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
+def json_fields(
+    obj: dict, kind: str, first: str, second: str, items: str
+) -> tuple[int, int, list]:
+    """The integer fields ``first`` and ``second`` and the list ``items`` of a
+    JSON object; a missing field, a boolean or non-integral size, or items
+    that are not a list raise ValueError."""
+    try:
+        sizes, seq = (obj[first], obj[second]), obj[items]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{kind} JSON needs {first!r}, {second!r} and {items!r}") from exc
+    for key, value in zip((first, second), sizes):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{kind} JSON {key!r} must be an integer, got {type(value).__name__}")
+    if not isinstance(seq, (list, tuple)):
+        raise ValueError(f"{kind} JSON {items!r} must be a list, got {type(seq).__name__}")
+    return int(sizes[0]), int(sizes[1]), seq
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the matrix JSON format; the inverse of :func:`matrix_to_json`."""
-    try:
-        nrows, ncols, entries = int(obj["rows"]), int(obj["cols"]), obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("matrix JSON needs 'rows', 'cols' and 'entries'") from exc
+    nrows, ncols, entries = json_fields(obj, "matrix", "rows", "cols", "entries")
     if nrows < 1 or ncols < 1:
         raise ValueError("matrix dimensions must be positive")
     if len(entries) != nrows * ncols:
         raise ValueError(f"expected {nrows * ncols} entries, got {len(entries)}")
     if all(isinstance(e, str) for e in entries):
         out = np.empty(nrows * ncols, dtype=object)
-        out[:] = [_parse_rational(e) for e in entries]
+        try:
+            out[:] = [_parse_rational(e) for e in entries]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"rational entry with a zero denominator: {exc}") from exc
         return out.reshape(nrows, ncols)
     for idx, e in enumerate(entries):
         if not isinstance(e, (list, tuple)) or len(e) != 2 or e[0] is None or e[1] is None:

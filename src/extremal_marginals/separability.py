@@ -41,8 +41,9 @@ class SeparabilityVerdict:
 
     ``conclusion`` is "separable" only when the state is PPT and the rank
     criterion applies (PPT and Choi rank <= min(d_out, max(rank rho1,
-    rank rho2)), False for an NPT state), "entangled" only when it is NPT,
-    and "undetermined" otherwise.
+    rank rho2)), with the Choi rank at the default threshold when a larger
+    ``tol`` gives fewer; False for an NPT state), "entangled" only when it
+    is NPT, and "undetermined" otherwise.
     """
 
     ppt: bool
@@ -128,9 +129,10 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     (d_in d_out)^2 Choi entries against the products of entry pairs within
     each operator), the partial-transposed Choi matrix is built from those
     products as a :class:`linalg.Coo` and no dense Choi matrix is formed.
-    ``tol`` thresholds the singular values of the Choi rank as in
-    :func:`channels.choi_rank`. Marginal ranks are taken only for a PPT
-    state of Choi rank <= d_out.
+    ``tol`` thresholds the singular values of the reported Choi rank as in
+    :func:`channels.choi_rank`; the criterion reads the larger of that rank
+    and the one at the default threshold. Marginal ranks are taken only for
+    a PPT state whose criterion rank is <= d_out.
     """
     side = f.d_in * f.d_out
     k = f.ops
@@ -143,7 +145,10 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     else:
         is_ppt, smallest = ppt(choi(f), f.d_in, f.d_out)
     cr = choi_rank(f, tol=tol).rank
-    applicable = is_ppt and cr <= f.d_out and _marginal_rank_reaches(f, cr)
+    # a tol above the default threshold may undercount the Choi rank, and the
+    # criterion must not apply to a rank the state does not have
+    support = cr if tol is None else max(cr, choi_rank(f).rank)
+    applicable = is_ppt and support <= f.d_out and _marginal_rank_reaches(f, support)
     if not is_ppt:
         conclusion = "entangled"
     elif applicable:

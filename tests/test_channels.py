@@ -596,8 +596,17 @@ class TestFamilyJson:
                     assert np.array_equal(bits(a), bits(b))
 
     def test_rejects_missing_fields(self):
-        with pytest.raises(ValueError):
-            family_from_json({"d_in": 2})
+        op = {"rows": 1, "cols": 1, "entries": ["1"]}
+        for obj in (
+            {"d_in": 2},
+            {"d_in": 1, "d_out": 1, "ops": None},
+            {"d_in": 1, "d_out": 1, "ops": [{"rows": 1, "cols": 1, "entries": None}]},
+            {"d_in": 1, "d_out": 1, "ops": [{"rows": 1, "cols": 1, "entries": ["1/0"]}]},
+            {"d_in": True, "d_out": 1, "ops": [op]},
+            {"d_in": 1, "d_out": 1.0, "ops": [op]},
+        ):
+            with pytest.raises(ValueError):
+                family_from_json(obj)
 
     def test_exact_entries_are_converted_to_float_once(self, monkeypatch, rng):
         """The floats of parsed exact entries are the integer stack divided by

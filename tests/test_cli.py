@@ -9,7 +9,6 @@ from extremal_marginals.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
-    cmd_oracle,
     cmd_proptest,
     cmd_table,
     cmd_verify,
@@ -65,6 +64,7 @@ class TestVerify:
         assert main(["verify", "rank8k", "2"]) == EXIT_USAGE
 
     def test_forced_exact_on_irrational_family(self, capsys):
+        # verify has no --exact: a rational family is ranked exactly by default
         assert main(["verify", "sigma2", "--exact"]) == EXIT_USAGE
 
     def test_huge_tol_forces_failure_exit(self, capsys):
@@ -162,10 +162,18 @@ class TestTable:
         assert rows[(18, 18)]["constructed_rank"] == 24
 
     def test_range_limits(self, capsys):
-        assert main(["table", "2", "8", "1", "2"]) == EXIT_USAGE
+        # the largest cell's r^2 = (d_max + m_max)^2 obeys verify's span limit
+        assert main(["table", "2", "30", "1", "3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r^2 = 1089 span rows exceed the desk-scale limit 1024" in captured.err
         assert main(["table", "3", "2", "1", "1"]) == EXIT_USAGE
+        code, report = run(capsys, "table", "2", "31", "1", "1")
+        assert code == EXIT_PASS
+        assert max(r["d2"] for r in report["table_rows"]) == 32
 
     def test_range_override(self, capsys):
+        assert main(["table", "7", "7", "1", "1", "--max-dim", "63"]) == EXIT_USAGE
         code, report = run(capsys, "table", "7", "7", "1", "1", "--max-dim", "64")
         assert code == EXIT_PASS
         rows = {(r["d1"], r["d2"]): r for r in report["table_rows"]}
@@ -173,26 +181,43 @@ class TestTable:
 
 
 class TestOracle:
+    """verify checks the shift family's Choi partial transpose against its
+    closed form; no other family has one."""
+
     def test_2_1(self, capsys):
-        code, report = run(capsys, "oracle", "2", "1")
+        code, report = run(capsys, "verify", "paper", "2", "1")
         assert code == EXIT_PASS
         dev = report["oracle_deviations"]
         assert set(dev) == {"choi_pt_closed_form"}
         assert dev["choi_pt_closed_form"] <= 1e-12
         assert report["warnings"] == []
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["gram-full-rank"]["detail"] == "span rank 9/9 (mod-p)"
+        assert checks["choi-pt-oracle"]["passed"]
+        assert checks["extremal"]["detail"] == "span rank 9/9 (mod-p)"
         assert report["certificates"][0]["mode"] == "exact"
 
     def test_3_2_exact_rank(self, capsys):
-        code, report = run(capsys, "oracle", "3", "2")
+        code, report = run(capsys, "verify", "paper", "3", "2")
         assert code == EXIT_PASS
+        assert report["oracle_deviations"]["choi_pt_closed_form"] <= 1e-12
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["gram-full-rank"]["passed"]
-        assert checks["choi-ppt"]["passed"]
+        assert checks["choi-pt-oracle"]["passed"]
+        assert checks["extremal"]["passed"] and checks["separable"]["passed"]
+        assert report["verdicts"][0]["ppt"]
+
+    def test_no_closed_form_no_check(self, capsys):
+        code, report = run(capsys, "verify", "sigma2")
+        assert code == EXIT_PASS
+        assert report["oracle_deviations"] is None
+        assert "choi-pt-oracle" not in {c["name"] for c in report["checks"]}
 
     def test_bad_args(self, capsys):
-        assert main(["oracle", "1", "1"]) == EXIT_USAGE
+        # verify paper is the one certification path: no oracle subcommand, no --exact
+        for argv in (["oracle", "2", "1"], ["verify", "paper", "3", "2", "--exact"]):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
 
 
 class TestProptest:
@@ -246,7 +271,6 @@ class TestReportShape:
 
     def test_command_functions_return_reports(self):
         assert cmd_verify("sigma2", []).passed
-        assert cmd_oracle(2, 2).passed
         assert cmd_table(2, 3, 1, 2).passed
         assert cmd_proptest(5, 3).passed
 
@@ -256,7 +280,7 @@ class TestFlags:
         "argv",
         [
             ["table", "2", "3", "1", "2", "--numerical"],
-            ["oracle", "2", "1", "--tol", "1"],
+            ["table", "2", "3", "1", "2", "--tol", "1"],
             ["verify", "sigma2", "--seed", "5"],
             ["proptest", "--max-dim", "1"],
         ],
@@ -271,7 +295,7 @@ class TestFlags:
         "argv, usage_error",
         [
             (["verify", "paper", "3", "2", "--tol", "1e9"], True),
-            (["verify", "paper", "3", "2", "--exact", "--tol", "1e-3"], True),
+            (["verify", "paper", "2", "1", "--tol", "1e-3"], True),
             (["verify", "paper", "2", "1", "--numerical", "--tol", "1e9"], False),
             (["verify", "sigma2", "--tol", "0.7"], False),
         ],

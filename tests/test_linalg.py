@@ -631,10 +631,18 @@ class TestMatrixJson:
         assert back[1, 0] == Fraction(5, 7)
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            matrix_from_json({"rows": 1, "cols": 2, "entries": [[0, 0]]})
-        with pytest.raises(ValueError):
-            matrix_from_json({"rows": 1, "cols": 1, "entries": [7]})
+        for obj in (
+            {"rows": 1, "cols": 2, "entries": [[0, 0]]},
+            {"rows": 1, "cols": 1, "entries": [7]},
+            {"rows": 1, "cols": 1, "entries": ["1/0"]},
+            {"rows": 1, "cols": 1, "entries": None},
+            # a string is not the list of its characters
+            {"rows": 1, "cols": 2, "entries": "12"},
+            {"rows": 1, "cols": 1.7, "entries": ["1"]},
+            {"rows": True, "cols": 1, "entries": ["1"]},
+        ):
+            with pytest.raises(ValueError):
+                matrix_from_json(obj)
 
     def test_complex_roundtrip_is_bit_identical(self, rng):
         m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))

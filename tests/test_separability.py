@@ -119,15 +119,23 @@ class TestSeparabilityVerdict:
         assert not v.criterion_applicable
         assert v.conclusion == "undetermined"
 
-    @pytest.mark.parametrize("d_out", [4, 6])
-    def test_padded_tiles_upb_state_is_undetermined(self, d_out):
+    @pytest.mark.parametrize(
+        "d_out, tol",
+        [
+            pytest.param(d_out, tol, id=str(d_out) if tol is None else f"{d_out}-tol{tol}")
+            for d_out in (4, 6)
+            for tol in (None, 0.3, 1.0)
+        ],
+    )
+    def test_padded_tiles_upb_state_is_undetermined(self, d_out, tol):
         """Choi rank 4 <= d_out, but above both marginal ranks: the low-rank
-        criterion does not apply to this PPT entangled state."""
+        criterion does not apply to this PPT entangled state, also when a
+        large ``tol`` shrinks the reported Choi rank below them (to 0 at 1.0)."""
         f = tiles_upb_family(d_out)
         mp = marginals(f)
         assert [np.linalg.matrix_rank(rho) for rho in (mp.rho1, mp.rho2)] == [3, 3]
-        v = separability_verdict(f)
-        assert v.ppt and v.choi_rank == 4
+        v = separability_verdict(f, tol=tol)
+        assert v.ppt and v.choi_rank == (0 if tol == 1.0 else 4)
         assert not v.criterion_applicable and v.conclusion == "undetermined"
 
     @pytest.mark.parametrize("exact", [True, False])
