@@ -298,10 +298,13 @@ def cmd_table(
     max_dim: int | None = None,
 ) -> Report:
     """One row per (d, m) cell plus the fixed (6,6) and (6k,6k) constructions;
-    the largest cell's r^2 = (d_max + m_max)^2 obeys the span limit of verify."""
+    the larger r^2 of the largest cell, (d_max + m_max)^2, and of the fixed
+    rows obeys the span limit of verify."""
     if not (2 <= d_min <= d_max and 1 <= m_min <= m_max):
         raise UsageError("table needs 2 <= d_min <= d_max and 1 <= m_min <= m_max")
-    _guard_span_rows((d_max + m_max) ** 2, max_dim)
+    fixed = (("rank8-66", [], "D"), ("rank8k", [3], "D1"))
+    fixed_rows = max(_family_rank(name, params) ** 2 for name, params, _ in fixed)
+    _guard_span_rows(max((d_max + m_max) ** 2, fixed_rows), max_dim)
     report = Report(
         command="table",
         inputs={"d_min": d_min, "d_max": d_max, "m_min": m_min, "m_max": m_max},
@@ -318,7 +321,7 @@ def cmd_table(
                     f"bound {row['bound']}",
                 )
     with _Timer(report, "fixed_rows"):
-        for name, params, label in (("rank8-66", [], "D"), ("rank8k", [3], "D1")):
+        for name, params, label in fixed:
             rows.append(_table_row(report, name, params, label, f"constructed-rank-{label}"))
     report.table_rows = rows
     return report

@@ -16,11 +16,12 @@ for the operators, the one place that decides between real and complex:
 real float64 rows for a real family, complex rows otherwise, and integer
 rows from the exact operators in exact mode.
 
-The span is ranked directly, never through its Gram matrix: in exact mode
-the integer rows, less the one column the trace identity makes redundant,
-go to the mod-p certificate of :func:`linalg.rank`, so a family of rank
-D - 1 is certified mod p and Bareiss only confirms a deficiency beyond the
-identity. In numerical mode the SVD sees the full span's own singular
+The span is ranked directly, never through the conjugate Gram below: in
+exact mode the integer rows, less the one column the trace identity makes
+redundant, go to the full-rank certificates of :func:`linalg.rank` (a
+verified Cholesky factorisation of each block's exact integer Gram, else
+mod p), so a family of rank D - 1 is certified and Bareiss only confirms a
+deficiency beyond the identity. In numerical mode the SVD sees the full span's own singular
 values, whose squares are the Gram's, so the conditioning is not squared.
 
 The span of a sparse family (:func:`linalg.coo_is_cheaper`) is built as a
@@ -169,7 +170,7 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     K_i^dagger K_j, in every row and after any row scaling, so the column
     space and every rank are unchanged. Dropping it
     lets a family with r^2 >= d_in^2 + d_out^2 and rank
-    d_in^2 + d_out^2 - 1 be certified mod p.
+    d_in^2 + d_out^2 - 1 be certified without Bareiss.
     Numerical: the full span, float64 for a real family and complex128
     otherwise, as the family stores its operators.
     The span is a :class:`linalg.Coo` when the products of nonzero entries
@@ -230,7 +231,7 @@ def is_extremal(
     whenever the family is certified rational. The exact path ranks the
     integer span without the column that the trace identity
     tr K_i^dagger K_j = tr K_j K_i^dagger writes through the others, which
-    keeps the rank, so a family of rank d_in^2 + d_out^2 - 1 gets a mod-p
+    keeps the rank, so a family of rank d_in^2 + d_out^2 - 1 gets a full-rank
     certificate; numerical mode ranks the full span. A sparse family's span
     is built from its operators' nonzero entries and ranked block by block
     without a dense copy of the whole span. In numerical mode ``tol``

@@ -3,8 +3,9 @@
 Partial trace and partial transpose over a bipartite splitting, Hermitian
 eigenvalues, and matrix rank in two modes: floating-point SVD against an
 explicit singular-value threshold, and, for matrices that are rational by
-construction, exact rank by elimination modulo a prime with fraction-free
-elimination over the integers to confirm a deficient rank.
+construction, exact rank: a verified Cholesky factorisation of the exact Gram
+certifies full rank, elimination modulo a prime ranks what it cannot, and
+fraction-free elimination over the integers confirms a deficient rank.
 
 Rank and the minimum eigenvalue first split a matrix into the connected
 components of its nonzero pattern. The span and Choi matrices of the
@@ -15,12 +16,12 @@ singular values of a block-diagonal matrix are those of its blocks (plus
 zeros up to the smaller side), and its eigenvalues are those of its blocks.
 Blocks of one shape are solved together, and rank runs on the short side in
 both modes: numerically in one stacked LAPACK call on the tall orientation,
-exactly in one inverse-free elimination modulo the prime over all the
-stack's rows, which takes the nonzero columns sparsest first to limit
-fill-in and stops once every row has been a pivot. A stack of one block is
-eliminated in place, pivot by scalar pivot. Integer arrays enter exact rank
-as they are; only object arrays are converted, and an int64 stack whose
-entries are already residues mod the prime is not reduced again.
+exactly in one Cholesky call on the stack's shifted Grams and, for a stack
+that call cannot certify, one inverse-free elimination modulo the prime over
+all the stack's rows, which takes the nonzero columns sparsest first to
+limit fill-in and stops once every row has been a pivot. Integer arrays
+enter exact rank as they are; only object arrays are converted, and an int64
+stack whose entries are already residues mod the prime is not reduced again.
 
 A matrix may also be given as its nonzero entries, a :class:`Coo`. One
 gatherer labels the components of either input from its nonzero entries
@@ -42,6 +43,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -346,10 +348,11 @@ class RankResult:
     In numerical mode the gap data (smallest kept and largest discarded
     singular value against the threshold) makes borderline calls auditable.
     Exact mode carries no singular-value data. ``engine`` names what
-    decided the rank: "svd" (numerical), "mod-p" (exact, every block of full
-    rank modulo ``prime``, all blocks of one shape ranked by one stacked
-    elimination) or "bareiss" (exact elimination over the integers for at
-    least one block).
+    decided the rank: "svd" (numerical), or the strongest exact engine that
+    some block needed: "cholesky" (every block of full rank by a verified
+    Cholesky factorisation of its exact Gram), "mod-p" (every other block of
+    full rank modulo ``prime``, the one engine that sets it) or "bareiss"
+    (exact elimination over the integers for at least one block).
     ``blocks`` counts the independent diagonal blocks of the nonzero pattern
     that were ranked; the rank is the sum of theirs.
     """
@@ -471,6 +474,43 @@ def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     return integer_entries(a).reshape(a.shape)
 
 
+def _gram_certifies(stack: np.ndarray) -> bool:
+    """Whether every block of an int64 (k, p, q) stack provably has full rank
+    n = min(p, q), by one Cholesky factorisation of the shifted Grams.
+
+    Each block A gives its short-side Gram G, A A^T (p <= q) or A^T A, in
+    float64. While max|a|^2 * max(p, q) < 2^53 every partial sum of every
+    entry is an integer below 2^53, so G is exact in any summation order.
+    With u = 2^-53 and s = 4(n + 2) u tr G, B = fl(G - sI) is factorised. A
+    factorisation that runs to completion gives R with R^T R = B + dB and
+    |dB| <= gamma_{n+1} |R^T| |R| (Demmel, LAPACK Working Note 14, 1989;
+    Higham, Accuracy and Stability, Thm 10.3; LAPACK's blocked variant
+    forms the same inner products in another order). So ||dB||_2 <=
+    gamma_{n+1} ||R||_F^2, and ||R||_F^2 = tr(B + dB) <= tr G +
+    gamma_{n+1} ||R||_F^2 gives ||dB||_2 <= gamma_{n+1} / (1 - gamma_{n+1})
+    tr G. Subtracting s rounds each diagonal entry by at most u G_ii <= u tr G.
+    R^T R is positive semidefinite, so lambda_min(G) >= s - (n + 2) u tr G
+    (1 + O(nu)) > 0 (Rump, BIT 46, 433, 2006): G is positive definite and
+    every block has rank n. The test is one-sided: a deficient block, or a
+    full one with sigma_min^2 below about s, makes the factorisation fail.
+    Object stacks and int64 stacks past the 2^53 bound are not tried.
+    """
+    _, p, q = stack.shape
+    top = max(-int(stack.min(initial=0)), int(stack.max(initial=0)))
+    if stack.dtype != np.int64 or top * top * max(p, q) >= 2**53:
+        return False
+    a = stack.astype(float)
+    g = a @ a.transpose(0, 2, 1) if p <= q else a.transpose(0, 2, 1) @ a
+    n = min(p, q)
+    diag = g.reshape(len(g), n * n)[:, :: n + 1]  # a view of each block's diagonal
+    diag -= 4 * (n + 2) * 2.0**-53 * diag.sum(axis=1, keepdims=True)
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     """Rank over GF(RANK_PRIME) of each block of a (k, p, q) stack of int64
     residues in [0, RANK_PRIME), by one inverse-free elimination over all
@@ -495,9 +535,7 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     pivot, so a wide stack of full row rank stops after about p columns.
     The given orientation is kept: transposing a wide stack slowed the
     stacked Kraus vectors ~3x, and with the column order it no longer helps
-    the shift spans' blocks either. A stack of one block (k = 1) goes to
-    :func:`_block_rank_mod_p`, the same elimination without the grouping of
-    rows by block.
+    the shift spans' blocks either.
     """
     k, p, q = stack.shape
     a = stack.reshape(k * p, q)
@@ -505,8 +543,6 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     order = np.argsort(filled, kind="stable")
     # a fancy-indexed copy, so the elimination never writes to the caller's stack
     a = a[:, order[filled[order] > 0]]
-    if k == 1:
-        return np.array([_block_rank_mod_p(a)])
     pivots = []
     pivot_of = np.empty(k, dtype=np.int64)
     left = k * p
@@ -534,37 +570,6 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
     if not pivots:
         return np.zeros(k, dtype=np.int64)
     return np.bincount(np.concatenate(pivots) // p, minlength=k)
-
-
-def _block_rank_mod_p(a: np.ndarray) -> int:
-    """The elimination of :func:`_stack_ranks_mod_p` for a single block,
-    on its own ordered copy ``a``, which it overwrites.
-
-    With one block the pivot is a row and its entries are scalars, so each
-    step counts the pivot, updates the gathered target rows in place and
-    clears the pivot row by index, with no per-step pivot arrays or
-    broadcasts over them. On a 2-core machine the 73 x 121 block of the
-    exact ``shift_family(7, 10)`` span ranks in ~1.0 ms instead of ~1.25 ms.
-    """
-    n_rows = a.shape[0]
-    rank_ = 0
-    for c in range(a.shape[1]):
-        rows = a[:, c].nonzero()[0]
-        if rows.size == 0:
-            continue
-        rank_ += 1
-        if rank_ == n_rows:
-            break
-        src = rows[0]
-        if rows.size > 1:
-            tgt = rows[1:]
-            t = a[tgt, c + 1 :]
-            t *= a[src, c]
-            t -= a[tgt, c, None] * a[src, c + 1 :]
-            t %= RANK_PRIME
-            a[tgt, c + 1 :] = t
-        a[src] = 0
-    return rank_
 
 
 def _residues(stack: np.ndarray) -> np.ndarray:
@@ -652,30 +657,37 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     block shape runs on the tall orientation (the transpose has the same
     singular values), in real arithmetic when the input is real.
     exact: requires entries that are integers or Fractions by construction,
-    converted to int64 at once where every entry fits. The blocks of each
-    shape are first ranked mod RANK_PRIME by one inverse-free elimination
-    over the whole stack (in place for a single block); a full rank there is
-    a full rank over the rationals (a nonzero minor mod p is a nonzero
+    converted to int64 at once where every entry fits. The int64 blocks of
+    each shape first go to one Cholesky factorisation of their exact Grams
+    less a rounding shift (:func:`_gram_certifies`); if it completes, every
+    block has full rank. A stack it cannot certify is ranked mod RANK_PRIME
+    by one inverse-free elimination over the whole stack; a full rank there
+    is a full rank over the rationals (a nonzero minor mod p is a nonzero
     integer), so it is certified as is. A stack is reduced mod RANK_PRIME
-    first unless it is int64 with every entry in [0, RANK_PRIME), as the
-    span of a family of nonnegative integer operators is. A deficient rank
-    mod p may be an artefact of the prime, so that block is settled by
-    fraction-free (Bareiss) elimination over its integer entries, never its
-    residues, and the engine is "bareiss". The input is never written to.
+    first unless it is int64 with every entry in [0, RANK_PRIME). A
+    deficient rank mod p may be an artefact of the prime, so that block is
+    settled by fraction-free (Bareiss) elimination over its integer
+    entries, never its residues. The input is never written to.
     A ``tol`` that is not a finite number >= 0 raises ValueError in both modes.
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if mode == "exact":
-        total = blocks = 0
-        engine = "mod-p"
+        total = blocks = needed = 0
         for stack in _blocks(_integer_matrix(m), symmetric=False):
-            ranks = _stack_ranks_mod_p(_residues(stack))
-            for i in np.flatnonzero(ranks < min(stack.shape[1:])).tolist():
-                ranks[i] = _bareiss_rank(stack[i].tolist())
-                engine = "bareiss"
-            total += int(ranks.sum())
+            full = min(stack.shape[1:])
             blocks += stack.shape[0]
+            if _gram_certifies(stack):
+                total += stack.shape[0] * full
+                continue
+            needed = max(needed, 1)
+            ranks = _stack_ranks_mod_p(_residues(stack))
+            for i in np.flatnonzero(ranks < full).tolist():
+                ranks[i] = _bareiss_rank(stack[i].tolist())
+                needed = 2
+            total += int(ranks.sum())
+        # the strongest engine that any stack needed
+        engine = ("cholesky", "mod-p", "bareiss")[needed]
         prime = RANK_PRIME if engine == "mod-p" else None
         return RankResult(rank=total, mode="exact", engine=engine, prime=prime, blocks=blocks)
     if mode != "numerical":
@@ -752,7 +764,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             raise ValueError(f"rational entry with a zero denominator: {exc}") from exc
         return out.reshape(nrows, ncols)
     for idx, e in enumerate(entries):
-        if not isinstance(e, (list, tuple)) or len(e) != 2 or e[0] is None or e[1] is None:
+        pair = isinstance(e, (list, tuple)) and len(e) == 2
+        # JSON's true and false are not the numbers 1 and 0
+        if not pair or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in e):
             raise ValueError(f"entry {idx} is neither a [re, im] pair of numbers nor a rational string")
     try:
         pairs = np.array(entries, dtype=float)

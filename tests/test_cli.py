@@ -31,10 +31,10 @@ class TestVerify:
         cert = report["certificates"][0]
         assert cert["extremal"] and cert["mode"] == "exact"
         assert cert["gram_rank"]["rank"] == 25
-        assert cert["gram_rank"]["engine"] == "mod-p"
-        assert cert["gram_rank"]["prime"] == 2**31 - 1
+        assert cert["gram_rank"]["engine"] == "cholesky"
+        assert cert["gram_rank"]["prime"] is None
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["extremal"]["detail"] == "span rank 25/25 (mod-p)"
+        assert checks["extremal"]["detail"] == "span rank 25/25 (cholesky)"
         assert report["verdicts"][0]["conclusion"] == "separable"
         assert report["verdicts"][0]["choi_rank"] == 5
 
@@ -173,11 +173,19 @@ class TestTable:
         assert max(r["d2"] for r in report["table_rows"]) == 32
 
     def test_range_override(self, capsys):
-        assert main(["table", "7", "7", "1", "1", "--max-dim", "63"]) == EXIT_USAGE
-        code, report = run(capsys, "table", "7", "7", "1", "1", "--max-dim", "64")
+        # the (7, 1) cell has r^2 = 64, the fixed rank8k 3 row 576
+        assert main(["table", "7", "7", "1", "1", "--max-dim", "575"]) == EXIT_USAGE
+        code, report = run(capsys, "table", "7", "7", "1", "1", "--max-dim", "576")
         assert code == EXIT_PASS
         rows = {(r["d1"], r["d2"]): r for r in report["table_rows"]}
         assert rows[(7, 8)]["constructed_rank"] == 8
+
+    def test_max_dim_covers_the_fixed_rows(self, capsys):
+        # the (2, 1) cell has r^2 = 9, but the fixed rows are built too
+        assert main(["table", "2", "2", "1", "1", "--max-dim", "9"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r^2 = 576 span rows exceed the desk-scale limit 9" in captured.err
 
 
 class TestOracle:
@@ -193,7 +201,7 @@ class TestOracle:
         assert report["warnings"] == []
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["choi-pt-oracle"]["passed"]
-        assert checks["extremal"]["detail"] == "span rank 9/9 (mod-p)"
+        assert checks["extremal"]["detail"] == "span rank 9/9 (cholesky)"
         assert report["certificates"][0]["mode"] == "exact"
 
     def test_3_2_exact_rank(self, capsys):

@@ -27,7 +27,6 @@ from extremal_marginals import (
 from extremal_marginals import linalg
 from extremal_marginals.extremality import _block_vectors, _sparse_block_vectors, _span
 from extremal_marginals.linalg import (
-    RANK_PRIME,
     Coo,
     _bareiss_rank,
     _singular_values,
@@ -148,11 +147,11 @@ class TestIsExtremal:
         assert cert.borderline
 
     def test_rank_engine_per_path(self):
-        assert is_extremal(shift_family(4, 4)).gram_rank.engine == "mod-p"
+        assert is_extremal(shift_family(4, 4)).gram_rank.engine == "cholesky"
         # rank 7 = d_in^2 + d_out^2 - 1: the trace identity is the only
-        # relation, so the quotient span is full rank mod p
+        # relation, so the quotient span has full rank and its Gram certifies it
         rr = is_extremal(e_basis_family()).gram_rank
-        assert (rr.rank, rr.engine, rr.prime) == (7, "mod-p", RANK_PRIME)
+        assert (rr.rank, rr.engine, rr.prime) == (7, "cholesky", None)
         # a repeated operator is a deficiency beyond the trace identity
         k, e = shift_family(2, 1).ops[0], shift_family(2, 1).exact_ops[0]
         repeated = KrausFamily(d_in=2, d_out=3, ops=(k, k), exact_ops=(e, e))
@@ -369,8 +368,9 @@ class TestTraceQuotient:
     def test_quotient_rank_equals_bareiss_rank_of_full_span(self, rng):
         """Seeded integer families, many with r^2 >= d_in^2 + d_out^2, some with
         a repeated operator, per-operator denominators or Python-int entries.
-        The engine is mod-p exactly when the rank is min(r^2, D - 1)."""
-        seen = {"r2>=D": 0, "mod-p at D-1": 0, "bareiss": 0, "python-int": 0}
+        A rank of min(r^2, D - 1) is certified by the span's Gram on int64
+        entries and mod p on Python ints; any smaller rank is Bareiss's."""
+        seen = {"r2>=D": 0, "full at D-1": 0, "bareiss": 0, "python-int": 0}
         for n in range(240):
             d_in, d_out = (int(x) for x in rng.integers(1, 5, size=2))
             r = int(rng.integers(1, 7))
@@ -385,9 +385,10 @@ class TestTraceQuotient:
             assert rr.rank == _bareiss_rank(full.tolist())
             top = min(r * r, d_in * d_in + d_out * d_out - 1)
             assert rr.blocks == 1
-            assert (rr.engine == "mod-p") == (rr.rank == top)
+            certified = "mod-p" if big > 1 else "cholesky"
+            assert rr.engine == (certified if rr.rank == top else "bareiss")
             seen["r2>=D"] += r * r >= d_in * d_in + d_out * d_out
-            seen["mod-p at D-1"] += rr.engine == "mod-p" and rr.rank == top < r * r
+            seen["full at D-1"] += rr.rank == top < r * r
             seen["bareiss"] += rr.engine == "bareiss"
         assert min(seen.values()) >= 10, seen
 
@@ -516,7 +517,7 @@ class TestSparseSpan:
         f = shift_family(7, 10)
         assert isinstance(_span(f, exact=True), Coo)
         rr = is_extremal(f).gram_rank
-        assert (rr.rank, rr.engine, rr.blocks) == (289, "mod-p", 91)
+        assert (rr.rank, rr.engine, rr.blocks) == (289, "cholesky", 91)
 
     def test_crossover(self):
         # on a side of 48 or more, at least 32 dense entries per summed

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from extremal_marginals.linalg import (
     Coo,
     _bareiss_rank,
     _blocks,
+    _gram_certifies,
     _integer_matrix,
     _residues,
     _singular_values,
@@ -211,6 +213,7 @@ class TestExactRankEngine:
         assert rr.prime is None
 
     def test_full_rank_mod_p_is_the_certificate(self):
+        # (2^31)^2 * 2 is past the 2^53 Gram bound, so no Cholesky is tried
         rr = rank(np.diag([1, RANK_PRIME + 1]), mode="exact")
         assert (rr.rank, rr.engine, rr.prime) == (2, "mod-p", RANK_PRIME)
         assert rr.to_json()["engine"] == "mod-p"
@@ -228,6 +231,7 @@ class TestExactRankEngine:
         assert span.dtype == object
         rr = is_extremal(f).gram_rank
         assert rr.rank == _bareiss_rank(span.tolist())
+        # a Python-int stack skips the Gram certificate
         assert rr.engine == ("bareiss" if deficient else "mod-p")
 
     def test_agrees_with_bareiss_on_seeded_integers(self, rng):
@@ -374,23 +378,32 @@ class TestResidues:
         assert _residues(above)[0, 0, 0] == 5
 
     def test_deficient_mod_p_only_still_goes_to_bareiss(self, rng):
-        # det = 46341^2 - 2 * 2317 = RANK_PRIME, from residues that need no reduction
-        in_range = np.array([[46341, 2], [2317, 46341]], dtype=np.int64)
+        # det = 2^27 * 16 - 1 = RANK_PRIME, from residues that need no
+        # reduction; (2^27)^2 * 2 is past the Gram bound, so no Cholesky is tried
+        in_range = np.array([[2**27, 1], [1, 16]], dtype=np.int64)
         assert _stack_ranks_mod_p(in_range[None]).tolist() == [1]
         # a row times the prime: entries above it, so the stack is reduced,
         # and Bareiss must get the integer block, not its residues
         above = np.eye(5, 7, dtype=np.int64) + np.triu(rng.integers(0, 3, size=(5, 7)), 1)
         above[0] *= RANK_PRIME
         assert _bareiss_rank(above.tolist()) == 5
-        for m in (in_range, above):
+        # det = a + q * 2^20 = RANK_PRIME: the third row lies within
+        # RANK_PRIME / 2^40 < 2^-9 of the plane of the first two, so the Gram is
+        # exact but below the shift, and the Cholesky cannot certify it
+        q, a = divmod(RANK_PRIME, 2**20)
+        below = np.array([[2**20, 1, 0], [0, 2**20, 1], [a, -q, 0]], dtype=np.int64)
+        assert not _gram_certifies(below[None])
+        assert _stack_ranks_mod_p(_residues(below[None])).tolist() == [2]
+        for m in (in_range, above, below):
             rr = rank(m, mode="exact")
             assert (rr.rank, rr.engine, rr.prime) == (min(m.shape), "bareiss", None)
-        # both as blocks of a matrix above the split side
+        # all three as blocks of a matrix above the split side
         m = np.zeros((_SPLIT_MIN_SIDE, _SPLIT_MIN_SIDE), dtype=np.int64)
         m[:2, :2] = in_range
         m[2:7, 2:9] = above
+        m[7:10, 9:12] = below
         rr = rank(m, mode="exact")
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (7, "bareiss", None, 2)
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (10, "bareiss", None, 3)
 
     def test_exact_rank_never_writes_to_its_input(self, rng):
         planted, _ = planted_block_diagonal(rng, [(5, 7), (9, 4), (6, 6)], [5, 3, 6])
@@ -427,6 +440,102 @@ BUILT_INS = [
     shift_family(3, 2),
     shift_family(7, 10),
 ]
+
+
+def exact_block_diagonal(blocks, zero_rows=0, zero_cols=0):
+    """The direct sum of integer blocks plus zero rows and columns, enough of
+    them that the matrix is not under the split crossover."""
+    n_rows = max(sum(b.shape[0] for b in blocks) + zero_rows, _SPLIT_MIN_SIDE)
+    n_cols = max(sum(b.shape[1] for b in blocks) + zero_cols, _SPLIT_MIN_SIDE)
+    m = np.zeros((n_rows, n_cols), dtype=np.int64)
+    r0 = c0 = 0
+    for b in blocks:
+        m[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    return m
+
+
+class TestGramCertificate:
+    """A completed Cholesky factorisation of each block's exact Gram, less
+    the shift, certifies full rank before any elimination runs. The
+    certificate is one-sided: it may pass a full-rank stack on to mod p, but
+    it never certifies a deficient one."""
+
+    def test_never_certifies_a_deficient_stack(self, rng):
+        near_bound = 0
+        for n in range(400):
+            k = int(rng.integers(1, 5))
+            p, q = (int(x) for x in rng.integers(1, 13, size=2))
+            # deficient by one in every other stack
+            inner = min(p, q) - 1 if n % 2 else int(rng.integers(0, min(p, q)))
+            stack = rng.integers(-(2**10), 2**10 + 1, size=(k, p, inner)) @ rng.integers(
+                -(2**10), 2**10 + 1, size=(k, inner, q)
+            )
+            if n % 4 == 1 and k > 1:
+                # the other blocks of the stack may well have full rank
+                stack[1:] = rng.integers(-(2**10), 2**10 + 1, size=(k - 1, p, q))
+            top = int(np.abs(stack).max())
+            if n % 3 == 0 and top:
+                # scaled to just under the bound, so the Gram stays exact
+                stack *= math.isqrt((2**53 - 1) // max(p, q)) // top
+                top = int(np.abs(stack).max())
+                near_bound += top * top * max(p, q) > 2**51
+            assert top * top * max(p, q) < 2**53
+            assert not _gram_certifies(stack)
+            assert _bareiss_rank(stack[0].tolist()) < min(p, q)
+        assert near_bound >= 100
+
+    def test_rank_agrees_with_bareiss(self, rng):
+        engines = set()
+        for n in range(120):
+            k = int(rng.integers(1, 4))
+            p, q = (int(x) for x in rng.integers(1, 10, size=2))
+            stack = rng.integers(-3, 4, size=(k, p, q))
+            if n % 3 == 1:
+                r = int(rng.integers(0, min(p, q)))
+                stack[0] = rng.integers(-3, 4, size=(p, r)) @ rng.integers(-3, 4, size=(r, q))
+            elif n % 3 == 2:
+                # past the Gram bound, and a row that is zero mod p or the same
+                stack[0, 0] *= RANK_PRIME + n % 2
+            want = [_bareiss_rank(b.tolist()) for b in stack]
+            for b, w in zip(stack, want):
+                rr = rank(b, mode="exact")
+                assert rr.rank == w
+                engines.add(rr.engine)
+            rr = rank(exact_block_diagonal(list(stack)), mode="exact")
+            assert rr.rank == sum(want)
+        assert engines == {"cholesky", "mod-p", "bareiss"}
+
+    def test_below_the_shift_falls_back_to_mod_p(self):
+        m_ = 10**4
+        # det = -1 and sigma_min^2 ~ 1 / (4 M^2) = 2.5e-9, under the shift
+        # 4 * 4 * 2^-53 * tr G ~ 7e-7
+        close = np.array([[m_, m_ + 1], [m_ + 1, m_ + 2]], dtype=np.int64)
+        assert not _gram_certifies(close[None])
+        rr = rank(close, mode="exact")
+        assert (rr.rank, rr.engine, rr.prime) == (2, "mod-p", RANK_PRIME)
+        # over a matrix's blocks the engine is the strongest any block needed:
+        # bareiss > mod-p > cholesky
+        tri = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int64)
+        rr = rank(exact_block_diagonal([tri] * 4), mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (12, "cholesky", None, 4)
+        rr = rank(exact_block_diagonal([tri] * 4 + [close]), mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (14, "mod-p", RANK_PRIME, 5)
+        singular = np.array([[2**27, 1], [1, 16]], dtype=np.int64)  # det = RANK_PRIME
+        rr = rank(exact_block_diagonal([close, tri, singular]), mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (7, "bareiss", None, 3)
+
+    def test_entries_past_the_bound_skip_the_cholesky(self):
+        # t^2 * 2 < 2^53 exactly when t < 2^26; the identity times t is as well
+        # conditioned as a matrix can be, so only the bound can refuse it
+        for t, engine in ((2**26 - 1, "cholesky"), (2**26, "mod-p"), (-(2**26), "mod-p")):
+            m = t * np.eye(2, dtype=np.int64)
+            assert _gram_certifies(m[None]) == (engine == "cholesky")
+            rr = rank(m, mode="exact")
+            assert (rr.rank, rr.engine) == (2, engine)
+        # Python ints are never tried, whatever their size
+        assert not _gram_certifies(np.eye(3, dtype=np.int64).astype(object)[None])
+        assert _gram_certifies(np.eye(3, dtype=np.int64)[None])
 
 
 @pytest.mark.parametrize("f", BUILT_INS, ids=lambda f: f"{f.d_in}x{f.d_out}-r{f.r}")
@@ -490,15 +599,8 @@ def planted_block_diagonal(rng, shapes, ranks, zero_rows=3, zero_cols=4):
         rng.integers(-3, 4, size=(p, k)) @ rng.integers(-3, 4, size=(k, q))
         for (p, q), k in zip(shapes, ranks)
     ]
-    # enough zero rows and columns that the matrix is not under the crossover
-    n_rows = max(sum(p for p, _ in shapes) + zero_rows, _SPLIT_MIN_SIDE)
-    n_cols = max(sum(q for _, q in shapes) + zero_cols, _SPLIT_MIN_SIDE)
-    m = np.zeros((n_rows, n_cols), dtype=np.int64)
-    r0 = c0 = 0
-    for b in blocks:
-        m[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
-        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
-    m = m[rng.permutation(n_rows)][:, rng.permutation(n_cols)]
+    m = exact_block_diagonal(blocks, zero_rows, zero_cols)
+    m = m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])]
     return m, sum(_bareiss_rank(b.tolist()) for b in blocks)
 
 
@@ -522,7 +624,7 @@ class TestBlockSplit:
         shapes = [(12, 14)] * 5
         m, planted = planted_block_diagonal(rng, shapes, [12] * 5)
         rr = rank(m, mode="exact")
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (60, "mod-p", RANK_PRIME, 5)
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (60, "cholesky", None, 5)
         # a block that is singular mod p but not over the integers goes to Bareiss
         m[np.flatnonzero(m.any(axis=1))[0]] *= RANK_PRIME
         rr = rank(m, mode="exact")
@@ -590,7 +692,7 @@ class TestBlockSplit:
         padded = np.zeros((side, side), dtype=np.int64)
         padded[:4, :4] = np.eye(4, dtype=np.int64)
         rr = rank(padded, mode="exact")
-        assert (rr.rank, rr.blocks, rr.engine) == (4, 4, "mod-p")
+        assert (rr.rank, rr.blocks, rr.engine) == (4, 4, "cholesky")
         assert rank(padded.astype(float)).blocks == 4
         # under the crossover a block-diagonal matrix is one block
         small = np.eye(_SPLIT_MIN_SIDE - 1)
@@ -640,6 +742,10 @@ class TestMatrixJson:
             {"rows": 1, "cols": 2, "entries": "12"},
             {"rows": 1, "cols": 1.7, "entries": ["1"]},
             {"rows": True, "cols": 1, "entries": ["1"]},
+            # JSON booleans and strings are not the parts of a complex number
+            {"rows": 1, "cols": 1, "entries": [[True, False]]},
+            {"rows": 1, "cols": 1, "entries": [[1, False]]},
+            {"rows": 1, "cols": 1, "entries": [["1", 0]]},
         ):
             with pytest.raises(ValueError):
                 matrix_from_json(obj)
