@@ -29,6 +29,7 @@ rank read that stack instead of converting the exact entries on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -161,10 +162,13 @@ class KrausFamily:
 
     @property
     def hermitian_kraus(self) -> bool:
-        """True iff d_in = d_out and every operator is Hermitian within 1e-12."""
+        """True iff d_in = d_out and every operator is Hermitian within 1e-12
+        times sqrt(sum_i ||K_i||_F^2), which is 1 for a normalized family, so
+        the flag does not change with the overall scale of the operators."""
         if self.d_in != self.d_out:
             return False
-        return float(np.abs(self.ops - _dagger(self.ops)).max()) <= HERMITIAN_ATOL
+        scale = math.sqrt(float(np.vdot(self.ops, self.ops).real))
+        return float(np.abs(self.ops - _dagger(self.ops)).max()) <= HERMITIAN_ATOL * scale
 
     def is_normalized(self, atol: float = HERMITIAN_ATOL) -> bool:
         """True iff tr(sum_i K_i^dagger K_i) = 1 within atol."""
@@ -259,7 +263,10 @@ def choi_rank(f: KrausFamily, tol: float | None = None) -> RankResult:
 
     Computed from the stacked vectorizations: exactly from the family's
     integer stack when it carries certified rational operators, and
-    otherwise by an SVD in the operators' own real or complex arithmetic.
+    otherwise by numerical :func:`linalg.rank` in the operators' own real or
+    complex arithmetic: a verified Cholesky certificate of full rank for
+    stacked vectors of at least ``linalg._CERTIFY_MIN_ENTRIES`` entries
+    (``rank8k``'s 24 x 324 and 32 x 576), else an SVD.
     """
     if f.integer_ops is not None:
         return rank(_vecs(f.integer_ops), mode="exact")

@@ -407,6 +407,16 @@ def _positive_tol(text: str) -> float:
     return tol
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extmarg",
@@ -417,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     max_dim_flag = argparse.ArgumentParser(add_help=False)
     max_dim_flag.add_argument(
         "--max-dim",
-        type=int,
+        type=_positive_int,
         help="override the desk-scale guardrail (max r^2, the row count of the block-vector "
         f"span, default {DEFAULT_MAX_SPAN_ROWS})",
     )

@@ -16,13 +16,22 @@ for the operators, the one place that decides between real and complex:
 real float64 rows for a real family, complex rows otherwise, and integer
 rows from the exact operators in exact mode.
 
-The span is ranked directly, never through the conjugate Gram below: in
+The span itself goes to :func:`linalg.rank`, never the conjugate Gram
+below; only the rank certificates form the Grams of the span's blocks. In
 exact mode the integer rows, less the one column the trace identity makes
 redundant, go to the full-rank certificates of :func:`linalg.rank` (a
 verified Cholesky factorisation of each block's exact integer Gram, else
 mod p), so a family of rank D - 1 is certified and Bareiss only confirms a
-deficiency beyond the identity. In numerical mode the SVD sees the full span's own singular
-values, whose squares are the Gram's, so the conditioning is not squared.
+deficiency beyond the identity. In numerical mode the full span is
+ranked: a span of at least ``linalg._CERTIFY_MIN_ENTRIES`` entries whose
+blocks the verified Cholesky factorisation of their shifted float Grams
+certifies, with a margin of BORDERLINE_GAP_RATIO over the threshold, is
+proven to have rank r^2 (the irrational built-ins from rank8-66 up). That
+test squares the conditioning, so a p x q block with sigma_min below
+sqrt(4(p + q + 4) u) ||block||_F, u = 2^-53 (1e-7 to 1e-6 here), is not
+certified; such a span and every other one go to the SVD, which sees the
+span's own singular values, whose squares are the Gram's, so there the
+conditioning is not squared.
 
 The span of a sparse family (:func:`linalg.coo_is_cheaper`) is built as a
 :class:`linalg.Coo` from products of the operators' nonzero entries that
@@ -47,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, MarginalPair, marginals
-from .linalg import Coo, RankResult, coo_is_cheaper, group_pairs, rank
+from .linalg import BORDERLINE_GAP_RATIO, Coo, RankResult, coo_is_cheaper, group_pairs, rank
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -60,7 +69,6 @@ __all__ = [
 ]
 
 MARGINAL_ATOL = 1e-9
-BORDERLINE_GAP_RATIO = 10.0
 # Integer block vectors are built in int64 while max|e|^2 * max(d_in, d_out),
 # a bound on every entry of K_i^dagger K_j and K_j K_i^dagger, stays below this.
 _INT64_PRODUCT_LIMIT = 2**62
@@ -75,7 +83,9 @@ class ExtremalityCertificate:
     rank of the block Gram. A certificate is ``borderline`` when the
     numerical singular-value gap around the rank threshold is thinner than a
     factor of 10 (on the discarded side only for a caller-set ``tol``, since
-    under the default threshold a discarded value is rounding noise);
+    under the default threshold a discarded value is rounding noise), which
+    a numerical rank certified by ``cholesky`` never is: its certified
+    bound clears the threshold tenfold by construction;
     ``valid_marginals`` is False when the computed marginals miss the
     declared targets, which does not change the extremality verdict (the
     span test is marginal-independent). The residual is compared with

@@ -1,11 +1,16 @@
 """Complex matrix utilities, for dense matrices and sparse (:class:`Coo`) ones.
 
 Partial trace and partial transpose over a bipartite splitting, Hermitian
-eigenvalues, and matrix rank in two modes: floating-point SVD against an
-explicit singular-value threshold, and, for matrices that are rational by
-construction, exact rank: a verified Cholesky factorisation of the exact Gram
-certifies full rank, elimination modulo a prime ranks what it cannot, and
-fraction-free elimination over the integers confirms a deficient rank.
+eigenvalues, and matrix rank in two modes. Both start from one routine, a
+verified Cholesky factorisation of each block's Gram less a rounding shift,
+which proves full rank when it completes. Numerical rank counts singular
+values above an explicit threshold: a large enough float matrix whose
+blocks that factorisation certifies with a margin of BORDERLINE_GAP_RATIO
+over the threshold has its full rank proven, and the SVD ranks every other
+one. For matrices that are rational by construction, exact rank certifies
+full rank from the exact Gram, elimination modulo a prime ranks what that
+cannot, and fraction-free elimination over the integers confirms a
+deficient rank.
 
 Rank and the minimum eigenvalue first split a matrix into the connected
 components of its nonzero pattern. The span and Choi matrices of the
@@ -15,9 +20,10 @@ block-diagonal form leaves singular values and eigenvalues unchanged, the
 singular values of a block-diagonal matrix are those of its blocks (plus
 zeros up to the smaller side), and its eigenvalues are those of its blocks.
 Blocks of one shape are solved together, and rank runs on the short side in
-both modes: numerically in one stacked LAPACK call on the tall orientation,
-exactly in one Cholesky call on the stack's shifted Grams and, for a stack
-that call cannot certify, one inverse-free elimination modulo the prime over
+both modes. The certificate is one Cholesky call on a stack's shifted
+short-side Grams. Numerically, unless it proves the whole matrix, one
+stacked SVD per shape runs on the tall orientation; exactly, a stack it
+cannot certify goes to one inverse-free elimination modulo the prime over
 all the stack's rows, which takes the nonzero columns sparsest first to
 limit fill-in and stops once every row has been a pivot. Integer arrays
 enter exact rank as they are; only object arrays are converted, and an int64
@@ -51,6 +57,9 @@ from fractions import Fraction
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+# A numerical verdict whose smallest kept singular value is within this
+# factor of the rank threshold is borderline.
+BORDERLINE_GAP_RATIO = 10.0
 # Largest prime below 2^31: residues are < 2^31, so a product of two is
 # < 2^62 and modular elimination never overflows int64.
 RANK_PRIME = 2**31 - 1
@@ -58,6 +67,15 @@ RANK_PRIME = 2**31 - 1
 # block: on a 2-core machine labelling the nonzero pattern of a 48 x 54
 # matrix takes ~120 us, about what the dense SVD it could save takes (~175 us).
 _SPLIT_MIN_SIDE = 48
+# A float matrix with at least this many entries offers its blocks to the
+# verified Cholesky certificate of their Grams before the SVD. A failed
+# attempt is paid on top of the SVD: on a 2-core machine it cost 35-45% of
+# the SVD at 36 x 32, 17-25% at 64 x 64 and 12-24% at 32 x 576 (real and
+# complex, one block), while a passed one replaces the SVD at 15-40% of its
+# cost from 64 x 64 up. The random families' spans, at most 36 x 32 and
+# often deficient, stay below; the irrational built-ins' spans from rank8-66
+# (64 x 72) up and the Kraus vectors of rank8k (24 x 324, 32 x 576) are above.
+_CERTIFY_MIN_ENTRIES = 4096
 # The block-vector span and the partial-transposed Choi matrix of a Kraus
 # family are built from the operators' nonzero entries, as a Coo, only where
 # the dense matrix would be split into blocks anyway (smaller side at least
@@ -80,6 +98,7 @@ _COO_ENTRIES_PER_TERM = 32
 _COO_INT_ENTRIES_PER_TERM = 16
 
 __all__ = [
+    "BORDERLINE_GAP_RATIO",
     "HERMITIAN_ATOL",
     "RANK_PRIME",
     "Coo",
@@ -348,7 +367,13 @@ class RankResult:
     In numerical mode the gap data (smallest kept and largest discarded
     singular value against the threshold) makes borderline calls auditable.
     Exact mode carries no singular-value data. ``engine`` names what
-    decided the rank: "svd" (numerical), or the strongest exact engine that
+    decided the rank. Numerical: "svd", or "cholesky" when a verified
+    Cholesky factorisation of every block's shifted float Gram proved the
+    full rank; then ``smallest_kept_singular_value`` is a certified lower
+    bound on the smallest singular value, not the value itself, and
+    ``threshold`` is the threshold that bound cleared by
+    BORDERLINE_GAP_RATIO: ``tol``, or the default one taken at an upper
+    bound on sigma_max, at least the SVD's. Exact: the strongest engine that
     some block needed: "cholesky" (every block of full rank by a verified
     Cholesky factorisation of its exact Gram), "mod-p" (every other block of
     full rank modulo ``prime``, the one engine that sets it) or "bareiss"
@@ -474,41 +499,84 @@ def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     return integer_entries(a).reshape(a.shape)
 
 
-def _gram_certifies(stack: np.ndarray) -> bool:
-    """Whether every block of an int64 (k, p, q) stack provably has full rank
-    n = min(p, q), by one Cholesky factorisation of the shifted Grams.
+def _gram_certifies(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A certified lower bound on sigma_min^2 of each block of a (k, p, q)
+    stack, which proves that every block has full rank n = min(p, q), with
+    each block's computed tr G; or None when one Cholesky factorisation of
+    the shifted Grams cannot give them.
 
-    Each block A gives its short-side Gram G, A A^T (p <= q) or A^T A, in
-    float64. While max|a|^2 * max(p, q) < 2^53 every partial sum of every
-    entry is an integer below 2^53, so G is exact in any summation order.
-    With u = 2^-53 and s = 4(n + 2) u tr G, B = fl(G - sI) is factorised. A
-    factorisation that runs to completion gives R with R^T R = B + dB and
-    |dB| <= gamma_{n+1} |R^T| |R| (Demmel, LAPACK Working Note 14, 1989;
-    Higham, Accuracy and Stability, Thm 10.3; LAPACK's blocked variant
-    forms the same inner products in another order). So ||dB||_2 <=
-    gamma_{n+1} ||R||_F^2, and ||R||_F^2 = tr(B + dB) <= tr G +
-    gamma_{n+1} ||R||_F^2 gives ||dB||_2 <= gamma_{n+1} / (1 - gamma_{n+1})
-    tr G. Subtracting s rounds each diagonal entry by at most u G_ii <= u tr G.
-    R^T R is positive semidefinite, so lambda_min(G) >= s - (n + 2) u tr G
-    (1 + O(nu)) > 0 (Rump, BIT 46, 433, 2006): G is positive definite and
-    every block has rank n. The test is one-sided: a deficient block, or a
+    Each block A gives its short-side Gram G, A A^H (p <= q) or A^H A, in
+    float64 or complex128; m = max(p, q) is the length of its inner
+    products, u = 2^-53 and gamma_j = j u / (1 - j u) (Higham, Accuracy and
+    Stability, 2nd ed., Sec. 3.1). With t the computed tr G and s = 4(n + 2
+    + g) u t, B = fl(G^ - sI) is factorised, G^ being the computed Gram; the
+    pair returned is (s / 2, t).
+
+    * Gram. An int64 stack with max|a|^2 * m < 2^53 has every partial sum of
+      every entry an integer below 2^53, so G^ = G in any summation order
+      and g = 0. A float stack's inner products carry |G^ - G| <= gamma_m
+      |A| |A|^T in real arithmetic and gamma_{m+2} |A| |A|^H in complex
+      (Higham Sec. 3.5-3.6, any summation order, FMA included), and g = m +
+      2. |A| |A|^H is positive semidefinite with the diagonal of G, so
+      ||G^ - G||_2 <= gamma_{m+2} tr G.
+    * Shift. Subtracting s rounds each diagonal entry by at most u (tr G^ +
+      s).
+    * Cholesky. A factorisation that runs to completion gives R with R^H R =
+      B + dB and |dB| <= gamma_c |R^H| |R|, c = n + 1 in real arithmetic
+      (Demmel, LAPACK Working Note 14, 1989; Higham Thm 10.3; LAPACK's
+      blocked variant forms the same inner products in another order) and c
+      = n + 3 in complex, where each inner product has gamma_{n+2} in place
+      of gamma_n (Higham Sec. 3.6). So ||dB||_2 <= gamma_c ||R||_F^2, and
+      ||R||_F^2 = tr(B + dB) <= tr G^ + gamma_c ||R||_F^2 gives ||dB||_2 <=
+      gamma_c / (1 - gamma_c) tr G^ <= (c + O(nu)) u tr G.
+
+    R^H R is positive semidefinite, so lambda_min(G) >= s - e with e = (c +
+    1 + g) u tr G (1 + O((n + m) u)) + u s (Rump, BIT 46, 433, 2006). As c +
+    1 <= n + 4 and n + 2 + g >= 3, e < s / 2: the factor 4 in s leaves that
+    margin, which also covers t below tr G by its own rounding and the
+    square root a caller takes of the bound. So sigma_min^2 = lambda_min(G)
+    > s / 2 > 0 and every block has rank n. The bound is on the stack as
+    given, floats included. The test is one-sided: a deficient block, or a
     full one with sigma_min^2 below about s, makes the factorisation fail.
-    Object stacks and int64 stacks past the 2^53 bound are not tried.
+
+    Not tried, so None: object stacks, int64 stacks past the 2^53 bound, and
+    float stacks with a real or imaginary part, other than zero, outside
+    [2^-400, 2^400] (NaN and inf included). Inside that range every product
+    of two parts is a normal number, no Gram or factor entry overflows, and
+    the absolute error of gradual underflow in the factorisation, at most
+    n^2 2^-1074 (1 + sqrt(tr G)) (Higham Sec. 2.1), is far below u tr G >=
+    2^-853. Without the check, ``np.linalg.cholesky`` returns inf or NaN
+    factors of an overflowed Gram and does not raise. Scaling a stack by
+    2^k within that range scales every rounded value alike: the outcome is
+    the same and the bound scales by 4^k.
     """
-    _, p, q = stack.shape
-    top = max(-int(stack.min(initial=0)), int(stack.max(initial=0)))
-    if stack.dtype != np.int64 or top * top * max(p, q) >= 2**53:
-        return False
-    a = stack.astype(float)
-    g = a @ a.transpose(0, 2, 1) if p <= q else a.transpose(0, 2, 1) @ a
-    n = min(p, q)
-    diag = g.reshape(len(g), n * n)[:, :: n + 1]  # a view of each block's diagonal
-    diag -= 4 * (n + 2) * 2.0**-53 * diag.sum(axis=1, keepdims=True)
+    k, p, q = stack.shape
+    n, m = min(p, q), max(p, q)
+    if stack.dtype.kind in "fc":
+        # real and imaginary parts side by side; NaN fails the first test
+        parts = np.abs(np.ascontiguousarray(stack).view(np.float64))
+        if not parts.max(initial=0.0) <= 2.0**400:
+            return None
+        if np.count_nonzero(parts < 2.0**-400) != np.count_nonzero(parts == 0):
+            return None
+        a, g = stack, m + 2
+    elif stack.dtype == np.int64:
+        top = max(-int(stack.min(initial=0)), int(stack.max(initial=0)))
+        if top * top * m >= 2**53:
+            return None
+        a, g = stack.astype(float), 0
+    else:
+        return None
+    gram = a @ a.conj().transpose(0, 2, 1) if p <= q else a.conj().transpose(0, 2, 1) @ a
+    diag = gram.reshape(k, n * n)[:, :: n + 1]  # a view of each block's diagonal
+    trace = diag.real.sum(axis=1)
+    shift = 4 * (n + 2 + g) * 2.0**-53 * trace
+    diag -= shift[:, None]
     try:
-        np.linalg.cholesky(g)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    return shift / 2, trace
 
 
 def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
@@ -625,13 +693,14 @@ def _as_float_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     return a.astype(float if a.dtype.kind in "biuf" else complex)
 
 
-def _singular_values(a: np.ndarray | Coo) -> tuple[np.ndarray, int]:
-    """All min(rows, cols) singular values of ``a`` in descending order, and the
-    number of blocks they came from: the blocks' values, one stacked SVD per
-    block shape, padded with exact zeros for the structurally missing ones."""
+def _singular_values(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, int]:
+    """All ``size`` = min(rows, cols) singular values of a matrix split into
+    ``stacks`` by :func:`_blocks`, in descending order, and the number of
+    blocks they came from: the blocks' values, one stacked SVD per block
+    shape, padded with exact zeros for the structurally missing ones."""
     parts = [np.zeros(0)]
     blocks = 0
-    for stack in _blocks(a, symmetric=False):
+    for stack in stacks:
         # a matrix and its transpose have the same singular values, and the
         # SVD of the tall one is the cheaper (32 x 576: 1.2 vs 0.4 ms)
         if stack.shape[1] < stack.shape[2]:
@@ -639,7 +708,50 @@ def _singular_values(a: np.ndarray | Coo) -> tuple[np.ndarray, int]:
         parts.append(np.linalg.svd(stack, compute_uv=False).ravel())
         blocks += stack.shape[0]
     s = np.sort(np.concatenate(parts))[::-1]
-    return np.concatenate([s, np.zeros(min(a.shape) - s.size)]), blocks
+    return np.concatenate([s, np.zeros(size - s.size)]), blocks
+
+
+def _certified_full_rank(
+    stacks: list[np.ndarray], shape: tuple[int, int], tol: float | None
+) -> RankResult | None:
+    """The numerical RankResult of a float matrix split into ``stacks``
+    when :func:`_gram_certifies` proves every block of full rank and the
+    smallest certified sigma_min clears the threshold by BORDERLINE_GAP_RATIO;
+    None otherwise, and the SVD decides.
+
+    The threshold is ``tol``, or the default max(rows, cols) * eps * sigma_max
+    taken at sqrt(max tr G) = max ||block||_F, from the traces the
+    certificate computed, which bounds sigma_max from above (to rounding).
+    The result is the one the SVD would give: every block's singular values
+    lie above the threshold, and only the structural zeros up to
+    min(rows, cols) are discarded.
+    """
+    if not stacks:
+        return None
+    bounds, traces = [], []
+    for stack in stacks:
+        certified = _gram_certifies(stack)
+        if certified is None:
+            return None
+        bounds.append(float(certified[0].min()))
+        traces.append(float(certified[1].max()))
+    if tol is None:
+        threshold = max(shape) * float(np.finfo(float).eps) * math.sqrt(max(traces))
+    else:
+        threshold = float(tol)
+    smallest = math.sqrt(min(bounds))
+    if smallest < BORDERLINE_GAP_RATIO * threshold:
+        return None
+    full = sum(stack.shape[0] * min(stack.shape[1:]) for stack in stacks)
+    return RankResult(
+        rank=full,
+        mode="numerical",
+        engine="cholesky",
+        smallest_kept_singular_value=smallest,
+        threshold=threshold,
+        largest_discarded_singular_value=0.0 if full < min(shape) else None,
+        blocks=sum(stack.shape[0] for stack in stacks),
+    )
 
 
 def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None) -> RankResult:
@@ -652,8 +764,16 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
 
     numerical: count of singular values strictly above the threshold, which
     is ``tol`` when given and otherwise max(rows, cols) * eps * sigma_max of
-    the whole matrix. The blocks' singular values, padded with exact zeros
-    to min(rows, cols) values, are the whole matrix's; one stacked SVD per
+    the whole matrix. A matrix of at least _CERTIFY_MIN_ENTRIES entries
+    first offers each block stack to :func:`_gram_certifies`, the verified
+    Cholesky factorisation of its shifted float Grams; when every stack
+    passes and the smallest certified sigma_min is at least
+    BORDERLINE_GAP_RATIO times the threshold (taken at sigma_max <= sqrt of
+    the largest block's tr G when ``tol`` is not given), every block is
+    proven to have full rank above the threshold, and the result is the
+    full rank with engine "cholesky" (:func:`_certified_full_rank`).
+    Otherwise the blocks' singular values, padded with exact zeros to
+    min(rows, cols) values, are the whole matrix's; one stacked SVD per
     block shape runs on the tall orientation (the transpose has the same
     singular values), in real arithmetic when the input is real.
     exact: requires entries that are integers or Fractions by construction,
@@ -677,7 +797,7 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
         for stack in _blocks(_integer_matrix(m), symmetric=False):
             full = min(stack.shape[1:])
             blocks += stack.shape[0]
-            if _gram_certifies(stack):
+            if _gram_certifies(stack) is not None:
                 total += stack.shape[0] * full
                 continue
             needed = max(needed, 1)
@@ -697,7 +817,12 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     a = _as_float_matrix(m)
     if not np.all(np.isfinite(_entries(a))):
         raise ValueError("numerical rank requires finite entries")
-    s, blocks = _singular_values(a)
+    stacks = _blocks(a, symmetric=False)
+    if a.shape[0] * a.shape[1] >= _CERTIFY_MIN_ENTRIES:
+        certified = _certified_full_rank(stacks, a.shape, tol)
+        if certified is not None:
+            return certified
+    s, blocks = _singular_values(stacks, min(a.shape))
     smax = float(s[0]) if s.size else 0.0
     threshold = float(tol) if tol is not None else max(a.shape) * np.finfo(float).eps * smax
     kept = s[s > threshold]

@@ -43,12 +43,14 @@ class SeparabilityVerdict:
     criterion applies (PPT and Choi rank <= min(d_out, max(rank rho1,
     rank rho2)), with the Choi rank at the default threshold when a larger
     ``tol`` gives fewer; False for an NPT state), "entangled" only when it
-    is NPT, and "undetermined" otherwise.
+    is NPT, and "undetermined" otherwise. ``choi_rank_engine`` is the
+    :class:`linalg.RankResult` engine that decided the reported Choi rank.
     """
 
     ppt: bool
     min_pt_eigenvalue: float
     choi_rank: int
+    choi_rank_engine: str
     criterion_applicable: bool
     conclusion: str
 
@@ -65,6 +67,7 @@ class SeparabilityVerdict:
             "ppt": self.ppt,
             "min_pt_eigenvalue": self.min_pt_eigenvalue,
             "choi_rank": self.choi_rank,
+            "choi_rank_engine": self.choi_rank_engine,
             "criterion_applicable": self.criterion_applicable,
             "conclusion": self.conclusion,
         }
@@ -111,7 +114,7 @@ def _marginal_rank_reaches(f: KrausFamily, choi_rank_: int) -> bool:
     """Whether max(rank rho1, rank rho2) >= ``choi_rank_``: rank rho2 is that
     of the operators side by side, taken first, and rank rho1 that of the
     operators stacked (as in :func:`channels.marginals`), exact from the
-    integer stack of a rational family and by SVD otherwise."""
+    integer stack of a rational family and by numerical rank otherwise."""
     exact = f.integer_ops is not None
     k = f.integer_ops if exact else f.ops
     r, d_out, d_in = k.shape
@@ -144,7 +147,8 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
         is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace)
     else:
         is_ppt, smallest = ppt(choi(f), f.d_in, f.d_out)
-    cr = choi_rank(f, tol=tol).rank
+    reported = choi_rank(f, tol=tol)
+    cr = reported.rank
     # a tol above the default threshold may undercount the Choi rank, and the
     # criterion must not apply to a rank the state does not have
     support = cr if tol is None else max(cr, choi_rank(f).rank)
@@ -159,6 +163,7 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
         ppt=is_ppt,
         min_pt_eigenvalue=smallest,
         choi_rank=cr,
+        choi_rank_engine=reported.engine,
         criterion_applicable=applicable,
         conclusion=conclusion,
     )

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,21 @@ class TestKrausFamily:
         assert ohno_rank_d(4).hermitian_kraus
         assert not ohno_rank4().hermitian_kraus
         assert not shift_family(2, 1).hermitian_kraus
+
+    def test_hermitian_flag_does_not_change_with_scale(self, rng):
+        """The flag is relative to sqrt(sum_i ||K_i||_F^2): a non-Hermitian
+        family scaled down is still not Hermitian, and a Hermitian one scaled
+        up still is, in the flag and in the JSON that carries it."""
+        h = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        h = h + h.conj().transpose(0, 2, 1)
+        for s in (1e-13, 2.0**-200, 1e-3, 1.0, 1e6, 2.0**200):
+            for ops, hermitian in ((random_family(rng, 4, 4, 3).ops, False), (h, True)):
+                f = KrausFamily(d_in=4, d_out=4, ops=s * ops)
+                assert f.hermitian_kraus is hermitian
+                assert json.loads(json.dumps(family_to_json(f)))["hermitian_kraus"] is hermitian
+            for f in (ohno_rank_d(4), sigma_rank2()):
+                assert KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=s * f.ops).hermitian_kraus
+            assert not KrausFamily(d_in=3, d_out=3, ops=s * ohno_rank4().ops).hermitian_kraus
 
     def test_arithmetic_is_decided_by_the_family(self, rng):
         """Real families store float64 operators and Gaussian ones complex128;

@@ -54,6 +54,25 @@ class TestVerify:
         assert code == EXIT_PASS
         assert report["certificates"][0]["extremal"]
         assert report["verdicts"][0]["choi_rank"] == 8
+        # the 64 x 72 span is above the certificate's crossover, the 8 x 36
+        # Kraus vectors are below it
+        gram = report["certificates"][0]["gram_rank"]
+        assert (gram["engine"], gram["mode"], gram["rank"]) == ("cholesky", "numerical", 64)
+        assert report["verdicts"][0]["choi_rank_engine"] == "svd"
+
+    def test_rank8k_3_is_certified(self, capsys):
+        code, report = run(capsys, "verify", "rank8k", "3")
+        assert code == EXIT_PASS
+        cert = report["certificates"][0]
+        gram = cert["gram_rank"]
+        assert (gram["engine"], gram["mode"], gram["rank"]) == ("cholesky", "numerical", 576)
+        # a certified lower bound on sigma_min, cleared tenfold
+        assert gram["smallest_kept_singular_value"] >= 10 * gram["threshold"] > 0
+        assert cert["gap"] >= 10 and not cert["borderline"]
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["extremal"]["detail"] == "span rank 576/576 (cholesky)"
+        # the 24 x 324 Kraus vectors are certified too
+        assert report["verdicts"][0]["choi_rank_engine"] == "cholesky"
 
     def test_unknown_family_is_usage_error(self, capsys):
         assert main(["verify", "nosuch"]) == EXIT_USAGE
@@ -143,7 +162,7 @@ class TestVerify:
         assert cert["gram_rank"]["blocks"] == 133
         assert cert["gram_rank"]["rank"] == 144
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["extremal"]["detail"] == "span rank 144/144 (svd)"
+        assert checks["extremal"]["detail"] == "span rank 144/144 (cholesky)"
 
 
 class TestTable:
@@ -179,6 +198,16 @@ class TestTable:
         assert code == EXIT_PASS
         rows = {(r["d1"], r["d2"]): r for r in report["table_rows"]}
         assert rows[(7, 8)]["constructed_rank"] == 8
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5"])
+    def test_max_dim_must_be_a_positive_integer(self, capsys, value):
+        # refused at parse time, not answered with a limit of 0 or -5
+        assert main(["table", "2", "6", "1", "6", "--max-dim", value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-dim: must be a positive integer, got {value!r}" in captured.err
+        assert "desk-scale limit" not in captured.err
+        assert main(["verify", "paper", "3", "2", "--max-dim", value]) == EXIT_USAGE
 
     def test_max_dim_covers_the_fixed_rows(self, capsys):
         # the (2, 1) cell has r^2 = 9, but the fixed rows are built too

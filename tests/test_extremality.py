@@ -29,6 +29,7 @@ from extremal_marginals.extremality import _block_vectors, _sparse_block_vectors
 from extremal_marginals.linalg import (
     Coo,
     _bareiss_rank,
+    _blocks,
     _singular_values,
     coo_is_cheaper,
     integer_entries,
@@ -157,7 +158,7 @@ class TestIsExtremal:
         repeated = KrausFamily(d_in=2, d_out=3, ops=(k, k), exact_ops=(e, e))
         rr = is_extremal(repeated).gram_rank
         assert (rr.rank, rr.engine, rr.prime) == (1, "bareiss", None)
-        assert is_extremal(rank8k_6k(3)).gram_rank.engine == "svd"
+        assert is_extremal(rank8k_6k(3)).gram_rank.engine == "cholesky"
 
     def test_exact_span_rank_equals_exact_gram_rank(self, rng):
         """Seeded sparse integer families, and copies whose operators carry
@@ -503,15 +504,31 @@ class TestSparseSpan:
         assert sides == {False, True}
 
     def test_blocks_of_the_sparse_span(self):
-        for f, blocks, rank_ in ((ohno_rank_d(12), 133, 144), (rank8k_6k(4), 156, 1024)):
+        # a repeated operator leaves 25 of the 169 span rows dependent, so
+        # the certificate fails there and the SVD decides
+        f = ohno_rank_d(12)
+        repeated = KrausFamily(d_in=12, d_out=12, ops=np.concatenate([f.ops, f.ops[:1]]))
+        cases = (
+            (f, 133, 144, "cholesky"),
+            (rank8k_6k(4), 156, 1024, "cholesky"),
+            (repeated, 133, 144, "svd"),
+        )
+        for f, blocks, rank_, engine in cases:
             assert isinstance(_span(f, exact=False), Coo)
             rr = is_extremal(f).gram_rank
-            assert (rr.blocks, rr.rank) == (blocks, rank_)
+            assert (rr.blocks, rr.rank, rr.engine) == (blocks, rank_, engine)
             dense = _block_vectors(np.stack(f.ops))
-            s, _ = _singular_values(dense)
+            s, _ = _singular_values(_blocks(dense, symmetric=False), min(dense.shape))
             threshold = max(dense.shape) * np.finfo(float).eps * s[0]
-            assert rr.threshold == pytest.approx(threshold, rel=1e-12)
-            assert rr.smallest_kept_singular_value == pytest.approx(s[rank_ - 1], rel=1e-12)
+            if engine == "svd":
+                assert rr.threshold == pytest.approx(threshold, rel=1e-12)
+                assert rr.smallest_kept_singular_value == pytest.approx(s[rank_ - 1], rel=1e-12)
+            else:
+                # a certified lower bound on sigma_min, clearing tenfold a
+                # threshold taken at an upper bound on sigma_max
+                assert rr.smallest_kept_singular_value <= s[rank_ - 1]
+                assert rr.threshold >= threshold
+                assert rr.smallest_kept_singular_value >= 10 * rr.threshold
 
     def test_exact_sparse_span_keeps_the_certificate(self):
         f = shift_family(7, 10)

@@ -16,6 +16,7 @@ from extremal_marginals import (
     partial_transpose,
     ohno_rank4,
     ohno_rank_d,
+    random_family,
     rank,
     rank8_66,
     rank8k_6k,
@@ -27,9 +28,11 @@ from extremal_marginals import (
 from extremal_marginals.extremality import _block_vectors, _span, is_extremal
 from extremal_marginals.channels import _vecs
 from extremal_marginals.linalg import (
+    _CERTIFY_MIN_ENTRIES,
     _SPLIT_MIN_SIDE,
     RANK_PRIME,
     Coo,
+    RankResult,
     _bareiss_rank,
     _blocks,
     _gram_certifies,
@@ -39,7 +42,7 @@ from extremal_marginals.linalg import (
     _stack_ranks_mod_p,
     integer_entries,
 )
-from conftest import random_density
+from conftest import random_density, random_unitary
 
 
 def bell_state():
@@ -455,11 +458,31 @@ def exact_block_diagonal(blocks, zero_rows=0, zero_cols=0):
     return m
 
 
+def planted_float_stack(rng, k, p, q, factor, complex_entries):
+    """k random p x q blocks whose sigma_min^2 is ``factor`` times the float
+    certificate's shift 4(n + m + 4) u tr G, n = min(p, q) >= 2, m = max(p,
+    q); the other singular values lie in [1, 2]."""
+    n, m = min(p, q), max(p, q)
+    c = 4 * (n + m + 4) * 2.0**-53
+    blocks = []
+    for _ in range(k):
+        sv = 1 + rng.random(n)
+        rest = float((sv[:-1] ** 2).sum())
+        # sigma_min^2 = factor * c * (rest + sigma_min^2)
+        sv[-1] = math.sqrt(factor * c * rest / (1 - factor * c))
+        u, v = random_unitary(rng, p)[:, :n], random_unitary(rng, q)[:, :n]
+        if not complex_entries:
+            u, v = np.linalg.qr(u.real)[0], np.linalg.qr(v.real)[0]
+        blocks.append((u * sv) @ v.conj().T)
+    return np.array(blocks)
+
+
 class TestGramCertificate:
-    """A completed Cholesky factorisation of each block's exact Gram, less
-    the shift, certifies full rank before any elimination runs. The
-    certificate is one-sided: it may pass a full-rank stack on to mod p, but
-    it never certifies a deficient one."""
+    """A completed Cholesky factorisation of each block's Gram, less the
+    shift, certifies full rank: before any elimination runs in exact mode,
+    and before any SVD in numerical mode. The certificate is one-sided: it
+    may pass a full-rank stack on, but it never certifies a deficient one,
+    and the bound it returns never exceeds sigma_min^2."""
 
     def test_never_certifies_a_deficient_stack(self, rng):
         near_bound = 0
@@ -530,12 +553,106 @@ class TestGramCertificate:
         # conditioned as a matrix can be, so only the bound can refuse it
         for t, engine in ((2**26 - 1, "cholesky"), (2**26, "mod-p"), (-(2**26), "mod-p")):
             m = t * np.eye(2, dtype=np.int64)
-            assert _gram_certifies(m[None]) == (engine == "cholesky")
+            assert (_gram_certifies(m[None]) is not None) == (engine == "cholesky")
             rr = rank(m, mode="exact")
             assert (rr.rank, rr.engine) == (2, engine)
         # Python ints are never tried, whatever their size
         assert not _gram_certifies(np.eye(3, dtype=np.int64).astype(object)[None])
         assert _gram_certifies(np.eye(3, dtype=np.int64)[None])
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_float_stacks_are_certified_above_the_shift_only(self, rng, complex_entries):
+        """sigma_min^2 at 0.9 times the shift is never certified and at 1.1
+        times it always is; a certified bound is at most the SVD's
+        sigma_min^2, and scaling a stack by 2^k, |k| <= 200, scales the
+        bound by 4^k and keeps the outcome."""
+        for n in range(60):
+            k = int(rng.integers(1, 4))
+            p, q = (int(x) for x in rng.integers(2, 40, size=2))
+            below = planted_float_stack(rng, k, p, q, 0.9, complex_entries)
+            above = planted_float_stack(rng, k, p, q, 1.1, complex_entries)
+            # one block below the shift fails its whole stack
+            mixed = above.copy()
+            mixed[-1] = below[-1]
+            bound, trace = _gram_certifies(above)
+            assert bound.shape == trace.shape == (k,)
+            s = np.linalg.svd(above, compute_uv=False)
+            assert (bound <= s[:, -1] ** 2).all()
+            assert np.allclose(trace, (s**2).sum(axis=1), rtol=1e-13)
+            for j in (-200, -97, 0, 61, 200):
+                scale = 2.0**j
+                assert _gram_certifies(below * scale) is None
+                assert _gram_certifies(mixed * scale) is None
+                scaled = _gram_certifies(above * scale)
+                assert np.array_equal(scaled[0], bound * scale**2)
+                assert np.array_equal(scaled[1], trace * scale**2)
+
+    def test_gram_overflow_and_underflow_are_never_certified(self, rng):
+        """Inside [2^-400, 2^400] every product of two real or imaginary
+        parts is a normal number; outside it np.linalg.cholesky would return
+        inf or NaN factors of an overflowed Gram without raising, so the
+        stack is not tried, and numerical rank takes the SVD."""
+        base = planted_float_stack(rng, 3, 20, 30, 10.0, True)
+        assert _gram_certifies(base) is not None
+        assert _gram_certifies(base.real.copy()) is not None
+        for stack in (base, base.real.copy()):
+            for j in (520, -520):
+                assert _gram_certifies(stack * 2.0**j) is None
+            huge, tiny = stack.copy(), stack.copy()
+            huge[0, 0, 0] = 2.0**450
+            tiny[0, 0, 0] = 2.0**-450
+            for bad in (huge, tiny, stack * np.nan, stack * np.inf):
+                assert _gram_certifies(bad) is None
+        tiny = base.copy()
+        tiny[1, 2, 3] = tiny[1, 2, 3].real + 2.0**-450 * 1j  # a tiny imaginary part
+        assert _gram_certifies(tiny) is None
+        a = rng.standard_normal((64, 72))
+        for j in (0, 520, -520):
+            rr = rank(a * 2.0**j)
+            assert (rr.rank, rr.engine) == (64, "svd" if j else "cholesky")
+
+    def test_tol_near_sigma_min_takes_the_svd(self):
+        """A certified bound is far below sigma_min, so a caller's tol just
+        under sigma_min is not cleared tenfold: the SVD decides, with the
+        fields it gives when no certificate runs."""
+        span = _span(rank8_66(), exact=False)
+        certified = rank(span)
+        assert certified.engine == "cholesky"
+        s, blocks = _singular_values(_blocks(span, symmetric=False), min(span.shape))
+        for tol in (0.99 * s[-1], 0.9 * s[-1], 10 * certified.smallest_kept_singular_value):
+            rr = rank(span, tol=tol)
+            kept = s[s > tol]
+            assert rr == RankResult(
+                rank=kept.size,
+                mode="numerical",
+                engine="svd",
+                smallest_kept_singular_value=float(kept[-1]),
+                threshold=tol,
+                blocks=blocks,
+            )
+        # a tol the bound clears tenfold keeps the certificate
+        tol = certified.smallest_kept_singular_value / 10
+        rr = rank(span, tol=tol)
+        assert (rr.rank, rr.engine, rr.threshold) == (64, "cholesky", tol)
+        assert rr.smallest_kept_singular_value == certified.smallest_kept_singular_value
+
+    def test_crossover(self, rng):
+        """Only a float matrix of at least _CERTIFY_MIN_ENTRIES entries is
+        offered to the certificate."""
+        assert 36 * 32 < 63 * 65 < _CERTIFY_MIN_ENTRIES <= 64 * 64 < 64 * 72
+        # the largest Gaussian span of the random families: rank 31 at most
+        span = _span(random_family(rng, 4, 4, 6), exact=False)
+        assert span.shape == (36, 32)
+        assert rank(span).engine == "svd"
+        # a full-rank 36 x 32 matrix the certificate would pass still takes the SVD
+        a = rng.standard_normal((36, 32))
+        assert _gram_certifies(a[None]) is not None
+        assert (rank(a).rank, rank(a).engine) == (32, "svd")
+        for shape, engine in (((63, 65), "svd"), ((64, 64), "cholesky")):
+            assert rank(rng.standard_normal(shape)).engine == engine
+        span = _span(rank8_66(), exact=False)
+        assert span.shape == (64, 72)
+        assert (rank(span).rank, rank(span).engine) == (64, "cholesky")
 
 
 @pytest.mark.parametrize("f", BUILT_INS, ids=lambda f: f"{f.d_in}x{f.d_out}-r{f.r}")
@@ -545,7 +662,7 @@ def test_short_side_svd_keeps_the_singular_values(f):
     for m in (_span(f, exact=False), _vecs(f.ops)):
         stacks = _blocks(m, symmetric=False)
         upright = np.sort(np.concatenate([np.linalg.svd(s, compute_uv=False).ravel() for s in stacks]))
-        s, _ = _singular_values(m)
+        s, _ = _singular_values(stacks, min(m.shape))
         assert np.abs(s[: upright.size] - upright[::-1]).max() <= 1e-13 * upright[-1]
         assert not s[upright.size :].any()
 
@@ -632,7 +749,8 @@ class TestBlockSplit:
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_numerical_rank_of_planted_blocks(self, rng, complex_entries):
-        for _ in range(20):
+        engines = set()
+        for n in range(20):
             count = int(rng.integers(4, 9))
             shapes = [tuple(int(x) for x in rng.integers(4, 14, size=2)) for _ in range(count)]
             ranks = [int(rng.integers(1, min(p, q) + 1)) for p, q in shapes]
@@ -642,19 +760,29 @@ class TestBlockSplit:
                 a = a + 1j * m * rng.standard_normal(m.shape)
             a = a @ np.diag(1 + rng.random(m.shape[1]))
             dense = np.linalg.svd(a, compute_uv=False)
-            s, blocks = _singular_values(a)
+            s, blocks = _singular_values(_blocks(a, symmetric=False), min(a.shape))
             assert blocks > 1
             assert s.shape == dense.shape
             assert np.abs(s - dense).max() <= 1e-13 * dense[0]
             rr = rank(a)
-            assert rr.rank == int((dense > max(a.shape) * np.finfo(float).eps * dense[0]).sum())
-            assert rr.threshold == pytest.approx(max(a.shape) * np.finfo(float).eps * dense[0])
+            default = max(a.shape) * np.finfo(float).eps * dense[0]
+            assert rr.rank == int((dense > default).sum())
+            engines.add(rr.engine)
+            if rr.engine == "svd":
+                assert rr.threshold == pytest.approx(default)
+                continue
+            # every block certified: a lower bound on sigma_min that clears
+            # a threshold taken at an upper bound on sigma_max tenfold
+            assert rr.smallest_kept_singular_value <= dense[rr.rank - 1]
+            assert rr.threshold >= default
+            assert rr.smallest_kept_singular_value >= 10 * rr.threshold
+        assert engines == {"svd", "cholesky"}
 
     def test_rank8k_span_and_partial_transpose(self):
         f = rank8k_6k(3)
         span = _block_vectors(np.stack(f.ops))
         dense = np.linalg.svd(span, compute_uv=False)
-        s, blocks = _singular_values(span)
+        s, blocks = _singular_values(_blocks(span, symmetric=False), min(span.shape))
         assert blocks == is_extremal(f).gram_rank.blocks > 1
         assert np.abs(s - dense).max() <= 1e-13 * dense[0]
         pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")

@@ -205,6 +205,7 @@ class TestSeparabilityVerdict:
                 ppt=False,
                 min_pt_eigenvalue=-0.1,
                 choi_rank=2,
+                choi_rank_engine="svd",
                 criterion_applicable=True,
                 conclusion="separable",
             )
@@ -213,6 +214,7 @@ class TestSeparabilityVerdict:
                 ppt=True,
                 min_pt_eigenvalue=0.0,
                 choi_rank=2,
+                choi_rank_engine="svd",
                 criterion_applicable=True,
                 conclusion="entangled",
             )
@@ -222,10 +224,12 @@ class TestSeparabilityVerdict:
         obj = v.to_json()
         assert obj["conclusion"] == "separable"
         assert obj["choi_rank"] == 3
+        assert obj["choi_rank_engine"] == "cholesky"
         assert set(obj) == {
             "ppt",
             "min_pt_eigenvalue",
             "choi_rank",
+            "choi_rank_engine",
             "criterion_applicable",
             "conclusion",
         }
