@@ -183,19 +183,23 @@ def _dagger(k: np.ndarray) -> np.ndarray:
 
 def _check_proportional(ops: np.ndarray, floats: np.ndarray) -> None:
     """``ops`` (r, d_out, d_in) equals a positive multiple of ``floats``, the
-    exact operators as floats, up to rounding."""
-    num = float(np.vdot(ops, ops).real)
-    den = float(np.vdot(floats, floats))
-    if den == 0.0:
-        if num > 1e-24:
-            raise ValueError("exact_ops are all zero but ops are not")
+    exact operators as floats, up to rounding: within 1e-12 times the
+    largest entry of that multiple. Both are first divided by their largest
+    magnitude, so the test reads the same at every scale and no square
+    underflows or overflows; all-zero operators match only each other."""
+    top, big = float(np.abs(floats).max()), float(np.abs(ops).max())
+    if top == 0.0 or big == 0.0:
+        if top != big:
+            zero, other = ("exact_ops", "ops") if top == 0.0 else ("ops", "exact_ops")
+            raise ValueError(f"{zero} are all zero but {other} are not")
         return
-    scale = np.sqrt(num / den)
-    worst = float(np.abs(ops - scale * floats).max())
-    bound = 1e-12 * max(1.0, scale * float(np.abs(floats).max()))
-    if worst > bound:
+    a, b = ops / big, floats / top
+    ratio = math.sqrt(float(np.vdot(a, a).real) / float(np.vdot(b, b)))
+    worst = float(np.abs(a - ratio * b).max())
+    if worst > 1e-12 * ratio:
         raise ValueError(
-            f"exact_ops are not proportional to ops (deviation {worst:.3e} at scale {scale:.6g})"
+            f"exact_ops are not proportional to ops (deviation {worst * big:.3e} "
+            f"at scale {ratio * big / top:.6g})"
         )
 
 

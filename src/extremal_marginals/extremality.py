@@ -153,8 +153,10 @@ def _sparse_block_vectors(k: np.ndarray, first: int) -> Coo:
     give the term K_j[s, c] conj(K_i[t, c]) of (K_j K_i^dagger)[s, t].
     """
     r, d_out, d_in = k.shape
-    op, row, col = np.nonzero(k)
-    x = k[op, row, col]
+    flat = k.reshape(-1)
+    at = np.flatnonzero(flat)
+    x = flat[at]
+    op, row, col = np.unravel_index(at, k.shape)
     xc = np.conjugate(x)
     pi, pj = group_pairs(row)
     qi, qj = group_pairs(col)

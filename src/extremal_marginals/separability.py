@@ -101,8 +101,10 @@ def _partial_transposed_choi(k: np.ndarray) -> Coo:
     partial transpose moves to (b' d_out + a, b d_out + a').
     """
     _, d_out, d_in = k.shape
-    op, row, col = np.nonzero(k)
-    x = k[op, row, col]
+    flat = k.reshape(-1)
+    at = np.flatnonzero(flat)
+    x = flat[at]
+    op, row, col = np.unravel_index(at, k.shape)
     e, g = group_pairs(op)
     side = d_in * d_out
     return Coo.from_terms(

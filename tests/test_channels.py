@@ -204,6 +204,32 @@ class TestKrausFamily:
         with pytest.raises(ValueError):
             KrausFamily(d_in=2, d_out=2, ops=(np.eye(2),), exact_ops=(good,))
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 2.0**200])
+    def test_wrong_exact_ops_are_refused_at_every_scale(self, scale):
+        # the bound is relative to the operators' size: tiny wrong exact
+        # operators are refused, as the exact and numerical verdicts on them
+        # would disagree
+        ops = tuple(np.random.default_rng(11).standard_normal((2, 2, 2)) * scale)
+        e11 = np.array([[1, 0], [0, 0]], dtype=object)
+        with pytest.raises(ValueError, match="not proportional"):
+            KrausFamily(d_in=2, d_out=2, ops=ops, exact_ops=(e11, e11))
+        zero = np.zeros((2, 2), dtype=object)
+        with pytest.raises(ValueError, match="exact_ops are all zero"):
+            KrausFamily(d_in=2, d_out=2, ops=ops, exact_ops=(zero, zero))
+        with pytest.raises(ValueError, match="ops are all zero"):
+            KrausFamily(d_in=2, d_out=2, ops=(np.zeros((2, 2)),) * 2, exact_ops=(e11, e11))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-13, 1.0, 2.0**200])
+    def test_right_exact_ops_construct_at_every_scale(self, scale):
+        exact = (
+            np.array([[1, Fraction(2, 3)], [0, -5]], dtype=object),
+            np.array([[0, 7], [Fraction(-1, 9), 3]], dtype=object),
+        )
+        f = KrausFamily(d_in=2, d_out=2, ops=tuple(e.astype(float) * scale for e in exact), exact_ops=exact)
+        assert f.integer_ops is not None and f.ops.max() == 7 * scale
+        zero = np.zeros((2, 2), dtype=object)
+        KrausFamily(d_in=2, d_out=2, ops=(np.zeros((2, 2)),), exact_ops=(zero,))
+
     def test_exact_ops_must_be_rational(self):
         bad = np.zeros((2, 2), dtype=object)
         bad[0, 0] = 0.5

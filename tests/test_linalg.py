@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from extremal_marginals import (
 )
 from extremal_marginals.extremality import _block_vectors, _span, is_extremal
 from extremal_marginals.channels import _vecs
+from extremal_marginals.separability import _partial_transposed_choi
 from extremal_marginals.linalg import (
     _CERTIFY_MIN_ENTRIES,
     _SPLIT_MIN_SIDE,
@@ -37,12 +39,13 @@ from extremal_marginals.linalg import (
     _blocks,
     _gram_certifies,
     _integer_matrix,
+    _labels,
     _residues,
     _singular_values,
     _stack_ranks_mod_p,
     integer_entries,
 )
-from conftest import random_density, random_unitary
+from conftest import random_density, random_unitary, same_bits
 
 
 def bell_state():
@@ -395,7 +398,7 @@ class TestResidues:
         # exact but below the shift, and the Cholesky cannot certify it
         q, a = divmod(RANK_PRIME, 2**20)
         below = np.array([[2**20, 1, 0], [0, 2**20, 1], [a, -q, 0]], dtype=np.int64)
-        assert not _gram_certifies(below[None])
+        assert not _gram_certifies([below[None]])[0]
         assert _stack_ranks_mod_p(_residues(below[None])).tolist() == [2]
         for m in (in_range, above, below):
             rr = rank(m, mode="exact")
@@ -446,11 +449,11 @@ BUILT_INS = [
 
 
 def exact_block_diagonal(blocks, zero_rows=0, zero_cols=0):
-    """The direct sum of integer blocks plus zero rows and columns, enough of
-    them that the matrix is not under the split crossover."""
+    """The direct sum of integer (or float) blocks plus zero rows and
+    columns, enough of them that the matrix is not under the split crossover."""
     n_rows = max(sum(b.shape[0] for b in blocks) + zero_rows, _SPLIT_MIN_SIDE)
     n_cols = max(sum(b.shape[1] for b in blocks) + zero_cols, _SPLIT_MIN_SIDE)
-    m = np.zeros((n_rows, n_cols), dtype=np.int64)
+    m = np.zeros((n_rows, n_cols), dtype=np.result_type(*{b.dtype for b in blocks}))
     r0 = c0 = 0
     for b in blocks:
         m[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
@@ -477,6 +480,30 @@ def planted_float_stack(rng, k, p, q, factor, complex_entries):
     return np.array(blocks)
 
 
+def assert_grouped_as_alone(stacks):
+    """_gram_certifies over the stacks of one matrix at once gives each stack
+    what it gets alone, bound and trace bit for bit, except that a stack
+    fails with any stack of its short side that fails alone after being
+    tried (an int64 stack past the 2^53 bound is not tried). Returns the
+    number of stacks that failed with another."""
+    alone = [_gram_certifies([s])[0] for s in stacks]
+    tried = [
+        s.dtype.kind in "fc" or int(np.abs(s).max(initial=0)) ** 2 * max(s.shape[1:]) < 2**53
+        for s in stacks
+    ]
+    failed = {min(s.shape[1:]) for s, a, t in zip(stacks, alone, tried) if a is None and t}
+    dragged = 0
+    for s, a, got in zip(stacks, alone, _gram_certifies(stacks)):
+        if min(s.shape[1:]) in failed:
+            assert got is None
+            dragged += a is not None
+        elif a is None:
+            assert got is None
+        else:
+            assert same_bits(got[0], a[0]) and same_bits(got[1], a[1])
+    return dragged
+
+
 class TestGramCertificate:
     """A completed Cholesky factorisation of each block's Gram, less the
     shift, certifies full rank: before any elimination runs in exact mode,
@@ -486,6 +513,7 @@ class TestGramCertificate:
 
     def test_never_certifies_a_deficient_stack(self, rng):
         near_bound = 0
+        seen = []
         for n in range(400):
             k = int(rng.integers(1, 5))
             p, q = (int(x) for x in rng.integers(1, 13, size=2))
@@ -504,12 +532,16 @@ class TestGramCertificate:
                 top = int(np.abs(stack).max())
                 near_bound += top * top * max(p, q) > 2**51
             assert top * top * max(p, q) < 2**53
-            assert not _gram_certifies(stack)
+            assert not _gram_certifies([stack])[0]
             assert _bareiss_rank(stack[0].tolist()) < min(p, q)
+            seen.append(stack)
         assert near_bound >= 100
+        # nor all of them at once, as the stacks of one matrix
+        assert _gram_certifies(seen) == [None] * len(seen)
 
     def test_rank_agrees_with_bareiss(self, rng):
         engines = set()
+        seen = []
         for n in range(120):
             k = int(rng.integers(1, 4))
             p, q = (int(x) for x in rng.integers(1, 10, size=2))
@@ -527,14 +559,16 @@ class TestGramCertificate:
                 engines.add(rr.engine)
             rr = rank(exact_block_diagonal(list(stack)), mode="exact")
             assert rr.rank == sum(want)
+            seen.append(stack)
         assert engines == {"cholesky", "mod-p", "bareiss"}
+        assert assert_grouped_as_alone(seen) > 0
 
     def test_below_the_shift_falls_back_to_mod_p(self):
         m_ = 10**4
         # det = -1 and sigma_min^2 ~ 1 / (4 M^2) = 2.5e-9, under the shift
         # 4 * 4 * 2^-53 * tr G ~ 7e-7
         close = np.array([[m_, m_ + 1], [m_ + 1, m_ + 2]], dtype=np.int64)
-        assert not _gram_certifies(close[None])
+        assert not _gram_certifies([close[None]])[0]
         rr = rank(close, mode="exact")
         assert (rr.rank, rr.engine, rr.prime) == (2, "mod-p", RANK_PRIME)
         # over a matrix's blocks the engine is the strongest any block needed:
@@ -553,12 +587,16 @@ class TestGramCertificate:
         # conditioned as a matrix can be, so only the bound can refuse it
         for t, engine in ((2**26 - 1, "cholesky"), (2**26, "mod-p"), (-(2**26), "mod-p")):
             m = t * np.eye(2, dtype=np.int64)
-            assert (_gram_certifies(m[None]) is not None) == (engine == "cholesky")
+            assert (_gram_certifies([m[None]])[0] is not None) == (engine == "cholesky")
             rr = rank(m, mode="exact")
             assert (rr.rank, rr.engine) == (2, engine)
         # Python ints are never tried, whatever their size
-        assert not _gram_certifies(np.eye(3, dtype=np.int64).astype(object)[None])
-        assert _gram_certifies(np.eye(3, dtype=np.int64)[None])
+        assert not _gram_certifies([np.eye(3, dtype=np.int64).astype(object)[None]])[0]
+        assert _gram_certifies([np.eye(3, dtype=np.int64)[None]])[0]
+        # a stack past the bound is not tried, so it fails no stack of its side
+        eyes = [t * np.eye(2, dtype=np.int64)[None] for t in (2**26, 2**26 - 1, -(2**26))]
+        assert assert_grouped_as_alone(eyes) == 0
+        assert [c is not None for c in _gram_certifies(eyes)] == [False, True, False]
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_float_stacks_are_certified_above_the_shift_only(self, rng, complex_entries):
@@ -566,6 +604,7 @@ class TestGramCertificate:
         times it always is; a certified bound is at most the SVD's
         sigma_min^2, and scaling a stack by 2^k, |k| <= 200, scales the
         bound by 4^k and keeps the outcome."""
+        aboves, belows = [], []
         for n in range(60):
             k = int(rng.integers(1, 4))
             p, q = (int(x) for x in rng.integers(2, 40, size=2))
@@ -574,18 +613,24 @@ class TestGramCertificate:
             # one block below the shift fails its whole stack
             mixed = above.copy()
             mixed[-1] = below[-1]
-            bound, trace = _gram_certifies(above)
+            bound, trace = _gram_certifies([above])[0]
             assert bound.shape == trace.shape == (k,)
             s = np.linalg.svd(above, compute_uv=False)
             assert (bound <= s[:, -1] ** 2).all()
             assert np.allclose(trace, (s**2).sum(axis=1), rtol=1e-13)
             for j in (-200, -97, 0, 61, 200):
                 scale = 2.0**j
-                assert _gram_certifies(below * scale) is None
-                assert _gram_certifies(mixed * scale) is None
-                scaled = _gram_certifies(above * scale)
+                assert _gram_certifies([below * scale])[0] is None
+                assert _gram_certifies([mixed * scale])[0] is None
+                scaled = _gram_certifies([above * scale])[0]
                 assert np.array_equal(scaled[0], bound * scale**2)
                 assert np.array_equal(scaled[1], trace * scale**2)
+            aboves.append(above)
+            belows.append(below)
+        # as the stacks of one matrix: every stack above the shift is certified
+        # as it is alone, and one below it fails every stack of its short side
+        assert assert_grouped_as_alone(aboves) == 0
+        assert assert_grouped_as_alone(aboves + belows[:5]) > 0
 
     def test_gram_overflow_and_underflow_are_never_certified(self, rng):
         """Inside [2^-400, 2^400] every product of two real or imaginary
@@ -593,19 +638,25 @@ class TestGramCertificate:
         inf or NaN factors of an overflowed Gram without raising, so the
         stack is not tried, and numerical rank takes the SVD."""
         base = planted_float_stack(rng, 3, 20, 30, 10.0, True)
-        assert _gram_certifies(base) is not None
-        assert _gram_certifies(base.real.copy()) is not None
+        assert _gram_certifies([base])[0] is not None
+        assert _gram_certifies([base.real.copy()])[0] is not None
         for stack in (base, base.real.copy()):
             for j in (520, -520):
-                assert _gram_certifies(stack * 2.0**j) is None
+                assert _gram_certifies([stack * 2.0**j])[0] is None
             huge, tiny = stack.copy(), stack.copy()
             huge[0, 0, 0] = 2.0**450
             tiny[0, 0, 0] = 2.0**-450
             for bad in (huge, tiny, stack * np.nan, stack * np.inf):
-                assert _gram_certifies(bad) is None
+                assert _gram_certifies([bad])[0] is None
         tiny = base.copy()
         tiny[1, 2, 3] = tiny[1, 2, 3].real + 2.0**-450 * 1j  # a tiny imaginary part
-        assert _gram_certifies(tiny) is None
+        assert _gram_certifies([tiny])[0] is None
+        # the range check covers every stack of the matrix, the last as the first
+        other = planted_float_stack(rng, 2, 5, 7, 10.0, True)
+        assert None not in _gram_certifies([base, other])
+        for bad in (tiny, other * 2.0**520):
+            assert _gram_certifies([base, other, bad]) == [None] * 3
+            assert _gram_certifies([bad, base]) == [None] * 2
         a = rng.standard_normal((64, 72))
         for j in (0, 520, -520):
             rr = rank(a * 2.0**j)
@@ -646,13 +697,84 @@ class TestGramCertificate:
         assert rank(span).engine == "svd"
         # a full-rank 36 x 32 matrix the certificate would pass still takes the SVD
         a = rng.standard_normal((36, 32))
-        assert _gram_certifies(a[None]) is not None
+        assert _gram_certifies([a[None]])[0] is not None
         assert (rank(a).rank, rank(a).engine) == (32, "svd")
         for shape, engine in (((63, 65), "svd"), ((64, 64), "cholesky")):
             assert rank(rng.standard_normal(shape)).engine == engine
         span = _span(rank8_66(), exact=False)
         assert span.shape == (64, 72)
         assert (rank(span).rank, rank(span).engine) == (64, "cholesky")
+
+
+class TestGroupedCertificate:
+    """_gram_certifies works once per matrix: one range check over all its
+    float stacks, and one Cholesky call per short side n over the shifted
+    Grams of every stack with that n."""
+
+    def test_stacks_of_one_side_fail_together(self, rng):
+        # positive entries: no block falls apart into smaller components
+        full3 = rng.integers(1, 4, size=(4, 3, 5))
+        deficient3 = rng.integers(1, 4, size=(2, 6, 2)) @ rng.integers(1, 4, size=(2, 2, 3))
+        full4 = rng.integers(1, 4, size=(3, 4, 4))
+        full4[:, range(4), range(4)] += 20  # diagonally dominant, so of full rank
+        alone = [_gram_certifies([s])[0] for s in (full3, deficient3, full4)]
+        assert [a is not None for a in alone] == [True, False, True]
+        for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            stacks = [(full3, deficient3, full4)[i] for i in order]
+            got = dict(zip(order, _gram_certifies(stacks)))
+            assert got[0] is None and got[1] is None
+            assert same_bits(got[2][0], alone[2][0]) and same_bits(got[2][1], alone[2][1])
+        # exact rank: both stacks of side 3 go on to mod p, and deficient3
+        # to Bareiss; the rank, engine and prime are those of the stacks
+        # certified one by one (full3 by Cholesky, deficient3 by Bareiss)
+        blocks = [*full3, *deficient3, *full4]
+        rr = rank(exact_block_diagonal(blocks), mode="exact")
+        want = sum(_bareiss_rank(b.tolist()) for b in blocks)
+        assert want == 4 * 3 + 2 * 2 + 3 * 4
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (want, "bareiss", None, 9)
+
+    def test_a_stack_below_the_shift_takes_its_side_to_mod_p(self, rng):
+        # close: det = -1, full rank but below the shift; wide: 2 x 3 blocks
+        # the Cholesky certifies alone. Both go to mod p, where both have
+        # full rank, so the engine is mod-p, as with one call per stack.
+        m_ = 10**4
+        close = np.array([[m_, m_ + 1], [m_ + 1, m_ + 2]], dtype=np.int64)
+        wide = rng.integers(1, 4, size=(3, 2, 3))
+        wide[:, :, 0] += 10
+        assert _gram_certifies([wide])[0] is not None
+        assert _gram_certifies([wide, close[None]]) == [None, None]
+        rr = rank(exact_block_diagonal([close, *wide]), mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (8, "mod-p", RANK_PRIME, 4)
+        # a stack of another side is certified still
+        tri = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int64)
+        got = _gram_certifies([wide, tri[None], close[None]])
+        assert [c is not None for c in got] == [False, True, False]
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_numerical_rank_of_one_matrix(self, rng, complex_entries):
+        """A float matrix whose stacks of one side all clear the shift is
+        certified with the bound and threshold the stacks give one by one;
+        one stack below the shift sends the whole matrix to the SVD."""
+        shapes = ((3, 6, 9), (2, 9, 6), (4, 6, 6), (2, 5, 5))
+        above = [planted_float_stack(rng, k, p, q, 30.0, complex_entries) for k, p, q in shapes]
+        below = planted_float_stack(rng, 2, 6, 11, 0.9, complex_entries)
+        for stacks, engine in ((above, "cholesky"), (above + [below], "svd")):
+            m = exact_block_diagonal([b for s in stacks for b in s])
+            assert m.size >= _CERTIFY_MIN_ENTRIES
+            rr = rank(m)
+            assert rr.engine == engine
+            assert rr.rank == sum(s.shape[0] * min(s.shape[1:]) for s in stacks)
+        # three stacks of side 6 in one call give the bound and threshold
+        # that the stacks give one by one
+        m = exact_block_diagonal([b for s in above for b in s])
+        stacks = _blocks(m, symmetric=False)
+        assert sorted(min(s.shape[1:]) for s in stacks) == [5, 6, 6, 6]
+        alone = [_gram_certifies([s])[0] for s in stacks]
+        assert None not in alone
+        rr = rank(m)
+        assert rr.smallest_kept_singular_value == math.sqrt(min(float(a[0].min()) for a in alone))
+        largest = max(float(a[1].max()) for a in alone)
+        assert rr.threshold == max(m.shape) * float(np.finfo(float).eps) * math.sqrt(largest)
 
 
 @pytest.mark.parametrize("f", BUILT_INS, ids=lambda f: f"{f.d_in}x{f.d_out}-r{f.r}")
@@ -678,6 +800,12 @@ class TestMinEigenvalue:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_the_empty_matrix(self):
+        empty = np.zeros(0, dtype=np.int64)
+        for m in (np.zeros((0, 0)), Coo(empty, empty, np.zeros(0), (0, 0))):
+            with pytest.raises(ValueError, match="empty"):
+                min_eigenvalue(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize("side", [2, _SPLIT_MIN_SIDE + 4])
@@ -846,6 +974,173 @@ class TestBlockSplit:
         with pytest.raises(ValueError, match="Hermitian"):
             min_eigenvalue(Coo.from_terms(rows[2:], cols[2:], np.array([1.0, 1.0]), (3, 3)))
 
+
+def oracle_blocks(m, symmetric):
+    """The stacks :func:`_blocks` must return, by a union-find split written
+    apart from the library: components in order of their smallest node,
+    stacks in increasing order of block shape (rows, then columns), rows and
+    columns of a block in index order, components without rows or without
+    columns left out. A dense matrix under the split side or without a zero
+    entry is one block."""
+    if not isinstance(m, Coo):
+        if min(m.shape) < _SPLIT_MIN_SIDE or (m != 0).all():
+            return [m[None]]
+        rows, cols = np.nonzero(m != 0)
+        m = Coo(rows, cols, m[rows, cols], m.shape)
+    n_rows, n_cols = m.shape
+    rows, cols = m.rows.tolist(), m.cols.tolist()
+    # node of row i is i; node of column j is j (symmetric) or n_rows + j
+    col_node = [c if symmetric else n_rows + c for c in cols]
+    parent = list(range(n_rows if symmetric else n_rows + n_cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in zip(rows, col_node):
+        a, b = find(r), find(c)
+        parent[max(a, b)] = min(a, b)
+    members = {}
+    for x in range(len(parent)):
+        members.setdefault(find(x), []).append(x)
+    by_shape = {}
+    for root in sorted(members):
+        r_idx = [x for x in members[root] if x < n_rows]
+        c_idx = r_idx if symmetric else [x - n_rows for x in members[root] if x >= n_rows]
+        if r_idx and c_idx:
+            by_shape.setdefault((len(r_idx), len(c_idx)), []).append((root, r_idx, c_idx))
+    blocks = {}
+    for shape, comps in by_shape.items():
+        for root, r_idx, c_idx in comps:
+            blocks[root] = (np.zeros(shape, dtype=m.vals.dtype), r_idx, c_idx)
+    for r, c, val in zip(rows, cols, m.vals):
+        block, r_idx, c_idx = blocks[find(r)]
+        block[r_idx.index(r), c_idx.index(c)] = val
+    return [np.stack([blocks[root][0] for root, _, _ in by_shape[shape]]) for shape in sorted(by_shape)]
+
+
+def assert_same_stacks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        if g.dtype == object:
+            assert g.tolist() == w.tolist()
+            assert [type(x) for x in g.flat] == [type(x) for x in w.flat]
+        else:
+            assert same_bits(g, w)
+
+
+def random_values(rng, size, dtype):
+    """Nonzero values of the given kind."""
+    ints = rng.integers(1, 4, size=size) * rng.choice([-1, 1], size=size)
+    if dtype == "int64":
+        return ints
+    if dtype == "float64":
+        return ints * rng.random(size)
+    if dtype == "complex128":
+        return ints * rng.random(size) + 1j * rng.standard_normal(size)
+    return np.array([Fraction(int(i), int(d)) for i, d in zip(ints, rng.integers(1, 5, size=size))], dtype=object)
+
+
+class TestGatherer:
+    """_blocks against an independent union-find split: the same stacks in
+    the same order, with the same shapes, dtypes and values."""
+
+    @pytest.mark.parametrize("dtype", ["int64", "float64", "complex128", "object"])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_random_patterns(self, rng, dtype, symmetric):
+        side = _SPLIT_MIN_SIDE
+        for density in (0.004, 0.02, 0.05, 0.3):
+            for _ in range(3):
+                shape = (side + int(rng.integers(0, 20)),) * 2
+                if not symmetric:
+                    shape = (shape[0], side + int(rng.integers(0, 30)))
+                mask = rng.random(shape) < density
+                if symmetric and density < 0.3:
+                    mask |= mask.T
+                # zero rows and columns
+                mask[rng.integers(0, shape[0], size=3)] = False
+                mask[:, rng.integers(0, shape[1], size=3)] = False
+                m = np.zeros(shape, dtype=object if dtype == "object" else dtype)
+                m[mask] = random_values(rng, int(mask.sum()), dtype)
+                assert_same_stacks(_blocks(m, symmetric), oracle_blocks(m, symmetric))
+                # the same entries as a Coo, in shuffled order
+                rows, cols = np.nonzero(mask)
+                order = rng.permutation(rows.size)
+                coo = Coo(rows[order], cols[order], m[rows, cols][order], shape)
+                assert_same_stacks(_blocks(coo, symmetric), oracle_blocks(coo, symmetric))
+        # one giant component
+        giant = np.zeros((side + 5, side + 9), dtype=object if dtype == "object" else dtype)
+        giant[:, 0] = random_values(rng, giant.shape[0], dtype)
+        giant[0, :] = random_values(rng, giant.shape[1], dtype)
+        giant = giant[:side + 5, :side + 5] if symmetric else giant
+        got = _blocks(giant, symmetric)
+        assert len(got) == 1 and got[0].shape[0] == 1
+        assert_same_stacks(got, oracle_blocks(giant, symmetric))
+
+    def test_crossover_and_empty_inputs(self, rng):
+        small = np.diag(np.arange(1.0, _SPLIT_MIN_SIDE))
+        full = rng.integers(1, 4, size=(_SPLIT_MIN_SIDE, _SPLIT_MIN_SIDE + 2))
+        for m in (small, full):
+            got = _blocks(m, symmetric=False)
+            assert len(got) == 1 and np.shares_memory(got[0], m)
+            assert_same_stacks(got, oracle_blocks(m, False))
+        # isolated entries only: 1 x 1 blocks, and zero rows and columns dropped
+        lone = np.zeros((_SPLIT_MIN_SIDE + 3, _SPLIT_MIN_SIDE + 1))
+        lone[[1, 5, 9], [40, 2, 7]] = [2.0, -3.0, 0.5]
+        got = _blocks(lone, symmetric=False)
+        assert [s.shape for s in got] == [(3, 1, 1)] and got[0].ravel().tolist() == [2.0, -3.0, 0.5]
+        assert_same_stacks(got, oracle_blocks(lone, False))
+        for dtype in (np.int64, float, complex, object):
+            empty = Coo(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype), (5, 7))
+            assert _blocks(empty, symmetric=False) == []
+            square = Coo(empty.rows, empty.cols, empty.vals, (5, 5))
+            # symmetric: every index is a 1 x 1 zero block of its own
+            got = _blocks(square, symmetric=True)
+            assert_same_stacks(got, oracle_blocks(square, True))
+            assert [s.shape for s in got] == [(5, 1, 1)] and got[0].dtype == dtype
+
+    @pytest.mark.parametrize("name", ["paper 7 10", "rank8-66", "rank8k 4"])
+    def test_spans_and_partial_transposes_of_the_built_ins(self, name):
+        f = {"paper 7 10": lambda: shift_family(7, 10), "rank8-66": rank8_66, "rank8k 4": lambda: rank8k_6k(4)}[name]()
+        matrices = [_span(f, exact=False), _partial_transposed_choi(f.ops)]
+        if f.integer_ops is not None:
+            matrices += [_integer_matrix(_span(f, exact=True)), _partial_transposed_choi(f.integer_ops)]
+        for m, symmetric in zip(matrices, [False, True, False, True]):
+            assert_same_stacks(_blocks(m, symmetric), oracle_blocks(m, symmetric))
+        blocks = sum(s.shape[0] for s in _blocks(matrices[0], symmetric=False))
+        assert blocks == {"paper 7 10": 91, "rank8-66": 12, "rank8k 4": 156}[name]
+
+    def test_labels_of_a_long_path(self, rng):
+        """Hooking roots and compressing trees labels a shuffled path of
+        30,000 nodes in a few rounds (~5 ms on a 2-core machine)."""
+        n = 30_000
+        order = rng.permutation(n)
+        start = time.perf_counter()
+        labels = _labels(order[:-1], order[1:], n)
+        assert time.perf_counter() - start < 0.5
+        assert not labels.any()
+
+    def test_labels_are_smallest_nodes(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            edges = rng.integers(0, n, size=(2, int(rng.integers(0, 80))))
+            labels = _labels(edges[0], edges[1], n)
+            parent = list(range(n))
+            for a, b in edges.T.tolist():
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                parent[max(a, b)] = min(a, b)
+            for x in range(n):
+                root = x
+                while parent[root] != root:
+                    root = parent[root]
+                assert labels[x] == root
+        assert _labels(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0).size == 0
 
 class TestMatrixJson:
     def test_complex_roundtrip(self, rng):
