@@ -26,19 +26,23 @@ deficiency beyond the identity. In numerical mode the full span is
 ranked: a span of at least ``linalg._CERTIFY_MIN_ENTRIES`` entries whose
 blocks the verified Cholesky factorisation of their shifted float Grams
 certifies, with a margin of BORDERLINE_GAP_RATIO over the threshold, is
-proven to have rank r^2 (the irrational built-ins from rank8-66 up). That
-test squares the conditioning, so a p x q block with sigma_min below
-sqrt(4(p + q + 4) u) ||block||_F, u = 2^-53 (1e-7 to 1e-6 here), is not
-certified; such a span and every other one go to the SVD, which sees the
-span's own singular values, whose squares are the Gram's, so there the
-conditioning is not squared.
+proven to have rank r^2 (the irrational built-ins from rank8-66 up,
+rank8-66 and ohno-d 8 as one block). That test squares the conditioning,
+so a p x q block with sigma_min below sqrt(4(p + q + 4) u) ||block||_F,
+u = 2^-53 (1e-7 to 1e-6 here), is not certified; such a span and every
+other one go to the SVD, which sees the span's own singular values, whose
+squares are the Gram's, so there the conditioning is not squared.
 
-The span of a sparse family (:func:`linalg.coo_is_cheaper`) is built as a
-:class:`linalg.Coo` from products of the operators' nonzero entries that
-share an output row (for K_i^dagger K_j) or an input column (for
-K_j K_i^dagger), and only its independent blocks are ever dense; otherwise
-it is built densely by two stacked matmuls. Both give the same matrix,
-exactly in integer arithmetic and up to the order of float additions.
+A span whose smaller side is at most ``linalg._WHOLE_MAX_SIDE`` (120) is
+built densely by two stacked matmuls, and :func:`linalg.rank` offers it to
+the certificate whole before any split: among the built-ins, the float
+spans of rank8-66 and ohno-d 8 and the exact span of paper 4 4.
+Above that side the span of a sparse family (:func:`linalg.coo_is_cheaper`)
+is built as a :class:`linalg.Coo` from products of the operators' nonzero
+entries that share an output row (for K_i^dagger K_j) or an input column
+(for K_j K_i^dagger), and only its independent blocks are ever dense; any
+other span is built densely. Both give the same matrix, exactly in integer
+arithmetic and up to the order of float additions.
 The conjugate Gram
 
     G[(i,j),(k,l)] = tr((K_i^dagger K_j)^dagger (K_k^dagger K_l))
@@ -56,7 +60,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, MarginalPair, marginals
-from .linalg import BORDERLINE_GAP_RATIO, Coo, RankResult, coo_is_cheaper, group_pairs, rank
+from .linalg import (
+    _WHOLE_MAX_SIDE,
+    BORDERLINE_GAP_RATIO,
+    Coo,
+    RankResult,
+    coo_is_cheaper,
+    group_pairs,
+    rank,
+)
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -185,12 +197,15 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     d_in^2 + d_out^2 - 1 be certified without Bareiss.
     Numerical: the full span, float64 for a real family and complex128
     otherwise, as the family stores its operators.
-    The span is a :class:`linalg.Coo` when the products of nonzero entries
-    that build it are few for its size (:func:`linalg.coo_is_cheaper`, on
-    the dtype of the operators it multiplies), else a dense array. Integer
-    products cross over earlier than float ones, so the exact spans of the
-    shift family from ``paper 5 6`` up are built sparse while their float
-    spans up to ``paper 6 8`` are dense.
+    The span is a :class:`linalg.Coo` when its smaller side exceeds
+    ``linalg._WHOLE_MAX_SIDE``, under which rank takes it whole and dense,
+    and the products of nonzero entries that build it are few for its size
+    (:func:`linalg.coo_is_cheaper`, on the dtype of the operators it
+    multiplies); else it is a dense array. Integer products cross over
+    earlier than float ones, so the exact spans of the shift family from
+    ``paper 5 6`` up are built sparse while their float spans up to
+    ``paper 6 8`` are dense; the spans of rank8-66, ohno-d 8 and
+    ``paper 4 4``, whose smaller side is 64, are dense.
     """
     if exact:
         k = f.integer_ops
@@ -204,7 +219,7 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
         k = f.ops
     first = 1 if exact else 0
     shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
-    if coo_is_cheaper(shape, lambda: _span_terms(k != 0), k.dtype):
+    if min(shape) > _WHOLE_MAX_SIDE and coo_is_cheaper(shape, lambda: _span_terms(k != 0), k.dtype):
         return _sparse_block_vectors(k, first)
     return _block_vectors(k)[:, first:]
 

@@ -12,31 +12,37 @@ full rank from the exact Gram, elimination modulo a prime ranks what that
 cannot, and fraction-free elimination over the integers confirms a
 deficient rank.
 
-Rank and the minimum eigenvalue first split a matrix into the connected
+Rank and the minimum eigenvalue split a matrix into the connected
 components of its nonzero pattern. The span and Choi matrices of the
 built-in families are sparse and graded, so they fall apart into many small
 independent blocks. The split is exact: permuting rows and columns into
 block-diagonal form leaves singular values and eigenvalues unchanged, the
 singular values of a block-diagonal matrix are those of its blocks (plus
 zeros up to the smaller side), and its eigenvalues are those of its blocks.
-Blocks of one shape are solved together, and rank runs on the short side in
-both modes. The certificate works once per matrix: one range check over
-all its float blocks, and one Cholesky call on the shifted short-side Grams
-of all its blocks with the same short side. Numerically, unless it proves
-the whole matrix, one stacked SVD per shape runs on the tall orientation;
-exactly, a stack it cannot certify goes to one inverse-free elimination
-modulo the prime over all the stack's rows, which takes the nonzero columns
-sparsest first to limit fill-in and stops once every row has been a pivot.
-Integer arrays enter exact rank as they are; only object arrays are
-converted, and an int64 stack whose entries are already residues mod the
-prime is not reduced again.
+A matrix with no nonzero entry has no block and rank 0. Rank first offers a
+matrix whose smaller side is from 48 to 120 (numerically, one of at least
+_CERTIFY_MIN_ENTRIES entries) to the certificate whole, made dense if it is
+a :class:`Coo`: at that size one Gram and one Cholesky cost less than the
+split, and a matrix proven of full rank is never split. Blocks of one shape
+are solved together, and rank runs on the short side in both modes. The
+certificate works once per matrix: one range check over all its float
+blocks, and one Cholesky call on the shifted short-side Grams of all its
+blocks with the same short side; no stack is offered to it twice.
+Numerically, unless it proves the whole matrix, one stacked SVD per shape
+runs on the tall orientation; exactly, a stack it cannot certify goes to
+one inverse-free elimination modulo the prime over all the stack's rows,
+which takes the nonzero columns sparsest first to limit fill-in and stops
+once every row has been a pivot. Integer arrays enter exact rank as they
+are; only object arrays are converted, and an int64 stack whose entries are
+already residues mod the prime is not reduced again.
 
 A matrix may also be given as its nonzero entries, a :class:`Coo`. One
 gatherer labels the components of either input from its nonzero entries (a
 dense matrix is first scanned for them) by hooking roots and compressing
 trees, numbers them from the roots without a sort, and scatters the values
 into the stacked dense blocks in one pass, every stack a view of one flat
-buffer, so a sparse matrix is never densified as a whole.
+buffer, so a sparse matrix is densified as a whole only when rank offers it
+to the certificate whole.
 :func:`group_pairs` and :meth:`Coo.from_terms` build such a matrix from
 products of entry pairs, which is how the block-vector span and the
 partial-transposed Choi matrix of a sparse Kraus family are made
@@ -71,6 +77,22 @@ RANK_PRIME = 2**31 - 1
 # block: on a 2-core machine labelling the nonzero pattern of a 48 x 54
 # matrix takes ~120 us, about what the dense SVD it could save takes (~175 us).
 _SPLIT_MIN_SIDE = 48
+# A matrix whose smaller side is from _SPLIT_MIN_SIDE to this is first
+# offered whole, as one stack, to the verified Cholesky certificate of its
+# Gram, and split only when that fails: up to this side one Gram and one
+# Cholesky cost less than labelling the pattern and certifying the blocks.
+# On a 2-core machine, rank of a span whole vs split: rank8-66 (64 x 72)
+# 161 vs 521 us, ohno-d 8 (64 x 128) 209 vs 504 us, exact paper 4 4
+# (64 x 79) 131 vs 514 us; is_extremal, choi_rank and the separability
+# verdict of paper 2 8 and paper 4 6, whose spans' smaller side is r^2 =
+# 100, took 0.78-0.88 ms whole against 1.00-1.26 ms split. At r^2 = 121 the
+# gain is gone: paper 5 6 was 4-5% faster whole in back-to-back calls, but
+# 9% slower when each pass followed 0.3 s of idle time, and its benchmark
+# latency rose 11% (0/10 pairs); at 144 whole is slower (paper 6 6: 1109 vs
+# 841 us). No span's smaller side lies between 100 and 121. A deficient or
+# graded matrix pays the failed attempt on top of the split, ~90 us at
+# 64 x 72.
+_WHOLE_MAX_SIDE = 120
 # A float matrix with at least this many entries offers its blocks to the
 # verified Cholesky certificate of their Grams before the SVD. A failed
 # attempt is paid on top of the SVD: on a 2-core machine it cost 35-45% of
@@ -83,22 +105,22 @@ _CERTIFY_MIN_ENTRIES = 4096
 # The block-vector span and the partial-transposed Choi matrix of a Kraus
 # family are built from the operators' nonzero entries, as a Coo, only where
 # the dense matrix would be split into blocks anyway (smaller side at least
-# _SPLIT_MIN_SIDE) and holds at least _COO_ENTRIES_PER_TERM entries per
-# product of two nonzero entries that the sparse build sums. On a 2-core
-# machine is_extremal took, dense vs sparse: rank8-66 (17 entries per
-# product) 0.32 vs 0.35 ms, ohno-d 8 (53) 0.61 vs 0.36 ms, rank8k 4 (206)
-# 14.8 vs 2.4 ms; under the split side the dense path labels nothing and
-# wins (ohno-d 5: 0.12 vs 0.34 ms). From 8 to 30 entries per product,
-# sparse random families were within +-10% either way.
+# _SPLIT_MIN_SIDE, and for the span above _WHOLE_MAX_SIDE, under which rank
+# takes the dense span whole) and holds at least _COO_ENTRIES_PER_TERM
+# entries per product of two nonzero entries that the sparse build sums. On
+# a 2-core machine is_extremal took, dense vs sparse: ohno-d 12 (144 x 288,
+# 126 entries per product) 1.63 vs 0.70 ms, rank8k 3 (114) 10.5 vs 1.5 ms,
+# rank8k 4 (206) 25.6 vs 2.1 ms; under the split side the dense path labels
+# nothing and wins (ohno-d 5: 0.12 vs 0.34 ms). From 8 to 30 entries per
+# product, sparse random families were within +-10% either way.
 _COO_ENTRIES_PER_TERM = 32
 # Integer (exact) spans cross over earlier: the dense build is int64 batched
 # matmuls, which numpy runs without BLAS, and the dense span must then be
-# scanned for its nonzero pattern. On a 2-core machine, building the exact
-# span and gathering its blocks took, dense vs sparse: paper 4 4 (13.3
-# entries per product) 0.51 vs 0.52 ms, paper 5 6 (20.1) 0.95 vs 0.66 ms,
-# paper 6 8 (27.1) 1.86 vs 0.81 ms, paper 7 10 (34.2) 3.60 vs 1.05 ms;
-# sparse integer families in [-2, 2] at 5-14 entries per product were
-# 6-24% slower sparse.
+# scanned for its nonzero pattern. On a 2-core machine is_extremal took,
+# dense vs sparse: paper 5 6 (121 x 145, 20.1 entries per product) 0.99 vs
+# 0.89 ms, paper 6 8 (27.1) 2.18 vs 1.06 ms, paper 7 10 (34.2) 4.68 vs
+# 1.28 ms; sparse integer families in [-2, 2] at 5-14 entries per product
+# were 6-24% slower sparse.
 _COO_INT_ENTRIES_PER_TERM = 16
 
 __all__ = [
@@ -413,7 +435,10 @@ class RankResult:
     full rank modulo ``prime``, the one engine that sets it) or "bareiss"
     (exact elimination over the integers for at least one block).
     ``blocks`` counts the independent diagonal blocks of the nonzero pattern
-    that were ranked; the rank is the sum of theirs.
+    that were ranked, and the rank is the sum of theirs; it is 1 when the
+    whole matrix was certified as one block without a split, and 0 for a
+    matrix with no nonzero entry, which runs no engine and reports
+    "cholesky" exactly and "svd" numerically.
     """
 
     rank: int
@@ -530,7 +555,7 @@ def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
         raise ValueError("rank expects a 2-d matrix")
     if a.dtype.kind not in "iuO":
         raise ValueError("exact rank requires integer or Fraction entries, not floating point")
-    return integer_entries(a).reshape(a.shape)
+    return a if a.dtype == np.int64 else integer_entries(a).reshape(a.shape)
 
 
 def _gram_certifies(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray] | None]:
@@ -804,18 +829,50 @@ def _certified_full_rank(
     )
 
 
+def _whole(a: np.ndarray | Coo) -> np.ndarray | None:
+    """A matrix whose short side is in [_SPLIT_MIN_SIDE, _WHOLE_MAX_SIDE] as
+    one dense (1, p, q) stack, a :class:`Coo` made dense; None otherwise."""
+    if not _SPLIT_MIN_SIDE <= min(a.shape) <= _WHOLE_MAX_SIDE:
+        return None
+    if isinstance(a, Coo):
+        dense = np.zeros(a.shape, dtype=a.vals.dtype)
+        dense[a.rows, a.cols] = a.vals
+        return dense[None]
+    return a[None]
+
+
+def _split(a: np.ndarray | Coo, whole: np.ndarray | None) -> tuple[list[np.ndarray], bool]:
+    """The stacks :func:`_blocks` splits ``a`` into (its dense ``whole`` when
+    one was made), and whether they are still to be offered to the
+    certificate: not when they are the ``whole`` matrix, already offered."""
+    stacks = _blocks(a if whole is None else whole[0], symmetric=False)
+    return stacks, whole is None or [s.shape for s in stacks] != [whole.shape]
+
+
 def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None) -> RankResult:
     """Matrix rank of a dense matrix or a :class:`Coo`.
 
-    The matrix is first split into the independent diagonal blocks of its
-    nonzero pattern (rows and columns joined by nonzero entries); permuting
-    rows and columns changes no rank or singular value, so the rank is the
-    sum of the blocks' ranks.
+    A matrix with no nonzero entry has rank 0 and no block, and runs no
+    engine. A matrix whose smaller side n is from _SPLIT_MIN_SIDE to
+    _WHOLE_MAX_SIDE (numerically, one of at least _CERTIFY_MIN_ENTRIES
+    entries) is first offered whole, as one dense stack, to the certificate
+    below; if that proves it, the result is the full rank n from one block.
+    Otherwise the matrix is split into the independent diagonal blocks of
+    its nonzero pattern (rows and columns joined by nonzero entries);
+    permuting rows and columns changes no rank or singular value, so the
+    rank is the sum of the blocks' ranks. The blocks then take the steps
+    below, but a split that gives back the whole matrix already offered is
+    not offered again; so a deficient or graded matrix in that window pays
+    one failed certificate more than the split alone (~90 us at 64 x 72 on
+    a 2-core machine). The rank is the split's either way, and so is the
+    engine, except numerically where a block of small norm misses the
+    tenfold margin by its own certified bound, taken at its own tr G, while
+    the whole matrix's bound, taken at the whole tr G, clears it.
 
     numerical: count of singular values strictly above the threshold, which
     is ``tol`` when given and otherwise max(rows, cols) * eps * sigma_max of
     the whole matrix. A matrix of at least _CERTIFY_MIN_ENTRIES entries
-    first offers its block stacks to :func:`_gram_certifies`, the verified
+    offers its block stacks to :func:`_gram_certifies`, the verified
     Cholesky factorisation of their shifted float Grams; when every stack
     passes and the smallest certified sigma_min is at least
     BORDERLINE_GAP_RATIO times the threshold (taken at sigma_max <= sqrt of
@@ -843,9 +900,16 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if mode == "exact":
+        a = _integer_matrix(m)
+        if not np.count_nonzero(_entries(a)):
+            return RankResult(rank=0, mode="exact", engine="cholesky", blocks=0)
+        whole = _whole(a)
+        if whole is not None and _gram_certifies([whole])[0] is not None:
+            return RankResult(rank=min(a.shape), mode="exact", engine="cholesky", blocks=1)
+        stacks, again = _split(a, whole)
         total = blocks = needed = 0
-        stacks = _blocks(_integer_matrix(m), symmetric=False)
-        for stack, certified in zip(stacks, _gram_certifies(stacks)):
+        certificates = _gram_certifies(stacks) if again else [None]
+        for stack, certified in zip(stacks, certificates):
             full = min(stack.shape[1:])
             blocks += stack.shape[0]
             if certified is not None:
@@ -866,13 +930,21 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     if len(np.shape(m)) != 2:
         raise ValueError("rank expects a 2-d matrix")
     a = _as_float_matrix(m)
-    if not np.all(np.isfinite(_entries(a))):
+    if not np.isfinite(_entries(a)).all():
         raise ValueError("numerical rank requires finite entries")
-    stacks = _blocks(a, symmetric=False)
-    if a.shape[0] * a.shape[1] >= _CERTIFY_MIN_ENTRIES:
-        certified = _certified_full_rank(stacks, a.shape, tol)
-        if certified is not None:
-            return certified
+    stacks = []
+    if np.count_nonzero(_entries(a)):
+        offer = a.shape[0] * a.shape[1] >= _CERTIFY_MIN_ENTRIES
+        whole = _whole(a) if offer else None
+        if whole is not None:
+            certified = _certified_full_rank([whole], a.shape, tol)
+            if certified is not None:
+                return certified
+        stacks, again = _split(a, whole)
+        if offer and again:
+            certified = _certified_full_rank(stacks, a.shape, tol)
+            if certified is not None:
+                return certified
     s, blocks = _singular_values(stacks, min(a.shape))
     smax = float(s[0]) if s.size else 0.0
     threshold = float(tol) if tol is not None else max(a.shape) * np.finfo(float).eps * smax

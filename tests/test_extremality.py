@@ -25,7 +25,12 @@ from extremal_marginals import (
     sigma_rank2,
 )
 from extremal_marginals import linalg
-from extremal_marginals.extremality import _block_vectors, _sparse_block_vectors, _span
+from extremal_marginals.extremality import (
+    _block_vectors,
+    _sparse_block_vectors,
+    _span,
+    _span_terms,
+)
 from extremal_marginals.linalg import (
     Coo,
     _bareiss_rank,
@@ -469,25 +474,31 @@ class TestSparseSpan:
 
     def test_exact_span_ranks_alike_dense_and_sparse(self, rng, monkeypatch):
         """The exact span forced dense and forced to a Coo (where its sides
-        allow one) gets the same RankResult: rank, engine, prime and blocks."""
+        allow one) gets the same RankResult: rank, engine, prime and blocks.
+        A span whose short side is in [_SPLIT_MIN_SIDE, _WHOLE_MAX_SIDE] is
+        never built as a Coo, so its sparse build is ranked directly: rank
+        makes it dense."""
 
         def ranked(f, per_term):
             with monkeypatch.context() as mp:
                 mp.setattr(linalg, "_COO_INT_ENTRIES_PER_TERM", per_term)
                 sides = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
                 assert isinstance(_span(f, exact=True), Coo) == (
-                    per_term == 0 and min(sides) >= linalg._SPLIT_MIN_SIDE
+                    per_term == 0 and min(sides) > linalg._WHOLE_MAX_SIDE
                 )
                 return is_extremal(f).gram_rank
 
         def check(f):
-            assert ranked(f, 0) == ranked(f, 10**9)
+            rr = ranked(f, 10**9)
+            assert ranked(f, 0) == rr
+            if linalg._SPLIT_MIN_SIDE <= min(f.r * f.r, f.d_in**2 + f.d_out**2 - 1):
+                assert rank(_sparse_block_vectors(f.integer_ops, 1), mode="exact") == rr
 
         for d in range(2, 9):
             for m in range(1, 13):
                 check(shift_family(d, m))
         # seeded sparse integer families with both sides at least 48, on both
-        # sides of the integer crossover
+        # sides of the integer crossover that applies above _WHOLE_MAX_SIDE
         sides = set()
         for n in range(24):
             r, d_out, d_in = 7 + n % 2, int(rng.integers(6, 10)), int(rng.integers(4, 7))
@@ -499,7 +510,8 @@ class TestSparseSpan:
                 ops=tuple(mats.astype(float)),
                 exact_ops=tuple(np.array(m.tolist(), dtype=object) for m in mats),
             )
-            sides.add(isinstance(_span(f, exact=True), Coo))
+            span_shape = (r * r, d_in * d_in + d_out * d_out)
+            sides.add(coo_is_cheaper(span_shape, lambda: _span_terms(mats != 0), np.int64))
             check(f)
         assert sides == {False, True}
 
@@ -544,15 +556,16 @@ class TestSparseSpan:
             assert coo_is_cheaper((48, 64), lambda: 48 * 64 // per_term, dtype)
             assert not coo_is_cheaper((48, 64), lambda: 48 * 64 // per_term + 1, dtype)
             assert not coo_is_cheaper((47, 10**6), lambda: 1, dtype)
-        # the exact shift spans: paper 4 4 (13.3 entries per product) is
-        # built densely, paper 5 6 (20.1) and 6 8 (27.1) as a Coo; the float
-        # span of paper 6 8 is built densely
+        # a span whose short side is at most _WHOLE_MAX_SIDE is built densely,
+        # as rank certifies it whole: the exact shift span of paper 4 4
+        # (64 x 79), the float spans of rank8-66 (64 x 72) and ohno-d 8
+        # (64 x 128, 53 entries per product); above it, the exact spans of
+        # paper 5 6 (121 x 145, 20.1) and 6 8 (196 x 231, 27.1) are a Coo and
+        # the float span of paper 6 8, under the float crossover of 32, is dense
         assert isinstance(_span(shift_family(4, 4), exact=True), np.ndarray)
         assert isinstance(_span(shift_family(5, 6), exact=True), Coo)
         assert isinstance(_span(shift_family(6, 8), exact=True), Coo)
         assert isinstance(_span(shift_family(6, 8), exact=False), np.ndarray)
-        # rank8-66: a 64 x 72 span from 272 products (17 entries each) is
-        # built densely; ohno-d 8: 64 x 128 from 154 products (53 each) is not
         assert isinstance(_span(rank8_66(), exact=False), np.ndarray)
-        assert isinstance(_span(ohno_rank_d(8), exact=False), Coo)
+        assert isinstance(_span(ohno_rank_d(8), exact=False), np.ndarray)
         assert isinstance(_span(ohno_rank_d(5), exact=False), np.ndarray)

@@ -29,14 +29,17 @@ from extremal_marginals import (
 from extremal_marginals.extremality import _block_vectors, _span, is_extremal
 from extremal_marginals.channels import _vecs
 from extremal_marginals.separability import _partial_transposed_choi
+from extremal_marginals import linalg
 from extremal_marginals.linalg import (
     _CERTIFY_MIN_ENTRIES,
     _SPLIT_MIN_SIDE,
+    _WHOLE_MAX_SIDE,
     RANK_PRIME,
     Coo,
     RankResult,
     _bareiss_rank,
     _blocks,
+    _certified_full_rank,
     _gram_certifies,
     _integer_matrix,
     _labels,
@@ -249,8 +252,9 @@ class TestExactRankEngine:
                 m[int(rng.integers(rows))] *= RANK_PRIME
             rr = rank(m, mode="exact")
             assert rr.rank == _bareiss_rank(m.tolist())
+            # a zero matrix (k = 0) has no block and runs no engine
             if rr.rank < min(rows, cols):
-                assert rr.engine == "bareiss"
+                assert rr.engine == ("bareiss" if m.any() else "cholesky")
 
 
 def planted_stack(rng, k, p, q):
@@ -939,7 +943,10 @@ class TestBlockSplit:
         zero = np.zeros((side, side + 10))
         for rr in (rank(zero), rank(zero.astype(np.int64), mode="exact")):
             assert (rr.rank, rr.blocks) == (0, 0)
+        # a zero matrix has eigenvalue 0 at every size: the symmetric split
+        # keeps its 1 x 1 zero blocks
         assert min_eigenvalue(np.zeros((side, side))) == 0.0
+        assert min_eigenvalue(np.zeros((10, 10))) == 0.0
         assert min_eigenvalue(np.diag(np.arange(side) - 5.0)) == -5.0
         dense = np.arange(1, side * side + 1, dtype=float).reshape(side, side)
         assert (rank(dense).rank, rank(dense).blocks) == (2, 1)
@@ -973,6 +980,156 @@ class TestBlockSplit:
             rank(Coo.from_terms(rows[2:], cols[2:], np.array([1.0, np.nan]), (3, 3)))
         with pytest.raises(ValueError, match="Hermitian"):
             min_eigenvalue(Coo.from_terms(rows[2:], cols[2:], np.array([1.0, 1.0]), (3, 3)))
+
+
+def window_cases(rng, dtype):
+    """Matrices whose smaller side is in [_SPLIT_MIN_SIDE, _WHOLE_MAX_SIDE]:
+    dense ones of full rank and of planted deficiency, a graded direct sum
+    whose whole Gram fails the certificate's shift while each block's passes,
+    and one with zero rows on its short side."""
+    exact = dtype == np.int64
+
+    def entries(shape):
+        m = rng.integers(-3, 4, size=shape)
+        return m if exact else m * rng.standard_normal(shape)
+
+    cases = []
+    for p, q in ((_SPLIT_MIN_SIDE, 90), (64, 72), (_WHOLE_MAX_SIDE, _WHOLE_MAX_SIDE + 10)):
+        n = min(p, q)
+        cases.append(entries((p, q)).astype(dtype))
+        cases.append((entries((p, n - 3)) @ entries((n - 3, q))).astype(dtype))
+    # graded: floats scale one block by 2^-30; integers, within the 2^53
+    # Gram bound, scale the other by 2^20
+    big, small = entries((30, 36)), entries((34, 36))
+    if exact:
+        big = big * 2**20
+    else:
+        small = small * 2.0**-30
+    cases.append(exact_block_diagonal([big, small]).astype(dtype))
+    zero_rows = entries((64, 72)).astype(dtype)
+    zero_rows[rng.choice(64, size=5, replace=False)] = 0
+    cases.append(zero_rows)
+    return cases
+
+
+def coo_of(m):
+    rows, cols = np.nonzero(m)
+    return Coo(rows, cols, m[rows, cols], m.shape)
+
+
+class TestWholeCertificate:
+    """A matrix whose smaller side is in [_SPLIT_MIN_SIDE, _WHOLE_MAX_SIDE] is
+    offered to the certificate whole before any split, and split only when
+    that fails; a matrix with no nonzero entry runs no engine."""
+
+    @pytest.mark.parametrize("dtype", [float, np.int64])
+    def test_window_agrees_with_the_split(self, rng, monkeypatch, dtype):
+        mode = "exact" if dtype == np.int64 else "numerical"
+        seen = set()
+        for m in window_cases(rng, dtype):
+            assert _SPLIT_MIN_SIDE <= min(m.shape) <= _WHOLE_MAX_SIDE
+            assert m.size >= _CERTIFY_MIN_ENTRIES
+            whole = rank(m, mode=mode)
+            assert rank(coo_of(m), mode=mode) == whole
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "_WHOLE_MAX_SIDE", _SPLIT_MIN_SIDE - 1)
+                split = rank(m, mode=mode)
+            assert (whole.rank, whole.engine, whole.prime) == (split.rank, split.engine, split.prime)
+            if mode == "exact":
+                assert whole.rank == _bareiss_rank(m.tolist())
+                passed = _gram_certifies([m[None]])[0] is not None
+            else:
+                passed = _certified_full_rank([m[None]], m.shape, None) is not None
+            # a whole matrix proven full is one block; otherwise the split's count
+            assert whole.blocks == (1 if passed else split.blocks)
+            seen.add((passed, split.blocks > 1))
+        # passed whole; failed whole and split into one block or into several
+        assert seen == {(True, False), (False, False), (False, True)}
+
+    def test_a_small_block_may_pass_whole_but_not_alone(self, rng, monkeypatch):
+        """The whole matrix's certified bound is taken at its whole tr G, so a
+        1 x 1 block ~1e-4 of the norm clears the tenfold margin whole, while
+        its own bound, taken at its own entry, misses it and the split goes
+        to the SVD: the rank is the same."""
+        m = np.zeros((64, 72))
+        m[:63, :71] = rng.standard_normal((63, 71))
+        m[63, 71] = 1e-4
+        whole = rank(m)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_WHOLE_MAX_SIDE", _SPLIT_MIN_SIDE - 1)
+            split = rank(m)
+        assert (whole.rank, whole.engine, whole.blocks) == (64, "cholesky", 1)
+        assert (split.rank, split.engine, split.blocks) == (64, "svd", 2)
+
+    def test_certificate_calls(self, rng, monkeypatch):
+        calls = []
+
+        def counted(stacks):
+            calls.append([s.shape for s in stacks])
+            return _gram_certifies(stacks)
+
+        monkeypatch.setattr(linalg, "_gram_certifies", counted)
+
+        def offered(m, mode="exact"):
+            calls.clear()
+            rank(m, mode=mode)
+            return list(calls)
+
+        # a deficient exact span under the window: one call, as before
+        ops = rng.integers(-2, 3, size=(6, 4, 2))
+        f = KrausFamily(
+            d_in=2,
+            d_out=4,
+            ops=tuple(ops.astype(float)),
+            exact_ops=tuple(np.array(k.tolist(), dtype=object) for k in ops),
+        )
+        span = _span(f, exact=True)
+        assert span.shape == (36, 19)
+        assert offered(span) == [[(1, 36, 19)]]
+        # a deficient 60 x 70 direct sum: the whole, then its split stacks
+        m, planted = planted_block_diagonal(rng, [(20, 25), (20, 25), (20, 20)], [20, 12, 20], 0, 0)
+        assert m.shape == (60, 70) and planted < 60
+        got = offered(m)
+        assert got[0] == [(1, 60, 70)] and len(got) == 2
+        assert sum(k for k, _, _ in got[1]) == 3
+        # a dense deficient one splits into itself, which is not offered again
+        dense = rng.integers(1, 4, size=(60, 5)) @ rng.integers(1, 4, size=(5, 70))
+        assert offered(dense) == [[(1, 60, 70)]]
+        assert offered(dense.astype(float), mode="numerical") == [[(1, 60, 70)]]
+        # a full one is proven whole
+        assert offered(rng.integers(-3, 4, size=(60, 70))) == [[(1, 60, 70)]]
+        # no entry, no call
+        assert offered(np.zeros((60, 70), dtype=np.int64)) == []
+
+    @pytest.mark.parametrize(
+        "shape, mode, engine",
+        [
+            ((10, 10), "exact", "cholesky"),
+            ((60, 60), "exact", "cholesky"),
+            ((64, 72), "exact", "cholesky"),
+            ((0, 5), "exact", "cholesky"),
+            ((0, 0), "exact", "cholesky"),
+            ((10, 10), "numerical", "svd"),
+            ((64, 72), "numerical", "svd"),
+            ((0, 5), "numerical", "svd"),
+            ((0, 0), "numerical", "svd"),
+        ],
+    )
+    def test_zero_and_empty_matrices_run_no_engine(self, monkeypatch, shape, mode, engine):
+        def boom(*args, **kwargs):
+            raise AssertionError("an engine ran on a matrix with no nonzero entry")
+
+        for name in ("_gram_certifies", "_stack_ranks_mod_p", "_bareiss_rank", "_blocks"):
+            monkeypatch.setattr(linalg, name, boom)
+        monkeypatch.setattr(linalg.np.linalg, "svd", boom)
+        zero = np.zeros(shape, dtype=np.int64 if mode == "exact" else float)
+        for m in (zero, coo_of(zero)):
+            rr = rank(m, mode=mode)
+            assert (rr.rank, rr.engine, rr.blocks, rr.prime) == (0, engine, 0, None)
+            assert rr.to_json()["blocks"] == 0
+            if mode == "numerical":
+                assert rr.smallest_kept_singular_value is None
+                assert rr.largest_discarded_singular_value == (0.0 if min(shape) else None)
 
 
 def oracle_blocks(m, symmetric):
