@@ -268,9 +268,8 @@ def choi_rank(f: KrausFamily, tol: float | None = None) -> RankResult:
     Computed from the stacked vectorizations: exactly from the family's
     integer stack when it carries certified rational operators, and
     otherwise by numerical :func:`linalg.rank` in the operators' own real or
-    complex arithmetic: a verified Cholesky certificate of full rank for
-    stacked vectors of at least ``linalg._CERTIFY_MIN_ENTRIES`` entries
-    (``rank8k``'s 24 x 324 and 32 x 576), else an SVD.
+    complex arithmetic: a verified Cholesky certificate of full rank, which
+    every built-in's stacked vectors pass, else an SVD.
     """
     if f.integer_ops is not None:
         return rank(_vecs(f.integer_ops), mode="exact")

@@ -69,7 +69,15 @@ DEFAULT_SEED = 2024
 
 
 class UsageError(Exception):
-    """Bad family name, parameters or ranges; maps to exit code 2."""
+    """Bad family name, parameters, flags, ranges or output path; maps to exit
+    code 2 and a JSON error object."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subparsers, whose errors are usage errors."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 @dataclass
@@ -418,7 +426,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extmarg",
         description="Construct extremal Kraus families and certify their properties.",
     )
@@ -453,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=_positive_tol,
         help="numerical rank threshold override, applied to the singular values of the "
-        "block-vector span (the square roots of the block Gram's) and of the vectorized "
-        "Kraus operators (Choi rank); a rational family takes it only with --numerical",
+        "block-vector span less its trace column and of the vectorized Kraus operators "
+        "(Choi rank); a rational family takes it only with --numerical",
     )
     p_verify.set_defaults(
         run=lambda a: cmd_verify(a.family, a.params, mode=a.mode, tol=a.tol, max_dim=a.max_dim)
@@ -481,23 +489,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. A usage error prints ``error: ...`` on stderr and
+    one JSON object, ``{"command", "error", "passed": false}``, on stdout, and
+    exits 2; ``--help`` prints text and exits 0."""
     parser = build_parser()
+    # the subparser action names the command in args before it parses the rest
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
-    try:
+        try:
+            parser.parse_args(argv, args)
+        except SystemExit as exc:
+            return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
         report = args.run(args)
+        text = json.dumps(report.to_json(), indent=2)
+        if args.json:
+            try:
+                Path(args.json).write_text(text + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise UsageError(f"cannot write --json {args.json}: {exc}") from exc
     except UsageError as exc:
+        error = {"command": getattr(args, "command", None), "error": str(exc), "passed": False}
+        print(json.dumps(error))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = json.dumps(report.to_json(), indent=2)
-    if args.json:
-        try:
-            Path(args.json).write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write --json {args.json}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     print(text)
     for line in _summary(report):
         print(line, file=sys.stderr)

@@ -18,20 +18,20 @@ rows from the exact operators in exact mode.
 
 The span itself goes to :func:`linalg.rank`, never the conjugate Gram
 below; only the rank certificates form the Grams of the span's blocks. In
-exact mode the integer rows, less the one column the trace identity makes
-redundant, go to the full-rank certificates of :func:`linalg.rank` (a
-verified Cholesky factorisation of each block's exact integer Gram, else
-mod p), so a family of rank D - 1 is certified and Bareiss only confirms a
-deficiency beyond the identity. In numerical mode the full span is
-ranked: a span of at least ``linalg._CERTIFY_MIN_ENTRIES`` entries whose
-blocks the verified Cholesky factorisation of their shifted float Grams
-certifies, with a margin of BORDERLINE_GAP_RATIO over the threshold, is
-proven to have rank r^2 (the irrational built-ins from rank8-66 up,
-rank8-66 and ohno-d 8 as one block). That test squares the conditioning,
-so a p x q block with sigma_min below sqrt(4(p + q + 4) u) ||block||_F,
-u = 2^-53 (1e-7 to 1e-6 here), is not certified; such a span and every
-other one go to the SVD, which sees the span's own singular values, whose
-squares are the Gram's, so there the conditioning is not squared.
+both modes the span is ranked less the one column the trace identity makes
+redundant, so the numerical span is the exact span in floating point, up to
+one positive scalar, and a family of rank D - 1 has a span of full column
+rank. Both modes offer it to the same full-rank certificate of
+:func:`linalg.rank`, a verified Cholesky factorisation of each block's
+Gram less a rounding shift: the exact integer Gram in exact mode (else mod
+p, and Bareiss only confirms a deficiency beyond the identity), the float
+Gram in numerical mode, where a certificate counts only with a margin of
+BORDERLINE_GAP_RATIO over the threshold. That test squares the
+conditioning, so a p x q block with sigma_min below sqrt(4(p + q + 4) u)
+||block||_F, u = 2^-53 (1e-7 to 1e-6 here), is not certified; such a span,
+and every deficient one, goes to the SVD, which sees the span's own
+singular values, so there the conditioning is not squared. Every built-in
+span is certified.
 
 A span whose smaller side is at most ``linalg._WHOLE_MAX_SIDE`` (120) is
 built densely by two stacked matmuls, and :func:`linalg.rank` offers it to
@@ -155,9 +155,9 @@ def _block_vectors(k: np.ndarray) -> np.ndarray:
     return np.concatenate([p.reshape(r * r, -1), q.reshape(r * r, -1)], axis=1)
 
 
-def _sparse_block_vectors(k: np.ndarray, first: int) -> Coo:
+def _sparse_block_vectors(k: np.ndarray) -> Coo:
     """The rows of :func:`_block_vectors` for the stacked operators ``k``, less
-    the first ``first`` columns, built from the operators' nonzero entries.
+    column 0, built from the operators' nonzero entries.
 
     Entry (c, s) of K_i and entry (c, t) of K_j, which share output row c,
     give the term conj(K_i[c, s]) K_j[c, t] of (K_i^dagger K_j)[s, t];
@@ -175,28 +175,30 @@ def _sparse_block_vectors(k: np.ndarray, first: int) -> Coo:
     rows = np.concatenate([op[pi] * r + op[pj], op[qi] * r + op[qj]])
     cols = np.concatenate([col[pi] * d_in + col[pj], d_in * d_in + row[qj] * d_out + row[qi]])
     vals = np.concatenate([xc[pi] * x[pj], x[qj] * xc[qi]])
-    if first:
-        keep = cols >= first
-        rows, cols, vals = rows[keep], cols[keep] - first, vals[keep]
-    return Coo.from_terms(rows, cols, vals, (r * r, d_in * d_in + d_out * d_out - first))
+    keep = cols > 0
+    shape = (r * r, d_in * d_in + d_out * d_out - 1)
+    return Coo.from_terms(rows[keep], cols[keep] - 1, vals[keep], shape)
 
 
 def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
-    """The r^2 block vectors as rows, exact or in the operators' own dtype.
+    """The r^2 block vectors as rows less column 0, exact or in the
+    operators' own dtype.
 
+    Column 0, the (0, 0) entry of K_i^dagger K_j, is dropped in both modes:
+    by the trace identity tr K_i^dagger K_j = tr K_j K_i^dagger it equals
+    the sum of the diagonal columns of K_j K_i^dagger minus the other
+    diagonal columns of K_i^dagger K_j, in every row and after any row
+    scaling, so the column space and every rank are unchanged. Dropping it
+    lets a family with r^2 >= d_in^2 + d_out^2 and rank
+    d_in^2 + d_out^2 - 1 have a span of full column rank, which the
+    certificate of :func:`linalg.rank` can prove.
     Exact: from the family's ``integer_ops``, the exact operators scaled to
     integers by the lcm of all their denominators once, at construction,
     which multiplies every row by one scalar and so keeps every rank; the
     rows are int64 when the product bound allows and Python ints otherwise.
-    Column 0, the (0, 0) entry of K_i^dagger K_j, is dropped: by the trace
-    identity tr K_i^dagger K_j = tr K_j K_i^dagger it equals the sum of the
-    diagonal columns of K_j K_i^dagger minus the other diagonal columns of
-    K_i^dagger K_j, in every row and after any row scaling, so the column
-    space and every rank are unchanged. Dropping it
-    lets a family with r^2 >= d_in^2 + d_out^2 and rank
-    d_in^2 + d_out^2 - 1 be certified without Bareiss.
-    Numerical: the full span, float64 for a real family and complex128
-    otherwise, as the family stores its operators.
+    Numerical: float64 for a real family and complex128 otherwise, as the
+    family stores its operators; for a rational family, the exact span
+    times one positive scalar, in floats.
     The span is a :class:`linalg.Coo` when its smaller side exceeds
     ``linalg._WHOLE_MAX_SIDE``, under which rank takes it whole and dense,
     and the products of nonzero entries that build it are few for its size
@@ -217,11 +219,10 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
                 k = k.astype(object)
     else:
         k = f.ops
-    first = 1 if exact else 0
     shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
     if min(shape) > _WHOLE_MAX_SIDE and coo_is_cheaper(shape, lambda: _span_terms(k != 0), k.dtype):
-        return _sparse_block_vectors(k, first)
-    return _block_vectors(k)[:, first:]
+        return _sparse_block_vectors(k)
+    return _block_vectors(k)[:, 1:]
 
 
 def _span_terms(nonzero: np.ndarray) -> int:
@@ -255,16 +256,17 @@ def is_extremal(
     """Rank the r^2 block vectors and assemble a certificate.
 
     ``mode`` forces 'exact' or 'numerical'; by default the exact path is used
-    whenever the family is certified rational. The exact path ranks the
-    integer span without the column that the trace identity
-    tr K_i^dagger K_j = tr K_j K_i^dagger writes through the others, which
-    keeps the rank, so a family of rank d_in^2 + d_out^2 - 1 gets a full-rank
-    certificate; numerical mode ranks the full span. A sparse family's span
-    is built from its operators' nonzero entries and ranked block by block
-    without a dense copy of the whole span. In numerical mode ``tol``
-    thresholds the singular values of the span itself (the square roots of
-    the block Gram's). When ``targets`` is given the computed marginals are
-    checked against it, relative to the Choi trace, and the residual recorded.
+    whenever the family is certified rational. Both modes rank the span
+    without the column that the trace identity
+    tr K_i^dagger K_j = tr K_j K_i^dagger writes through the others
+    (:func:`_span`), which keeps the rank, so a family of rank
+    d_in^2 + d_out^2 - 1 can get a full-rank certificate in either mode. A
+    sparse family's span is built from its operators' nonzero entries and
+    ranked block by block without a dense copy of the whole span. In
+    numerical mode ``tol`` thresholds the singular values of that span, or
+    the certified lower bound on them (engine "cholesky"). When ``targets``
+    is given the computed marginals are checked against it, relative to the
+    Choi trace, and the residual recorded.
     """
     if mode not in (None, "exact", "numerical"):
         raise ValueError("mode must be None, 'exact' or 'numerical'")

@@ -1,16 +1,16 @@
 """Complex matrix utilities, for dense matrices and sparse (:class:`Coo`) ones.
 
 Partial trace and partial transpose over a bipartite splitting, Hermitian
-eigenvalues, and matrix rank in two modes. Both start from one routine, a
-verified Cholesky factorisation of each block's Gram less a rounding shift,
-which proves full rank when it completes. Numerical rank counts singular
-values above an explicit threshold: a large enough float matrix whose
-blocks that factorisation certifies with a margin of BORDERLINE_GAP_RATIO
-over the threshold has its full rank proven, and the SVD ranks every other
-one. For matrices that are rational by construction, exact rank certifies
-full rank from the exact Gram, elimination modulo a prime ranks what that
-cannot, and fraction-free elimination over the integers confirms a
-deficient rank.
+eigenvalues, and matrix rank in two modes. Both run the same steps: every
+nonzero matrix first meets one routine, a verified Cholesky factorisation of
+each block's Gram less a rounding shift, which proves full rank when it
+completes, and only what it cannot prove goes on. Numerical rank counts
+singular values above an explicit threshold: a float matrix whose blocks
+that factorisation certifies with a margin of BORDERLINE_GAP_RATIO over the
+threshold has its full rank proven, and the SVD ranks every other one. For
+matrices that are rational by construction, exact rank certifies full rank
+from the exact Gram, elimination modulo a prime ranks what that cannot, and
+fraction-free elimination over the integers confirms a deficient rank.
 
 Rank and the minimum eigenvalue split a matrix into the connected
 components of its nonzero pattern. The span and Choi matrices of the
@@ -20,14 +20,13 @@ block-diagonal form leaves singular values and eigenvalues unchanged, the
 singular values of a block-diagonal matrix are those of its blocks (plus
 zeros up to the smaller side), and its eigenvalues are those of its blocks.
 A matrix with no nonzero entry has no block and rank 0. Rank first offers a
-matrix whose smaller side is from 48 to 120 (numerically, one of at least
-_CERTIFY_MIN_ENTRIES entries) to the certificate whole, made dense if it is
-a :class:`Coo`: at that size one Gram and one Cholesky cost less than the
-split, and a matrix proven of full rank is never split. Blocks of one shape
-are solved together, and rank runs on the short side in both modes. The
-certificate works once per matrix: one range check over all its float
-blocks, and one Cholesky call on the shifted short-side Grams of all its
-blocks with the same short side; no stack is offered to it twice.
+matrix whose smaller side is from 48 to 120 to the certificate whole, made
+dense if it is a :class:`Coo`: at that size one Gram and one Cholesky cost
+less than the split, and a matrix proven of full rank is never split.
+Blocks of one shape are solved together, and rank runs on the short side in
+both modes. The certificate works once per matrix: one range check over all
+its float blocks, and one Cholesky call on the shifted short-side Grams of
+all its blocks with the same short side; no stack is offered to it twice.
 Numerically, unless it proves the whole matrix, one stacked SVD per shape
 runs on the tall orientation; exactly, a stack it cannot certify goes to
 one inverse-free elimination modulo the prime over all the stack's rows,
@@ -93,15 +92,6 @@ _SPLIT_MIN_SIDE = 48
 # graded matrix pays the failed attempt on top of the split, ~90 us at
 # 64 x 72.
 _WHOLE_MAX_SIDE = 120
-# A float matrix with at least this many entries offers its blocks to the
-# verified Cholesky certificate of their Grams before the SVD. A failed
-# attempt is paid on top of the SVD: on a 2-core machine it cost 35-45% of
-# the SVD at 36 x 32, 17-25% at 64 x 64 and 12-24% at 32 x 576 (real and
-# complex, one block), while a passed one replaces the SVD at 15-40% of its
-# cost from 64 x 64 up. The random families' spans, at most 36 x 32 and
-# often deficient, stay below; the irrational built-ins' spans from rank8-66
-# (64 x 72) up and the Kraus vectors of rank8k (24 x 324, 32 x 576) are above.
-_CERTIFY_MIN_ENTRIES = 4096
 # The block-vector span and the partial-transposed Choi matrix of a Kraus
 # family are built from the operators' nonzero entries, as a Coo, only where
 # the dense matrix would be split into blocks anyway (smaller side at least
@@ -423,17 +413,21 @@ class RankResult:
     In numerical mode the gap data (smallest kept and largest discarded
     singular value against the threshold) makes borderline calls auditable.
     Exact mode carries no singular-value data. ``engine`` names what
-    decided the rank. Numerical: "svd", or "cholesky" when a verified
-    Cholesky factorisation of every block's shifted float Gram proved the
-    full rank; then ``smallest_kept_singular_value`` is a certified lower
-    bound on the smallest singular value, not the value itself, and
-    ``threshold`` is the threshold that bound cleared by
-    BORDERLINE_GAP_RATIO: ``tol``, or the default one taken at an upper
-    bound on sigma_max, at least the SVD's. Exact: the strongest engine that
-    some block needed: "cholesky" (every block of full rank by a verified
-    Cholesky factorisation of its exact Gram), "mod-p" (every other block of
-    full rank modulo ``prime``, the one engine that sets it) or "bareiss"
-    (exact elimination over the integers for at least one block).
+    decided the rank. Numerical: "cholesky" when a verified Cholesky
+    factorisation of every block's shifted float Gram, which every nonzero
+    matrix meets first, proved the full rank, else "svd". With "cholesky",
+    ``smallest_kept_singular_value`` is a certified lower bound on the
+    smallest singular value, not the value itself; ``threshold`` is the
+    threshold that bound cleared by BORDERLINE_GAP_RATIO: ``tol``, or the
+    default one taken at an upper bound on sigma_max, at least the SVD's;
+    and ``largest_discarded_singular_value`` is 0.0 when the blocks leave
+    structural zeros below min(rows, cols) and None when nothing is
+    discarded, as for a certified span of full column rank. Exact: the
+    strongest engine that some block needed: "cholesky" (every block of full
+    rank by a verified Cholesky factorisation of its exact Gram), "mod-p"
+    (every other block of full rank modulo ``prime``, the one engine that
+    sets it) or "bareiss" (exact elimination over the integers for at least
+    one block).
     ``blocks`` counts the independent diagonal blocks of the nonzero pattern
     that were ranked, and the rank is the sum of theirs; it is 1 when the
     whole matrix was certified as one block without a split, and 0 for a
@@ -792,12 +786,13 @@ def _singular_values(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, i
 
 
 def _certified_full_rank(
-    stacks: list[np.ndarray], shape: tuple[int, int], tol: float | None
-) -> RankResult | None:
-    """The numerical RankResult of a float matrix split into ``stacks``
-    when :func:`_gram_certifies` proves every block of full rank and the
-    smallest certified sigma_min clears the threshold by BORDERLINE_GAP_RATIO;
-    None otherwise, and the SVD decides.
+    stacks: list[np.ndarray], shape: tuple[int, int], mode: str, tol: float | None
+) -> tuple[list[tuple[np.ndarray, np.ndarray] | None], RankResult | None]:
+    """What :func:`_gram_certifies` gives for the ``stacks`` of a matrix of
+    this ``shape``, and the matrix's RankResult when that proves its full
+    rank: exactly, when every stack passes; numerically, when every stack
+    passes and the smallest certified sigma_min also clears the threshold by
+    BORDERLINE_GAP_RATIO. The RankResult is None otherwise.
 
     The threshold is ``tol``, or the default max(rows, cols) * eps * sigma_max
     taken at sqrt(max tr G) = max ||block||_F, from the traces the
@@ -807,25 +802,29 @@ def _certified_full_rank(
     min(rows, cols) are discarded.
     """
     certified = _gram_certifies(stacks)
-    if not certified or any(c is None for c in certified):
-        return None
-    if tol is None:
-        largest = max(float(trace.max()) for _, trace in certified)
-        threshold = max(shape) * float(np.finfo(float).eps) * math.sqrt(largest)
-    else:
-        threshold = float(tol)
-    smallest = math.sqrt(min(float(bound.min()) for bound, _ in certified))
+    if None in certified:
+        return certified, None
+    full = blocks = 0
+    bound, largest = math.inf, 0.0
+    for (k, p, q), (b, t) in zip((stack.shape for stack in stacks), certified):
+        full += k * min(p, q)
+        blocks += k
+        if mode == "numerical":
+            bound, largest = min(bound, b.min()), max(largest, t.max())
+    if mode == "exact":
+        return certified, RankResult(rank=full, mode=mode, engine="cholesky", blocks=blocks)
+    threshold = float(tol) if tol is not None else max(shape) * 2.0**-52 * math.sqrt(largest)
+    smallest = math.sqrt(bound)
     if smallest < BORDERLINE_GAP_RATIO * threshold:
-        return None
-    full = sum(stack.shape[0] * min(stack.shape[1:]) for stack in stacks)
-    return RankResult(
+        return certified, None
+    return certified, RankResult(
         rank=full,
-        mode="numerical",
+        mode=mode,
         engine="cholesky",
         smallest_kept_singular_value=smallest,
         threshold=threshold,
         largest_discarded_singular_value=0.0 if full < min(shape) else None,
-        blocks=sum(stack.shape[0] for stack in stacks),
+        blocks=blocks,
     )
 
 
@@ -841,124 +840,102 @@ def _whole(a: np.ndarray | Coo) -> np.ndarray | None:
     return a[None]
 
 
-def _split(a: np.ndarray | Coo, whole: np.ndarray | None) -> tuple[list[np.ndarray], bool]:
-    """The stacks :func:`_blocks` splits ``a`` into (its dense ``whole`` when
-    one was made), and whether they are still to be offered to the
-    certificate: not when they are the ``whole`` matrix, already offered."""
-    stacks = _blocks(a if whole is None else whole[0], symmetric=False)
-    return stacks, whole is None or [s.shape for s in stacks] != [whole.shape]
-
-
 def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None) -> RankResult:
-    """Matrix rank of a dense matrix or a :class:`Coo`.
+    """Matrix rank of a dense matrix or a :class:`Coo`, by one skeleton for
+    both modes; the mode enters only in the conversion, in the margin a
+    numerical certificate must clear and in the fallback.
 
-    A matrix with no nonzero entry has rank 0 and no block, and runs no
-    engine. A matrix whose smaller side n is from _SPLIT_MIN_SIDE to
-    _WHOLE_MAX_SIDE (numerically, one of at least _CERTIFY_MIN_ENTRIES
-    entries) is first offered whole, as one dense stack, to the certificate
-    below; if that proves it, the result is the full rank n from one block.
-    Otherwise the matrix is split into the independent diagonal blocks of
-    its nonzero pattern (rows and columns joined by nonzero entries);
-    permuting rows and columns changes no rank or singular value, so the
-    rank is the sum of the blocks' ranks. The blocks then take the steps
-    below, but a split that gives back the whole matrix already offered is
-    not offered again; so a deficient or graded matrix in that window pays
-    one failed certificate more than the split alone (~90 us at 64 x 72 on
-    a 2-core machine). The rank is the split's either way, and so is the
+    Conversion: exactly, entries that are integers or Fractions by
+    construction, as int64 where every entry fits and Python ints otherwise;
+    numerically, float64 for real input and complex128 otherwise, every
+    entry finite. A ``tol`` that is not a finite number >= 0 raises
+    ValueError in both modes, and the input is never written to. A matrix
+    with no nonzero entry has rank 0 and no block, and runs no engine (its
+    engine reads "cholesky" exactly and "svd" numerically).
+
+    Certificate (:func:`_certified_full_rank`): a matrix whose smaller side n
+    is from _SPLIT_MIN_SIDE to _WHOLE_MAX_SIDE is offered whole, as one dense
+    stack; if that proves it, the rank is n from one block. Otherwise the
+    matrix is split into the independent diagonal blocks of its nonzero
+    pattern, a permutation of rows and columns that changes no rank or
+    singular value, so the rank is the sum of the blocks'; their stacks are
+    offered unless the split gave back the whole matrix already offered, so
+    no stack is offered twice. A deficient or graded matrix in that window
+    pays one failed certificate more than the split alone (~90 us at 64 x 72
+    on a 2-core machine). The rank is the split's either way, and so is the
     engine, except numerically where a block of small norm misses the
     tenfold margin by its own certified bound, taken at its own tr G, while
     the whole matrix's bound, taken at the whole tr G, clears it.
 
-    numerical: count of singular values strictly above the threshold, which
-    is ``tol`` when given and otherwise max(rows, cols) * eps * sigma_max of
-    the whole matrix. A matrix of at least _CERTIFY_MIN_ENTRIES entries
-    offers its block stacks to :func:`_gram_certifies`, the verified
-    Cholesky factorisation of their shifted float Grams; when every stack
-    passes and the smallest certified sigma_min is at least
-    BORDERLINE_GAP_RATIO times the threshold (taken at sigma_max <= sqrt of
-    the largest block's tr G when ``tol`` is not given), every block is
-    proven to have full rank above the threshold, and the result is the
-    full rank with engine "cholesky" (:func:`_certified_full_rank`).
-    Otherwise the blocks' singular values, padded with exact zeros to
-    min(rows, cols) values, are the whole matrix's; one stacked SVD per
-    block shape runs on the tall orientation (the transpose has the same
-    singular values), in real arithmetic when the input is real.
-    exact: requires entries that are integers or Fractions by construction,
-    converted to int64 at once where every entry fits. The int64 blocks of
-    each short side first go to one Cholesky call on their exact Grams less
-    a rounding shift (:func:`_gram_certifies`); if it completes, each of
-    those blocks has full rank. A stack it cannot certify is ranked mod RANK_PRIME
-    by one inverse-free elimination over the whole stack; a full rank there
-    is a full rank over the rationals (a nonzero minor mod p is a nonzero
-    integer), so it is certified as is. A stack is reduced mod RANK_PRIME
-    first unless it is int64 with every entry in [0, RANK_PRIME). A
-    deficient rank mod p may be an artefact of the prime, so that block is
-    settled by fraction-free (Bareiss) elimination over its integer
-    entries, never its residues. The input is never written to.
-    A ``tol`` that is not a finite number >= 0 raises ValueError in both modes.
+    Fallback, numerically: the count of singular values strictly above the
+    threshold, ``tol`` or max(rows, cols) * eps * sigma_max of the whole
+    matrix, from one stacked SVD per block shape on every stack, on the tall
+    orientation and in real arithmetic for real input; the blocks' values,
+    padded with exact zeros to min(rows, cols), are the whole matrix's.
+    Exactly: each stack the certificate did not prove is ranked mod
+    RANK_PRIME by one inverse-free elimination, reduced first unless it is
+    int64 in [0, RANK_PRIME); a full rank there is a full rank over the
+    rationals (a nonzero minor mod p is a nonzero integer), and a block
+    deficient mod p, which the prime may cause, is settled by fraction-free
+    (Bareiss) elimination over its integer entries, never its residues.
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if mode == "exact":
         a = _integer_matrix(m)
-        if not np.count_nonzero(_entries(a)):
-            return RankResult(rank=0, mode="exact", engine="cholesky", blocks=0)
-        whole = _whole(a)
-        if whole is not None and _gram_certifies([whole])[0] is not None:
-            return RankResult(rank=min(a.shape), mode="exact", engine="cholesky", blocks=1)
-        stacks, again = _split(a, whole)
-        total = blocks = needed = 0
-        certificates = _gram_certifies(stacks) if again else [None]
-        for stack, certified in zip(stacks, certificates):
-            full = min(stack.shape[1:])
-            blocks += stack.shape[0]
-            if certified is not None:
-                total += stack.shape[0] * full
-                continue
-            needed = max(needed, 1)
-            ranks = _stack_ranks_mod_p(_residues(stack))
-            for i in np.flatnonzero(ranks < full).tolist():
-                ranks[i] = _bareiss_rank(stack[i].tolist())
-                needed = 2
-            total += int(ranks.sum())
-        # the strongest engine that any stack needed
-        engine = ("cholesky", "mod-p", "bareiss")[needed]
-        prime = RANK_PRIME if engine == "mod-p" else None
-        return RankResult(rank=total, mode="exact", engine=engine, prime=prime, blocks=blocks)
-    if mode != "numerical":
+    elif mode == "numerical":
+        if len(np.shape(m)) != 2:
+            raise ValueError("rank expects a 2-d matrix")
+        a = _as_float_matrix(m)
+        if not np.isfinite(_entries(a)).all():
+            raise ValueError("numerical rank requires finite entries")
+    else:
         raise ValueError("mode must be 'exact' or 'numerical'")
-    if len(np.shape(m)) != 2:
-        raise ValueError("rank expects a 2-d matrix")
-    a = _as_float_matrix(m)
-    if not np.isfinite(_entries(a)).all():
-        raise ValueError("numerical rank requires finite entries")
-    stacks = []
+    stacks: list[np.ndarray] = []
+    certified: list = []
     if np.count_nonzero(_entries(a)):
-        offer = a.shape[0] * a.shape[1] >= _CERTIFY_MIN_ENTRIES
-        whole = _whole(a) if offer else None
+        whole = _whole(a)
         if whole is not None:
-            certified = _certified_full_rank([whole], a.shape, tol)
-            if certified is not None:
-                return certified
-        stacks, again = _split(a, whole)
-        if offer and again:
-            certified = _certified_full_rank(stacks, a.shape, tol)
-            if certified is not None:
-                return certified
-    s, blocks = _singular_values(stacks, min(a.shape))
-    smax = float(s[0]) if s.size else 0.0
-    threshold = float(tol) if tol is not None else max(a.shape) * np.finfo(float).eps * smax
-    kept = s[s > threshold]
-    discarded = s[s <= threshold]
-    return RankResult(
-        rank=int(kept.size),
-        mode="numerical",
-        engine="svd",
-        smallest_kept_singular_value=float(kept[-1]) if kept.size else None,
-        threshold=threshold,
-        largest_discarded_singular_value=float(discarded[0]) if discarded.size else None,
-        blocks=blocks,
-    )
+            certified, proven = _certified_full_rank([whole], a.shape, mode, tol)
+            if proven is not None:
+                return proven
+        stacks = _blocks(a if whole is None else whole[0], symmetric=False)
+        if whole is None or [s.shape for s in stacks] != [whole.shape]:
+            certified, proven = _certified_full_rank(stacks, a.shape, mode, tol)
+            if proven is not None:
+                return proven
+    if mode == "numerical":
+        s, blocks = _singular_values(stacks, min(a.shape))
+        smax = float(s[0]) if s.size else 0.0
+        threshold = float(tol) if tol is not None else max(a.shape) * 2.0**-52 * smax
+        kept = s[s > threshold]
+        discarded = s[s <= threshold]
+        return RankResult(
+            rank=int(kept.size),
+            mode=mode,
+            engine="svd",
+            smallest_kept_singular_value=float(kept[-1]) if kept.size else None,
+            threshold=threshold,
+            largest_discarded_singular_value=float(discarded[0]) if discarded.size else None,
+            blocks=blocks,
+        )
+    total = blocks = needed = 0
+    for stack, proof in zip(stacks, certified):
+        full = min(stack.shape[1:])
+        blocks += stack.shape[0]
+        if proof is not None:
+            total += stack.shape[0] * full
+            continue
+        needed = max(needed, 1)
+        ranks = _stack_ranks_mod_p(_residues(stack))
+        for i in np.flatnonzero(ranks < full).tolist():
+            ranks[i] = _bareiss_rank(stack[i].tolist())
+            needed = 2
+        total += int(ranks.sum())
+    # the strongest engine that any stack needed
+    engine = ("cholesky", "mod-p", "bareiss")[needed]
+    prime = RANK_PRIME if engine == "mod-p" else None
+    return RankResult(rank=total, mode=mode, engine=engine, prime=prime, blocks=blocks)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -492,15 +492,24 @@ class TestChoiRank:
     def test_stacked_vectors_are_vec_of_each_operator(self, rng):
         f = random_family(rng, 3, 4, 5)
         real = KrausFamily(d_in=4, d_out=3, ops=tuple(rng.standard_normal((5, 3, 4))))
-        for g in (f, real, shift_family(3, 2)):
+        # a repeated operator: the Kraus vectors are deficient, and the SVD decides
+        twice = KrausFamily(d_in=4, d_out=3, ops=(*real.ops[:4], real.ops[0]))
+        engines = set()
+        for g in (f, real, twice, shift_family(3, 2)):
             rr = choi_rank(g)
             if g.exact_ops is None:
                 per_op = np.array([vec(k) for k in g.ops])
                 s = np.linalg.svd(per_op, compute_uv=False)
-                assert rr.rank == rank(per_op).rank
-                assert rr.smallest_kept_singular_value == pytest.approx(s[rr.rank - 1], rel=1e-13)
+                assert rr.rank == rank(per_op).rank == (4 if g is twice else 5)
+                engines.add(rr.engine)
+                if rr.engine == "svd":
+                    assert rr.smallest_kept_singular_value == pytest.approx(s[rr.rank - 1], rel=1e-13)
+                else:
+                    # a certified lower bound on sigma_min, cleared tenfold
+                    assert 10 * rr.threshold <= rr.smallest_kept_singular_value <= s[rr.rank - 1]
             else:
                 assert rr.rank == rank(np.array([vec(e) for e in g.exact_ops]), mode="exact").rank
+        assert engines == {"cholesky", "svd"}
 
 
 class TestAdjoint:

@@ -23,6 +23,19 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def usage_error(capsys, argv, command):
+    """``main(argv)`` is a usage error: exit 2, one JSON error object naming
+    the subcommand (or null) on stdout, and an ``error: ...`` line with the
+    same message, and no traceback, on stderr. Returns the captured streams."""
+    assert main(list(argv)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)
+    assert error == {"command": command, "error": error["error"], "passed": False}
+    assert captured.err.startswith(f"error: {error['error']}")
+    assert "Traceback" not in captured.err
+    return captured
+
+
 class TestVerify:
     def test_paper_3_2(self, capsys):
         code, report = run(capsys, "verify", "paper", "3", "2")
@@ -54,11 +67,11 @@ class TestVerify:
         assert code == EXIT_PASS
         assert report["certificates"][0]["extremal"]
         assert report["verdicts"][0]["choi_rank"] == 8
-        # the 64 x 72 span is above the certificate's crossover, the 8 x 36
-        # Kraus vectors are below it
+        # the 64 x 72 span is certified whole, and the 8 x 36 Kraus vectors,
+        # like every nonzero matrix, meet the certificate before the SVD
         gram = report["certificates"][0]["gram_rank"]
         assert (gram["engine"], gram["mode"], gram["rank"]) == ("cholesky", "numerical", 64)
-        assert report["verdicts"][0]["choi_rank_engine"] == "svd"
+        assert report["verdicts"][0]["choi_rank_engine"] == "cholesky"
 
     def test_rank8k_3_is_certified(self, capsys):
         code, report = run(capsys, "verify", "rank8k", "3")
@@ -75,16 +88,16 @@ class TestVerify:
         assert report["verdicts"][0]["choi_rank_engine"] == "cholesky"
 
     def test_unknown_family_is_usage_error(self, capsys):
-        assert main(["verify", "nosuch"]) == EXIT_USAGE
+        usage_error(capsys, ["verify", "nosuch"], "verify")
 
     def test_wrong_params_usage_error(self, capsys):
-        assert main(["verify", "paper", "3"]) == EXIT_USAGE
-        assert main(["verify", "paper", "1", "1"]) == EXIT_USAGE
-        assert main(["verify", "rank8k", "2"]) == EXIT_USAGE
+        usage_error(capsys, ["verify", "paper", "3"], "verify")
+        usage_error(capsys, ["verify", "paper", "1", "1"], "verify")
+        usage_error(capsys, ["verify", "rank8k", "2"], "verify")
 
     def test_forced_exact_on_irrational_family(self, capsys):
         # verify has no --exact: a rational family is ranked exactly by default
-        assert main(["verify", "sigma2", "--exact"]) == EXIT_USAGE
+        usage_error(capsys, ["verify", "sigma2", "--exact"], "verify")
 
     def test_huge_tol_forces_failure_exit(self, capsys):
         code, report = run(capsys, "verify", "paper", "2", "1", "--numerical", "--tol", "1e9")
@@ -119,7 +132,7 @@ class TestVerify:
         assert report["passed"] and report["borderline"]
 
     def test_guardrail_and_override(self, capsys):
-        assert main(["verify", "rank8k", "5"]) == EXIT_USAGE
+        usage_error(capsys, ["verify", "rank8k", "5"], "verify")
         # (8*5)^2 = 1600 needs a raised guardrail; keep it small enough to run
         code, report = run(capsys, "verify", "rank8k", "5", "--max-dim", "1600")
         assert code == EXIT_PASS
@@ -132,11 +145,9 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "shift_family", never)
         monkeypatch.setattr(cli, "rank8k_6k", never)
-        assert main(["verify", *argv]) == EXIT_USAGE
-        captured = capsys.readouterr()
+        captured = usage_error(capsys, ["verify", *argv], "verify")
         assert captured.err.startswith("error: r^2 = ")
         assert "exceed the desk-scale limit 1024" in captured.err
-        assert captured.out == ""
 
     def test_json_file_output(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -147,11 +158,9 @@ class TestVerify:
 
     def test_unwritable_json_path_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "report.json"
-        assert main(["verify", "paper", "3", "2", "--json", str(path)]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
+        captured = usage_error(capsys, ["verify", "paper", "3", "2", "--json", str(path)], "verify")
+        assert captured.err.startswith("error: cannot write --json ")
         assert "Traceback" not in captured.err
-        assert captured.out == ""
         assert not path.exists()
 
     def test_report_counts_ranked_blocks(self, capsys):
@@ -182,18 +191,16 @@ class TestTable:
 
     def test_range_limits(self, capsys):
         # the largest cell's r^2 = (d_max + m_max)^2 obeys verify's span limit
-        assert main(["table", "2", "30", "1", "3"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        captured = usage_error(capsys, ["table", "2", "30", "1", "3"], "table")
         assert "r^2 = 1089 span rows exceed the desk-scale limit 1024" in captured.err
-        assert main(["table", "3", "2", "1", "1"]) == EXIT_USAGE
+        usage_error(capsys, ["table", "3", "2", "1", "1"], "table")
         code, report = run(capsys, "table", "2", "31", "1", "1")
         assert code == EXIT_PASS
         assert max(r["d2"] for r in report["table_rows"]) == 32
 
     def test_range_override(self, capsys):
         # the (7, 1) cell has r^2 = 64, the fixed rank8k 3 row 576
-        assert main(["table", "7", "7", "1", "1", "--max-dim", "575"]) == EXIT_USAGE
+        usage_error(capsys, ["table", "7", "7", "1", "1", "--max-dim", "575"], "table")
         code, report = run(capsys, "table", "7", "7", "1", "1", "--max-dim", "576")
         assert code == EXIT_PASS
         rows = {(r["d1"], r["d2"]): r for r in report["table_rows"]}
@@ -202,18 +209,14 @@ class TestTable:
     @pytest.mark.parametrize("value", ["0", "-5", "abc", "1.5"])
     def test_max_dim_must_be_a_positive_integer(self, capsys, value):
         # refused at parse time, not answered with a limit of 0 or -5
-        assert main(["table", "2", "6", "1", "6", "--max-dim", value]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        captured = usage_error(capsys, ["table", "2", "6", "1", "6", "--max-dim", value], "table")
         assert f"--max-dim: must be a positive integer, got {value!r}" in captured.err
         assert "desk-scale limit" not in captured.err
-        assert main(["verify", "paper", "3", "2", "--max-dim", value]) == EXIT_USAGE
+        usage_error(capsys, ["verify", "paper", "3", "2", "--max-dim", value], "verify")
 
     def test_max_dim_covers_the_fixed_rows(self, capsys):
         # the (2, 1) cell has r^2 = 9, but the fixed rows are built too
-        assert main(["table", "2", "2", "1", "1", "--max-dim", "9"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        captured = usage_error(capsys, ["table", "2", "2", "1", "1", "--max-dim", "9"], "table")
         assert "r^2 = 576 span rows exceed the desk-scale limit 9" in captured.err
 
 
@@ -250,10 +253,8 @@ class TestOracle:
 
     def test_bad_args(self, capsys):
         # verify paper is the one certification path: no oracle subcommand, no --exact
-        for argv in (["oracle", "2", "1"], ["verify", "paper", "3", "2", "--exact"]):
-            assert main(argv) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
+        for argv, command in ((["oracle", "2", "1"], None), (["verify", "paper", "3", "2", "--exact"], "verify")):
+            captured = usage_error(capsys, argv, command)
             assert "Traceback" not in captured.err
 
 
@@ -280,9 +281,7 @@ class TestProptest:
         [(["--seed", "-5", "--count", "1"], "seed must be non-negative"), (["--count", "0"], "count must be positive")],
     )
     def test_bad_seed_or_count_is_usage_error(self, capsys, argv, message):
-        assert main(["proptest", *argv]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        captured = usage_error(capsys, ["proptest", *argv], "proptest")
         assert message in captured.err and "Traceback" not in captured.err
 
 
@@ -323,13 +322,33 @@ class TestFlags:
         ],
     )
     def test_unhonoured_flag_is_usage_error(self, capsys, argv):
-        assert main(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        captured = usage_error(capsys, argv, argv[0])
+        assert "unrecognized arguments" in captured.err
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "argv, usage_error",
+        "argv, command, message",
+        [
+            (["verify", "paper", "3", "x"], "verify", "argument params: invalid int value: 'x'"),
+            (["table", "2", "2", "1"], "table", "the following arguments are required: m_max"),
+            (["proptest", "--count", "many"], "proptest", "argument --count: invalid int value"),
+            (["oracle", "2", "1"], None, "argument command: invalid choice: 'oracle'"),
+            ([], None, "the following arguments are required: command"),
+        ],
+    )
+    def test_parse_errors_are_json_usage_errors(self, capsys, argv, command, message):
+        captured = usage_error(capsys, argv, command)
+        assert json.loads(captured.out)["error"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["table", "-h"]])
+    def test_help_is_text(self, capsys, argv):
+        assert main(argv) == EXIT_PASS
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: extmarg")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv, refused",
         [
             (["verify", "paper", "3", "2", "--tol", "1e9"], True),
             (["verify", "paper", "2", "1", "--tol", "1e-3"], True),
@@ -337,19 +356,16 @@ class TestFlags:
             (["verify", "sigma2", "--tol", "0.7"], False),
         ],
     )
-    def test_tol_needs_a_numerical_run(self, capsys, argv, usage_error):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert (code == EXIT_USAGE) == usage_error
-        if usage_error:
-            assert captured.out == ""
+    def test_tol_needs_a_numerical_run(self, capsys, argv, refused):
+        if refused:
+            captured = usage_error(capsys, argv, "verify")
             assert "--tol needs --numerical" in captured.err
         else:
+            assert main(argv) != EXIT_USAGE
+            captured = capsys.readouterr()
             assert json.loads(captured.out)["inputs"]["tol"] == float(argv[-1])
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "x"])
     def test_bad_tol_is_usage_error(self, capsys, tol):
-        assert main(["verify", "sigma2", "--tol", tol]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        captured = usage_error(capsys, ["verify", "sigma2", "--tol", tol], "verify")
         assert "--tol" in captured.err and "Traceback" not in captured.err

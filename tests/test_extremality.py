@@ -32,6 +32,7 @@ from extremal_marginals.extremality import (
     _span_terms,
 )
 from extremal_marginals.linalg import (
+    BORDERLINE_GAP_RATIO,
     Coo,
     _bareiss_rank,
     _blocks,
@@ -134,11 +135,13 @@ class TestIsExtremal:
         assert not cert.borderline
 
     def test_noise_below_default_threshold_is_not_borderline(self):
-        # 1x1 operators: the 4 x 2 span has rank 1 and a second singular
-        # value of ~1e-16, within 10x of the default threshold.
-        ops = (np.array([[1.0]]) / np.sqrt(5), np.array([[2.0]]) / np.sqrt(5))
-        cert = is_extremal(KrausFamily(d_in=1, d_out=1, ops=ops), mode="numerical")
-        assert cert.gram_rank.rank == 1
+        # Two proportional 2 x 1 operators: every block vector is a multiple
+        # of one, so the 4 x 4 span (less its trace column) has rank 1, a
+        # deficiency beyond the trace identity, and a second singular value
+        # of ~1e-16, within 10x of the default threshold.
+        a = np.array([[2.0], [1.0]]) / np.sqrt(130)
+        cert = is_extremal(KrausFamily(d_in=1, d_out=2, ops=(a, 5 * a)), mode="numerical")
+        assert (cert.gram_rank.rank, cert.gram_rank.engine) == (1, "svd")
         assert cert.gram_rank.largest_discarded_singular_value > cert.gram_rank.threshold / 10
         assert not cert.borderline
 
@@ -341,7 +344,8 @@ def trace_kernel(d_in, d_out):
 
 class TestTraceQuotient:
     """tr K_i^dagger K_j = tr K_j K_i^dagger makes column 0 of the span a
-    combination of the other diagonal columns; the exact span drops it."""
+    combination of the other diagonal columns; the span drops it in both
+    modes."""
 
     def test_full_span_annihilates_the_trace_vector(self, rng):
         for _ in range(30):
@@ -360,16 +364,23 @@ class TestTraceQuotient:
             x = _block_vectors(np.stack(g.ops))
             assert np.abs(x @ w).max() <= 1e-13 * np.linalg.norm(x)
 
-    def test_exact_span_drops_one_column_numerical_keeps_all(self, rng):
-        f = seeded_integer_family(rng, 3, 4, 5)
-        full = _block_vectors(np.stack(f.ops))
-        assert full.dtype == np.float64
-        assert _span(f, exact=True).shape == (25, 3 * 3 + 4 * 4 - 1)
-        assert np.array_equal(_span(f, exact=False), full)
-        ints = integer_operators(f)
-        assert np.array_equal(
-            _span(f, exact=True), _block_vectors(np.stack(ints).astype(np.int64))[:, 1:]
-        )
+    def test_both_spans_drop_one_column(self, rng):
+        """Both modes drop column 0, so a rational family's numerical span is
+        its exact span times one positive scalar, in floats."""
+        for dens in (None, [1, 2, 3, 2, 1]):
+            f = seeded_integer_family(rng, 3, 4, 5, dens=dens)
+            full = _block_vectors(np.stack(f.ops))
+            assert full.dtype == np.float64
+            exact, numerical = _span(f, exact=True), _span(f, exact=False)
+            assert exact.shape == numerical.shape == (25, 3 * 3 + 4 * 4 - 1)
+            assert np.array_equal(numerical, full[:, 1:])
+            assert np.array_equal(exact, _block_vectors(f.integer_ops)[:, 1:])
+            if dens is None:
+                ints = np.stack(integer_operators(f)).astype(np.int64)
+                assert np.array_equal(exact, _block_vectors(ints)[:, 1:])
+            scale = np.linalg.norm(numerical) / np.linalg.norm(exact.astype(float))
+            assert scale > 0
+            assert np.abs(numerical - scale * exact).max() <= 1e-14 * np.abs(numerical).max()
 
     def test_quotient_rank_equals_bareiss_rank_of_full_span(self, rng):
         """Seeded integer families, many with r^2 >= d_in^2 + d_out^2, some with
@@ -399,6 +410,38 @@ class TestTraceQuotient:
         assert min(seen.values()) >= 10, seen
 
 
+class TestFullSpanOracle:
+    """Numerical verdicts, taken on the span less its trace column, agree
+    with an SVD of the full span at its own default threshold."""
+
+    def test_random_mixed_sizes(self, rng):
+        """Seeded Gaussian and integer families at the random benchmark's
+        sizes, d_in and d_out in 2..4 and r in 1..6, some integer ones with a
+        repeated operator: the same rank, extremality and borderline flag."""
+        seen = set()
+        for n in range(300):
+            d_in, d_out = (int(x) for x in rng.integers(2, 5, size=2))
+            r = int(rng.integers(1, 7))
+            if n % 2:
+                f = seeded_integer_family(rng, d_in, d_out, r, repeat=n % 6 == 1)
+            else:
+                f = random_family(rng, d_in, d_out, r)
+            full = _block_vectors(np.stack(f.ops))
+            s = np.linalg.svd(full, compute_uv=False)
+            threshold = max(full.shape) * np.finfo(float).eps * s[0]
+            kept = s[s > threshold]
+            cert = is_extremal(f, mode="numerical")
+            assert cert.gram_rank.rank == kept.size
+            assert cert.extremal == (kept.size == r * r)
+            # a repeated operator may copy a zero one over the only nonzero one
+            assert cert.borderline == bool(kept.size and kept[-1] < BORDERLINE_GAP_RATIO * threshold)
+            wide = r * r <= full.shape[1] - 1
+            seen.add(("wide" if wide else "tall", cert.gram_rank.engine, cert.extremal))
+        # both orientations; certified, and deficient by the SVD
+        assert {("wide", "cholesky", True), ("tall", "cholesky", False)} <= seen
+        assert {("wide", "svd", False), ("tall", "svd", False)} <= seen
+
+
 def densify(m):
     out = np.zeros(m.shape, dtype=m.vals.dtype)
     out[m.rows, m.cols] = m.vals
@@ -419,14 +462,14 @@ def builtin_families():
 
 class TestSparseSpan:
     """_sparse_block_vectors builds the span from the operators' nonzero
-    entries; densified, it must be _block_vectors (less column 0 on the exact
-    path), exactly for integers and to rounding for floats."""
+    entries; densified, it must be _block_vectors less column 0, exactly for
+    integers and to rounding for floats."""
 
     @staticmethod
-    def check(ops, dtype, first):
+    def check(ops, dtype):
         k = np.stack(ops).astype(dtype)
-        coo = _sparse_block_vectors(k, first)
-        dense = _block_vectors(k)[:, first:]
+        coo = _sparse_block_vectors(k)
+        dense = _block_vectors(k)[:, 1:]
         assert coo.shape == dense.shape and coo.vals.dtype == dense.dtype
         # distinct keys, no zero value: the nonzero pattern is the dense one
         assert len(set(zip(coo.rows.tolist(), coo.cols.tolist()))) == coo.vals.size
@@ -441,11 +484,11 @@ class TestSparseSpan:
     def test_builtin_families(self):
         for f in builtin_families():
             k = np.stack(f.ops)
-            self.check(k, k.dtype, 0)
+            self.check(k, k.dtype)
             if f.exact_ops is not None:
                 ints = integer_operators(f)
-                self.check(ints, np.int64, 1)
-                self.check([3 * 2**40 * e for e in ints], object, 1)
+                self.check(ints, np.int64)
+                self.check([3 * 2**40 * e for e in ints], object)
 
     def test_seeded_sparse_families(self, rng):
         """Zero rows and columns, a repeated operator, r = 1, and entries in
@@ -461,12 +504,11 @@ class TestSparseSpan:
             if n % 4 == 0 and r > 1:
                 mats[1] = mats[0]
             ints = list(mats.astype(np.int64))
-            dense = self.check(ints, np.int64, 1)
-            self.check([3 * 2**40 * np.array(m.tolist(), dtype=object) for m in ints], object, 1)
-            self.check(ints, np.int64, 0)
-            self.check([m * rng.standard_normal(m.shape) for m in ints], float, 0)
+            dense = self.check(ints, np.int64)
+            self.check([3 * 2**40 * np.array(m.tolist(), dtype=object) for m in ints], object)
+            self.check([m * rng.standard_normal(m.shape) for m in ints], float)
             noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            self.check(list(mats * noise), complex, 0)
+            self.check(list(mats * noise), complex)
             # a nonzero term under an entry that sums to zero is a cancellation
             terms = _block_vectors(np.abs(mats).astype(np.int64))[:, 1:]
             cancelled += int(((terms != 0) & (dense == 0)).sum())
@@ -492,7 +534,7 @@ class TestSparseSpan:
             rr = ranked(f, 10**9)
             assert ranked(f, 0) == rr
             if linalg._SPLIT_MIN_SIDE <= min(f.r * f.r, f.d_in**2 + f.d_out**2 - 1):
-                assert rank(_sparse_block_vectors(f.integer_ops, 1), mode="exact") == rr
+                assert rank(_sparse_block_vectors(f.integer_ops), mode="exact") == rr
 
         for d in range(2, 9):
             for m in range(1, 13):

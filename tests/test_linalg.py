@@ -31,7 +31,6 @@ from extremal_marginals.channels import _vecs
 from extremal_marginals.separability import _partial_transposed_choi
 from extremal_marginals import linalg
 from extremal_marginals.linalg import (
-    _CERTIFY_MIN_ENTRIES,
     _SPLIT_MIN_SIDE,
     _WHOLE_MAX_SIDE,
     RANK_PRIME,
@@ -691,23 +690,42 @@ class TestGramCertificate:
         assert (rr.rank, rr.engine, rr.threshold) == (64, "cholesky", tol)
         assert rr.smallest_kept_singular_value == certified.smallest_kept_singular_value
 
-    def test_crossover(self, rng):
-        """Only a float matrix of at least _CERTIFY_MIN_ENTRIES entries is
-        offered to the certificate."""
-        assert 36 * 32 < 63 * 65 < _CERTIFY_MIN_ENTRIES <= 64 * 64 < 64 * 72
-        # the largest Gaussian span of the random families: rank 31 at most
-        span = _span(random_family(rng, 4, 4, 6), exact=False)
-        assert span.shape == (36, 32)
-        assert rank(span).engine == "svd"
-        # a full-rank 36 x 32 matrix the certificate would pass still takes the SVD
-        a = rng.standard_normal((36, 32))
-        assert _gram_certifies([a[None]])[0] is not None
-        assert (rank(a).rank, rank(a).engine) == (32, "svd")
-        for shape, engine in (((63, 65), "svd"), ((64, 64), "cholesky")):
-            assert rank(rng.standard_normal(shape)).engine == engine
-        span = _span(rank8_66(), exact=False)
-        assert span.shape == (64, 72)
-        assert (rank(span).rank, rank(span).engine) == (64, "cholesky")
+    def test_small_matrices_meet_the_certificate(self, rng, monkeypatch):
+        """Every nonzero float matrix meets the certificate before the SVD,
+        whatever its size: the sigma2 span, a seeded Gaussian span and a stack
+        of Kraus vectors of the random families' largest sizes are proven of
+        full rank, with a bound that is at most sigma_min and clears the
+        threshold tenfold; a small deficient matrix makes one certificate
+        call, which fails, and then one SVD decides."""
+        sigma2 = _span(sigma_rank2(), exact=False)
+        gaussian = _span(random_family(rng, 4, 4, 6), exact=False)
+        kraus = _vecs(random_family(rng, 4, 4, 6).ops)
+        assert [m.shape for m in (sigma2, gaussian, kraus)] == [(4, 7), (36, 31), (6, 16)]
+        for m in (sigma2, gaussian, kraus):
+            rr = rank(m)
+            s = np.linalg.svd(m, compute_uv=False)
+            assert (rr.rank, rr.engine, rr.blocks) == (min(m.shape), "cholesky", 1)
+            assert 10 * rr.threshold <= rr.smallest_kept_singular_value <= s[-1]
+        calls = {"certificate": 0, "svd": 0}
+        svd = np.linalg.svd
+
+        def certificate(stacks):
+            calls["certificate"] += 1
+            return _gram_certifies(stacks)
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_gram_certifies", certificate)
+        monkeypatch.setattr(linalg.np.linalg, "svd", counted_svd)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        proportional = _vecs(np.stack([a, 2 * a]))
+        rr = rank(proportional)
+        assert (rr.rank, rr.engine) == (1, "svd")
+        assert calls == {"certificate": 1, "svd": 1}
+        s = svd(proportional, compute_uv=False)
+        assert rr.smallest_kept_singular_value == pytest.approx(s[0], rel=1e-13)
 
 
 class TestGroupedCertificate:
@@ -764,7 +782,6 @@ class TestGroupedCertificate:
         below = planted_float_stack(rng, 2, 6, 11, 0.9, complex_entries)
         for stacks, engine in ((above, "cholesky"), (above + [below], "svd")):
             m = exact_block_diagonal([b for s in stacks for b in s])
-            assert m.size >= _CERTIFY_MIN_ENTRIES
             rr = rank(m)
             assert rr.engine == engine
             assert rr.rank == sum(s.shape[0] * min(s.shape[1:]) for s in stacks)
@@ -886,10 +903,19 @@ class TestBlockSplit:
             count = int(rng.integers(4, 9))
             shapes = [tuple(int(x) for x in rng.integers(4, 14, size=2)) for _ in range(count)]
             ranks = [int(rng.integers(1, min(p, q) + 1)) for p, q in shapes]
+            if n % 2:
+                # one block deficient by one: scaling rows and columns keeps
+                # every block's planted rank
+                ranks[0] = min(shapes[0]) - 1
             m, planted = planted_block_diagonal(rng, shapes, ranks)
-            a = m * rng.standard_normal(m.shape)
-            if complex_entries:
-                a = a + 1j * m * rng.standard_normal(m.shape)
+            if n % 2:
+                a = m * (1 + rng.random(m.shape[0]))[:, None]
+                if complex_entries:
+                    a = a * np.exp(2j * np.pi * rng.random(m.shape[1]))
+            else:
+                a = m * rng.standard_normal(m.shape)
+                if complex_entries:
+                    a = a + 1j * m * rng.standard_normal(m.shape)
             a = a @ np.diag(1 + rng.random(m.shape[1]))
             dense = np.linalg.svd(a, compute_uv=False)
             s, blocks = _singular_values(_blocks(a, symmetric=False), min(a.shape))
@@ -900,8 +926,12 @@ class TestBlockSplit:
             default = max(a.shape) * np.finfo(float).eps * dense[0]
             assert rr.rank == int((dense > default).sum())
             engines.add(rr.engine)
+            if n % 2:
+                assert (rr.rank, rr.engine) == (planted, "svd")
             if rr.engine == "svd":
+                # the SVD's own values
                 assert rr.threshold == pytest.approx(default)
+                assert rr.smallest_kept_singular_value == pytest.approx(dense[rr.rank - 1], rel=1e-12)
                 continue
             # every block certified: a lower bound on sigma_min that clears
             # a threshold taken at an upper bound on sigma_max tenfold
@@ -1028,7 +1058,6 @@ class TestWholeCertificate:
         seen = set()
         for m in window_cases(rng, dtype):
             assert _SPLIT_MIN_SIDE <= min(m.shape) <= _WHOLE_MAX_SIDE
-            assert m.size >= _CERTIFY_MIN_ENTRIES
             whole = rank(m, mode=mode)
             assert rank(coo_of(m), mode=mode) == whole
             with monkeypatch.context() as mp:
@@ -1039,7 +1068,7 @@ class TestWholeCertificate:
                 assert whole.rank == _bareiss_rank(m.tolist())
                 passed = _gram_certifies([m[None]])[0] is not None
             else:
-                passed = _certified_full_rank([m[None]], m.shape, None) is not None
+                passed = _certified_full_rank([m[None]], m.shape, mode, None)[1] is not None
             # a whole matrix proven full is one block; otherwise the split's count
             assert whole.blocks == (1 if passed else split.blocks)
             seen.add((passed, split.blocks > 1))
