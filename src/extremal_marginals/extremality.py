@@ -24,9 +24,10 @@ one positive scalar, and a family of rank D - 1 has a span of full column
 rank. Both modes offer it to the same full-rank certificate of
 :func:`linalg.rank`, a verified Cholesky factorisation of each block's
 Gram less a rounding shift: the exact integer Gram in exact mode (else mod
-p, and Bareiss only confirms a deficiency beyond the identity), the float
-Gram in numerical mode, where a certificate counts only with a margin of
-BORDERLINE_GAP_RATIO over the threshold. That test squares the
+2^31 - 1, and a deficiency beyond the identity is proven by further primes
+below it, as many as the Hadamard bound on the span's minors asks for),
+the float Gram in numerical mode, where a certificate counts only with a
+margin of BORDERLINE_GAP_RATIO over the threshold. That test squares the
 conditioning, so a p x q block with sigma_min below sqrt(4(p + q + 4) u)
 ||block||_F, u = 2^-53 (1e-7 to 1e-6 here), is not certified; such a span,
 and every deficient one, goes to the SVD, which sees the span's own

@@ -9,8 +9,10 @@ singular values above an explicit threshold: a float matrix whose blocks
 that factorisation certifies with a margin of BORDERLINE_GAP_RATIO over the
 threshold has its full rank proven, and the SVD ranks every other one. For
 matrices that are rational by construction, exact rank certifies full rank
-from the exact Gram, elimination modulo a prime ranks what that cannot, and
-fraction-free elimination over the integers confirms a deficient rank.
+from the exact Gram, and elimination modulo primes ranks what that cannot: a
+block of full rank modulo 2^31 - 1 has it over the rationals, and a block
+deficient there is ranked modulo the next primes below 2^31 until they
+multiply past the Hadamard bound on its minors, which proves its rank.
 
 Rank and the minimum eigenvalue split a matrix into the connected
 components of its nonzero pattern. The span and Choi matrices of the
@@ -31,9 +33,10 @@ Numerically, unless it proves the whole matrix, one stacked SVD per shape
 runs on the tall orientation; exactly, a stack it cannot certify goes to
 one inverse-free elimination modulo the prime over all the stack's rows,
 which takes the nonzero columns sparsest first to limit fill-in and stops
-once every row has been a pivot. Integer arrays enter exact rank as they
-are; only object arrays are converted, and an int64 stack whose entries are
-already residues mod the prime is not reduced again.
+once every row has been a pivot, and the blocks the bound leaves unsettled
+go on together, one elimination per further prime. Integer arrays enter
+exact rank as they are; only object arrays are converted, and an int64
+stack whose entries are already residues mod a prime is not reduced again.
 
 A matrix may also be given as its nonzero entries, a :class:`Coo`. One
 gatherer labels the components of either input from its nonzero entries (a
@@ -57,6 +60,7 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Callable, Iterable
@@ -69,7 +73,8 @@ HERMITIAN_ATOL = 1e-12
 # A numerical verdict whose smallest kept singular value is within this
 # factor of the rank threshold is borderline.
 BORDERLINE_GAP_RATIO = 10.0
-# Largest prime below 2^31: residues are < 2^31, so a product of two is
+# Largest prime below 2^31, the first modulus of exact rank; the next ones
+# are the primes below it. Residues are < 2^31, so a product of two is
 # < 2^62 and modular elimination never overflows int64.
 RANK_PRIME = 2**31 - 1
 # A matrix whose smaller side is below this is ranked or eigensolved as one
@@ -424,10 +429,12 @@ class RankResult:
     structural zeros below min(rows, cols) and None when nothing is
     discarded, as for a certified span of full column rank. Exact: the
     strongest engine that some block needed: "cholesky" (every block of full
-    rank by a verified Cholesky factorisation of its exact Gram), "mod-p"
-    (every other block of full rank modulo ``prime``, the one engine that
-    sets it) or "bareiss" (exact elimination over the integers for at least
-    one block).
+    rank by a verified Cholesky factorisation of its exact Gram) or "mod-p"
+    (every other block ranked modulo primes, the one engine that sets
+    ``prime`` and ``primes``). ``prime`` is RANK_PRIME, the first modulus,
+    and ``primes`` how many primes the neediest block used: 1 when every
+    block had full rank modulo RANK_PRIME or a rank there that the bound on
+    its minors settled, else k for RANK_PRIME and the k - 1 primes below it.
     ``blocks`` counts the independent diagonal blocks of the nonzero pattern
     that were ranked, and the rank is the sum of theirs; it is 1 when the
     whole matrix was certified as one block without a split, and 0 for a
@@ -442,6 +449,7 @@ class RankResult:
     threshold: float | None = None
     largest_discarded_singular_value: float | None = None
     prime: int | None = None
+    primes: int | None = None
     blocks: int = 1
 
     @property
@@ -459,6 +467,7 @@ class RankResult:
             "mode": self.mode,
             "engine": self.engine,
             "prime": self.prime,
+            "primes": self.primes,
             "smallest_kept_singular_value": self.smallest_kept_singular_value,
             "threshold": self.threshold,
             "largest_discarded_singular_value": self.largest_discarded_singular_value,
@@ -653,10 +662,10 @@ def _gram_certifies(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarr
     return out
 
 
-def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
-    """Rank over GF(RANK_PRIME) of each block of a (k, p, q) stack of int64
-    residues in [0, RANK_PRIME), by one inverse-free elimination over all
-    k * p rows. The stack itself is never written to.
+def _stack_ranks_mod_p(stack: np.ndarray, prime: int) -> np.ndarray:
+    """Rank over GF(prime) of each block of a (k, p, q) stack of int64
+    residues in [0, prime), ``prime`` below 2^31, by one inverse-free
+    elimination over all k * p rows. The stack itself is never written to.
 
     Columns are eliminated sparsest first: the stack's all-zero columns are
     dropped and the rest taken in a stable order of their nonzero count
@@ -669,7 +678,7 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
 
     Column by column, a block's pivot is its first row with a nonzero entry
     there, and every other such row of the block becomes
-    ``piv * row - a_rc * pivot_row`` mod RANK_PRIME. The pivot is a unit mod
+    ``piv * row - a_rc * pivot_row`` mod the prime. The pivot is a unit mod
     the prime, so the block's row space is unchanged and no inverse is
     needed; a product of two residues is below 2^62, so int64 arithmetic is
     exact. A pivot row takes
@@ -707,55 +716,110 @@ def _stack_ranks_mod_p(stack: np.ndarray) -> np.ndarray:
             top = a[src]
             a[tgt, c + 1 :] = (
                 top[..., c, None] * a[tgt, c + 1 :] - a[tgt, c, None] * top[..., c + 1 :]
-            ) % RANK_PRIME
+            ) % prime
         a[piv] = 0
     if not pivots:
         return np.zeros(k, dtype=np.int64)
     return np.bincount(np.concatenate(pivots) // p, minlength=k)
 
 
-def _residues(stack: np.ndarray) -> np.ndarray:
-    """The stack's entries mod RANK_PRIME as int64; an int64 stack already in
-    [0, RANK_PRIME) is returned as it is, not reduced again."""
-    if stack.dtype == np.int64 and stack.min(initial=0) >= 0 and stack.max(initial=0) < RANK_PRIME:
+def _residues(stack: np.ndarray, prime: int) -> np.ndarray:
+    """The stack's entries mod ``prime`` as int64; an int64 stack already in
+    [0, prime) is returned as it is, not reduced again."""
+    if stack.dtype == np.int64 and stack.min(initial=0) >= 0 and stack.max(initial=0) < prime:
         return stack
-    return (stack % RANK_PRIME).astype(np.int64, copy=False)
+    return (stack % prime).astype(np.int64, copy=False)
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the integers."""
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    rank_ = 0
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        piv = None
-        for r in range(row, n_rows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        p = m[row][col]
-        for r in range(row + 1, n_rows):
-            mr = m[r]
-            f = mr[col]
-            if f == 0 and p == prev:
+def _prime_below(n: int) -> int:
+    """The largest prime below ``n``, for 11 < n <= 2^31.
+
+    Each odd candidate is tested by Miller-Rabin to the bases 2, 3, 5 and 7,
+    which no odd composite below 3,215,031,751 passes (Pomerance, Selfridge
+    and Wagstaff, Math. Comp. 35, 1003, 1980), so the test is exact here.
+    """
+    n -= 1 + n % 2  # the largest odd number below n
+    while True:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for base in (2, 3, 5, 7):
+            x = pow(base, d, n)
+            if x in (1, n - 1):
                 continue
-            top = m[row]
-            for c in range(col + 1, n_cols):
-                mr[c] = (p * mr[c] - f * top[c]) // prev
-            mr[col] = 0
-        prev = p
-        row += 1
-        rank_ += 1
-        if row == n_rows:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                break  # base witnesses that n is composite
+        else:
+            return n
+        n -= 2
+
+
+def _minor_bits(stack: np.ndarray, ranks: np.ndarray) -> list[int]:
+    """For each block A of an integer (k, p, q) stack and its entry s of
+    ``ranks`` (s < min(p, q)), a b with |M| < 2^b for every (s + 1)-minor M
+    of A: the least b with H < 2^b, H the Hadamard bound below.
+
+    By Hadamard's inequality |M| is at most the product of the norms of its
+    s + 1 columns, each at most the norm of the column of A it is cut from,
+    so at most H_c, the product of the s + 1 largest column norms of A; and
+    likewise at most H_r, that of the s + 1 largest row norms. With H^2 =
+    min(H_c^2, H_r^2), a product of exact squared norms, H < 2^b for b =
+    ceil(L / 2), L the bit length of H^2. The squared norms are int64 sums
+    when max|a|^2 * max(p, q) < 2^63, so none overflows, and Python ints
+    otherwise. A larger minor is not bounded by H: 10 I has H = 10 at s = 0
+    and a 2 x 2 minor of 100.
+    """
+    top = max(-int(stack.min(initial=0)), int(stack.max(initial=0)))
+    side = max(stack.shape[1:])
+    a = stack if stack.dtype == np.int64 and top * top * side < 2**63 else stack.astype(object)
+    square = a * a
+    cols = np.sort(square.sum(axis=1), axis=1)[:, ::-1].tolist()
+    rows = np.sort(square.sum(axis=2), axis=1)[:, ::-1].tolist()
+    bits = []
+    for c, r, s in zip(cols, rows, ranks.tolist()):
+        h2 = min(math.prod(c[: s + 1]), math.prod(r[: s + 1]))
+        bits.append((h2.bit_length() + 1) // 2)
+    return bits
+
+
+def _exact_ranks(stack: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank over the rationals of each block of an integer (k, p, q)
+    stack, from its ranks modulo primes, and the number of primes the
+    neediest block used.
+
+    Every block is ranked mod RANK_PRIME, and a block of full rank n = min(p,
+    q) there has it over the rationals (a minor nonzero mod a prime is a
+    nonzero integer). A rank mod a prime never exceeds the rank over the
+    rationals, so a block's largest rank s seen so far is a lower bound.
+    While s < n, the block is settled once its primes, each above 2^30 and
+    so counted as 30 bits, multiply past the bound 2^b of
+    :func:`_minor_bits` on its (s + 1)-minors: suppose some (s + 1)-minor M
+    were nonzero. Every prime used gave rank <= s, so M vanishes mod each of
+    them, their product divides M, and |M| >= that product > 2^b > |M|. So
+    the rank is s. Otherwise every unsettled block of the stack is ranked,
+    in one elimination, modulo the next prime below the last one used (von
+    zur Gathen and Gerhard, Modern Computer Algebra, 3rd ed., Sec. 5.5).
+    The primes above 2^30 number over 5 * 10^7, so they would run out only
+    for a bound past 10^9 bits.
+    """
+    n = min(stack.shape[1:])
+    prime, used = RANK_PRIME, 1
+    ranks = _stack_ranks_mod_p(_residues(stack, prime), prime)
+    unsettled = np.flatnonzero(ranks < n)
+    while unsettled.size:
+        bits = np.array(_minor_bits(stack[unsettled], ranks[unsettled]))
+        unsettled = unsettled[bits > 30 * used]
+        if not unsettled.size:
             break
-    return rank_
+        prime, used = _prime_below(prime), used + 1
+        seen = _stack_ranks_mod_p(_residues(stack[unsettled], prime), prime)
+        ranks[unsettled] = np.maximum(ranks[unsettled], seen)
+        unsettled = unsettled[ranks[unsettled] < n]
+    return ranks, used
 
 
 def _as_float_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
@@ -873,11 +937,9 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     orientation and in real arithmetic for real input; the blocks' values,
     padded with exact zeros to min(rows, cols), are the whole matrix's.
     Exactly: each stack the certificate did not prove is ranked mod
-    RANK_PRIME by one inverse-free elimination, reduced first unless it is
-    int64 in [0, RANK_PRIME); a full rank there is a full rank over the
-    rationals (a nonzero minor mod p is a nonzero integer), and a block
-    deficient mod p, which the prime may cause, is settled by fraction-free
-    (Bareiss) elimination over its integer entries, never its residues.
+    RANK_PRIME by one inverse-free elimination, and a block deficient there
+    mod the next primes below it, until they multiply past the Hadamard
+    bound on its minors taken from its integer entries (:func:`_exact_ranks`).
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -919,23 +981,20 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
             largest_discarded_singular_value=float(discarded[0]) if discarded.size else None,
             blocks=blocks,
         )
-    total = blocks = needed = 0
+    total = blocks = primes = 0
     for stack, proof in zip(stacks, certified):
-        full = min(stack.shape[1:])
         blocks += stack.shape[0]
         if proof is not None:
-            total += stack.shape[0] * full
+            total += stack.shape[0] * min(stack.shape[1:])
             continue
-        needed = max(needed, 1)
-        ranks = _stack_ranks_mod_p(_residues(stack))
-        for i in np.flatnonzero(ranks < full).tolist():
-            ranks[i] = _bareiss_rank(stack[i].tolist())
-            needed = 2
+        ranks, used = _exact_ranks(stack)
         total += int(ranks.sum())
-    # the strongest engine that any stack needed
-    engine = ("cholesky", "mod-p", "bareiss")[needed]
-    prime = RANK_PRIME if engine == "mod-p" else None
-    return RankResult(rank=total, mode=mode, engine=engine, prime=prime, blocks=blocks)
+        primes = max(primes, used)
+    if not primes:
+        return RankResult(rank=total, mode=mode, engine="cholesky", blocks=blocks)
+    return RankResult(
+        rank=total, mode=mode, engine="mod-p", prime=RANK_PRIME, primes=primes, blocks=blocks
+    )
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -988,11 +1047,19 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         except ZeroDivisionError as exc:
             raise ValueError(f"rational entry with a zero denominator: {exc}") from exc
         return out.reshape(nrows, ncols)
-    for idx, e in enumerate(entries):
-        pair = isinstance(e, (list, tuple)) and len(e) == 2
-        # JSON's true and false are not the numbers 1 and 0
-        if not pair or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in e):
-            raise ValueError(f"entry {idx} is neither a [re, im] pair of numbers nor a rational string")
+    # the sets of the entries' types and lengths and of their parts' types
+    # pass the common case, lists of two JSON numbers, without a Python loop;
+    # the loop, which also takes numpy scalars, names the first bad entry
+    if not (
+        set(map(type, entries)) <= {list, tuple}
+        and set(map(len, entries)) == {2}
+        and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}
+    ):
+        for idx, e in enumerate(entries):
+            pair = isinstance(e, (list, tuple)) and len(e) == 2
+            # JSON's true and false are not the numbers 1 and 0
+            if not pair or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in e):
+                raise ValueError(f"entry {idx} is neither a [re, im] pair of numbers nor a rational string")
     try:
         pairs = np.array(entries, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -32,8 +32,9 @@ from extremal_marginals import (
     vec,
 )
 from extremal_marginals.extremality import _span, is_extremal
+from extremal_marginals.linalg import RANK_PRIME
 from extremal_marginals.separability import _partial_transposed_choi
-from conftest import random_density, random_unitary, reorder_subsystems, same_bits
+from conftest import _bareiss_rank, random_density, random_unitary, reorder_subsystems, same_bits
 
 
 def identity_family(d=2):
@@ -113,18 +114,21 @@ class TestKrausFamily:
             return np.vectorize(convert, otypes=[object])
 
         fractions_json = [matrix_to_json(np.array(m, dtype=object)) for m in fractions]
-        # (operators, stack dtype, lcm, span rank and engine, Choi rank and engine)
+        # (operators, stack dtype, lcm, span and Choi rank, engine and primes):
+        # every rank is deficient (the fourth fraction operator is a sum of
+        # two others) or past the 2^53 Gram bound, so it is decided mod p; the
+        # span scaled by 60^2 needs five primes to pass its minors' bound
         cases = [
-            ([np.array(m, dtype=object) for m in fractions], np.int64, 60, (9, "bareiss"), (3, "bareiss")),
-            ([np.array(m, dtype=object) for m in big], object, 1, (9, "mod-p"), (3, "mod-p")),
-            ([np.array(m, dtype=np.int64) for m in small], np.int64, 1, (4, "bareiss"), (2, "bareiss")),
-            ([to_object(np.int64)(m) for m in small], np.int64, 1, (4, "bareiss"), (2, "bareiss")),
-            ([to_object(numpy_parts)(m) for m in fractions], np.int64, 60, (9, "bareiss"), (3, "bareiss")),
+            ([np.array(m, dtype=object) for m in fractions], np.int64, 60, (9, "mod-p", 5), (3, "mod-p", 1)),
+            ([np.array(m, dtype=object) for m in big], object, 1, (9, "mod-p", 1), (3, "mod-p", 1)),
+            ([np.array(m, dtype=np.int64) for m in small], np.int64, 1, (4, "mod-p", 1), (2, "mod-p", 1)),
+            ([to_object(np.int64)(m) for m in small], np.int64, 1, (4, "mod-p", 1), (2, "mod-p", 1)),
+            ([to_object(numpy_parts)(m) for m in fractions], np.int64, 60, (9, "mod-p", 5), (3, "mod-p", 1)),
         ]
         cases = [(family(mats), mats, *rest) for mats, *rest in cases]
         from_json = family_from_json({"d_in": 2, "d_out": 3, "ops": fractions_json})
         parsed = [matrix_from_json(m) for m in fractions_json]
-        cases.append((from_json, parsed, np.int64, 60, (9, "bareiss"), (3, "bareiss")))
+        cases.append((from_json, parsed, np.int64, 60, (9, "mod-p", 5), (3, "mod-p", 1)))
         for f, given, dtype, lcm, span, vecs in cases:
             for e, g in zip(f.exact_ops, given):
                 assert e.tolist() == np.asarray(g).tolist()
@@ -136,9 +140,12 @@ class TestKrausFamily:
             assert k.shape == (f.r, f.d_out, f.d_in) and k.dtype == dtype
             assert not k.flags.writeable
             assert [[[lcm * x for x in row] for row in e.tolist()] for e in f.exact_ops] == k.tolist()
-            rr = is_extremal(f).gram_rank
-            assert (rr.rank, rr.engine) == span
-            assert (choi_rank(f).rank, choi_rank(f).engine) == vecs
+            for rr, want, oracle in (
+                (is_extremal(f).gram_rank, span, _span(f, exact=True)),
+                (choi_rank(f), vecs, k.reshape(f.r, -1)),
+            ):
+                assert (rr.rank, rr.engine, rr.primes) == want
+                assert (rr.prime, rr.rank) == (RANK_PRIME, _bareiss_rank(oracle.tolist()))
         assert sigma_rank2().integer_ops is None
 
     def test_hermitian_flag(self):

@@ -33,14 +33,14 @@ from extremal_marginals.extremality import (
 )
 from extremal_marginals.linalg import (
     BORDERLINE_GAP_RATIO,
+    RANK_PRIME,
     Coo,
-    _bareiss_rank,
     _blocks,
     _singular_values,
     coo_is_cheaper,
     integer_entries,
 )
-from conftest import random_unitary
+from conftest import _bareiss_rank, random_unitary
 
 
 def e_basis_family():
@@ -165,7 +165,8 @@ class TestIsExtremal:
         k, e = shift_family(2, 1).ops[0], shift_family(2, 1).exact_ops[0]
         repeated = KrausFamily(d_in=2, d_out=3, ops=(k, k), exact_ops=(e, e))
         rr = is_extremal(repeated).gram_rank
-        assert (rr.rank, rr.engine, rr.prime) == (1, "bareiss", None)
+        assert (rr.rank, rr.engine, rr.prime, rr.primes) == (1, "mod-p", RANK_PRIME, 1)
+        assert rr.rank == _bareiss_rank(_span(repeated, exact=True).tolist())
         assert is_extremal(rank8k_6k(3)).gram_rank.engine == "cholesky"
 
     def test_exact_span_rank_equals_exact_gram_rank(self, rng):
@@ -386,8 +387,9 @@ class TestTraceQuotient:
         """Seeded integer families, many with r^2 >= d_in^2 + d_out^2, some with
         a repeated operator, per-operator denominators or Python-int entries.
         A rank of min(r^2, D - 1) is certified by the span's Gram on int64
-        entries and mod p on Python ints; any smaller rank is Bareiss's."""
-        seen = {"r2>=D": 0, "full at D-1": 0, "bareiss": 0, "python-int": 0}
+        entries and mod p on Python ints; any smaller rank is decided mod p,
+        with as many primes as its minors' bound asks for."""
+        seen = {"r2>=D": 0, "full at D-1": 0, "deficient": 0, "python-int": 0, "primes > 1": 0}
         for n in range(240):
             d_in, d_out = (int(x) for x in rng.integers(1, 5, size=2))
             r = int(rng.integers(1, 7))
@@ -403,10 +405,15 @@ class TestTraceQuotient:
             top = min(r * r, d_in * d_in + d_out * d_out - 1)
             assert rr.blocks == 1
             certified = "mod-p" if big > 1 else "cholesky"
-            assert rr.engine == (certified if rr.rank == top else "bareiss")
+            assert rr.engine == (certified if rr.rank == top else "mod-p")
+            if rr.engine == "mod-p":
+                assert rr.prime == RANK_PRIME and rr.primes >= 1
+            else:
+                assert rr.prime is rr.primes is None
             seen["r2>=D"] += r * r >= d_in * d_in + d_out * d_out
             seen["full at D-1"] += rr.rank == top < r * r
-            seen["bareiss"] += rr.engine == "bareiss"
+            seen["deficient"] += rr.rank < top
+            seen["primes > 1"] += (rr.primes or 0) > 1
         assert min(seen.values()) >= 10, seen
 
 

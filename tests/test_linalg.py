@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -36,18 +37,19 @@ from extremal_marginals.linalg import (
     RANK_PRIME,
     Coo,
     RankResult,
-    _bareiss_rank,
     _blocks,
     _certified_full_rank,
     _gram_certifies,
     _integer_matrix,
     _labels,
+    _minor_bits,
+    _prime_below,
     _residues,
     _singular_values,
     _stack_ranks_mod_p,
     integer_entries,
 )
-from conftest import random_density, random_unitary, same_bits
+from conftest import _bareiss_rank, random_density, random_unitary, same_bits
 
 
 def bell_state():
@@ -214,11 +216,12 @@ class TestRank:
 
 
 class TestExactRankEngine:
-    def test_singular_mod_p_falls_back_to_bareiss(self):
+    def test_singular_mod_p_takes_a_second_prime(self):
+        # rank 1 mod RANK_PRIME; its 2 x 2 minor is bounded by 1 * RANK_PRIME,
+        # past the 30 bits one prime counts for, so the next prime decides
         rr = rank(np.diag([1, RANK_PRIME]), mode="exact")
-        assert rr.rank == 2
-        assert rr.engine == "bareiss"
-        assert rr.prime is None
+        assert (rr.rank, rr.engine, rr.prime, rr.primes) == (2, "mod-p", RANK_PRIME, 2)
+        assert rr.to_json()["primes"] == 2
 
     def test_full_rank_mod_p_is_the_certificate(self):
         # (2^31)^2 * 2 is past the 2^53 Gram bound, so no Cholesky is tried
@@ -238,11 +241,14 @@ class TestExactRankEngine:
         span = _span(f, exact=True)
         assert span.dtype == object
         rr = is_extremal(f).gram_rank
-        assert rr.rank == _bareiss_rank(span.tolist())
-        # a Python-int stack skips the Gram certificate
-        assert rr.engine == ("bareiss" if deficient else "mod-p")
+        assert rr.rank == _bareiss_rank(span.tolist()) == (4 if deficient else 9)
+        # a Python-int stack skips the Gram certificate; entries of ~2^42 give
+        # the span entries of ~2^86, so a deficient rank needs many primes
+        assert (rr.engine, rr.prime) == ("mod-p", RANK_PRIME)
+        assert rr.primes == (15 if deficient else 1)
 
     def test_agrees_with_bareiss_on_seeded_integers(self, rng):
+        primes = set()
         for _ in range(200):
             rows, cols = (int(x) for x in rng.integers(1, 15, size=2))
             k = int(rng.integers(0, min(rows, cols) + 1))
@@ -253,7 +259,12 @@ class TestExactRankEngine:
             assert rr.rank == _bareiss_rank(m.tolist())
             # a zero matrix (k = 0) has no block and runs no engine
             if rr.rank < min(rows, cols):
-                assert rr.engine == ("bareiss" if m.any() else "cholesky")
+                want = ("mod-p", RANK_PRIME) if m.any() else ("cholesky", None)
+                assert (rr.engine, rr.prime) == want
+                assert (rr.primes is None) == (not m.any())
+                primes.add(rr.primes)
+        # a row times the prime makes some deficient blocks need a second one
+        assert {1, 2} <= primes
 
 
 def planted_stack(rng, k, p, q):
@@ -275,7 +286,7 @@ class TestStackedEliminationModP:
             p, q = {"wide": (a, b + 1), "tall": (b + 1, a), "square": (b, b)}[orientation]
             stack = planted_stack(rng, k, p, q)
             stack[int(rng.integers(k))] = 0
-            got = _stack_ranks_mod_p(stack % RANK_PRIME)
+            got = _stack_ranks_mod_p(stack % RANK_PRIME, RANK_PRIME)
             assert got.tolist() == [_bareiss_rank(b.tolist()) for b in stack]
 
     @pytest.mark.parametrize("orientation", ["wide", "tall", "square"])
@@ -290,22 +301,25 @@ class TestStackedEliminationModP:
             want = [_bareiss_rank(b.tolist()) for b in stack]
             for seed in range(5):
                 perm = np.random.default_rng(seed).permutation(q)
-                got = _stack_ranks_mod_p(stack[:, :, perm] % RANK_PRIME)
+                got = _stack_ranks_mod_p(stack[:, :, perm] % RANK_PRIME, RANK_PRIME)
                 assert got.tolist() == want
-            assert _stack_ranks_mod_p(np.zeros_like(stack)).tolist() == [0] * k
+            assert _stack_ranks_mod_p(np.zeros_like(stack), RANK_PRIME).tolist() == [0] * k
 
-    def test_deficient_only_mod_p_goes_to_bareiss(self, rng):
+    def test_deficient_only_mod_p_takes_more_primes(self, rng):
         # five full-rank 6 x 9 blocks on the diagonal are one stack of k = 5
         stack = np.stack([planted_stack(rng, 1, 6, 9)[0] for _ in range(5)])
         stack[2] = rng.integers(-3, 4, size=(6, 6)) @ rng.integers(-3, 4, size=(6, 9))
         full = [_bareiss_rank(b.tolist()) for b in stack]
         stack[2, 0] *= RANK_PRIME
-        assert _stack_ranks_mod_p(stack % RANK_PRIME)[2] == full[2] - 1
+        assert _stack_ranks_mod_p(stack % RANK_PRIME, RANK_PRIME)[2] == full[2] - 1
         m = np.zeros((30 + _SPLIT_MIN_SIDE, 45 + _SPLIT_MIN_SIDE), dtype=np.int64)
         for i, b in enumerate(stack):
             m[6 * i : 6 * i + 6, 9 * i : 9 * i + 9] = b
+        # the scaled row puts the bound on the block's 6-minors past the 30
+        # bits one prime counts for, so the block takes a second prime
         rr = rank(m, mode="exact")
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (sum(full), "bareiss", None, 5)
+        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (sum(full), "mod-p", RANK_PRIME, 5)
+        assert rr.primes == 2
 
     @pytest.mark.parametrize("orientation", ["wide", "tall", "square"])
     def test_single_block_matches_bareiss(self, rng, orientation):
@@ -315,7 +329,8 @@ class TestStackedEliminationModP:
             p, q = {"wide": (a, b + 1), "tall": (b + 1, a), "square": (b, b)}[orientation]
             block = planted_stack(rng, 1, p, q)
             block[:, :, rng.random(q) < 0.2] = 0
-            assert _stack_ranks_mod_p(block % RANK_PRIME).tolist() == [_bareiss_rank(block[0].tolist())]
+            want = [_bareiss_rank(block[0].tolist())]
+            assert _stack_ranks_mod_p(block % RANK_PRIME, RANK_PRIME).tolist() == want
 
     def test_single_block_stops_at_full_row_rank(self, rng):
         # every row a pivot before the last column: the rank is the row count
@@ -323,14 +338,14 @@ class TestStackedEliminationModP:
             q = p + int(rng.integers(1, 8))
             block = np.hstack([np.eye(p, dtype=np.int64), rng.integers(-3, 4, size=(p, q - p))])
             block = block[rng.permutation(p)][:, rng.permutation(q)]
-            assert _stack_ranks_mod_p(block[None] % RANK_PRIME).tolist() == [p]
-        assert _stack_ranks_mod_p(np.zeros((1, 4, 6), dtype=np.int64)).tolist() == [0]
+            assert _stack_ranks_mod_p(block[None] % RANK_PRIME, RANK_PRIME).tolist() == [p]
+        assert _stack_ranks_mod_p(np.zeros((1, 4, 6), dtype=np.int64), RANK_PRIME).tolist() == [0]
 
     def test_single_block_agrees_with_its_stack(self, rng):
         for k in range(2, 12):
             stack = planted_stack(rng, k, 6, 9) % RANK_PRIME
-            alone = [int(_stack_ranks_mod_p(b[None])[0]) for b in stack]
-            assert _stack_ranks_mod_p(stack).tolist() == alone
+            alone = [int(_stack_ranks_mod_p(b[None], RANK_PRIME)[0]) for b in stack]
+            assert _stack_ranks_mod_p(stack, RANK_PRIME).tolist() == alone
 
     def test_python_ints_beyond_int64_agree_with_bareiss(self, rng):
         for _ in range(10):
@@ -365,14 +380,15 @@ class TestStackedEliminationModP:
 
 
 class TestResidues:
-    """Exact rank reduces a stack mod RANK_PRIME only when its entries are not
-    already residues, and Bareiss always sees the integer block."""
+    """Exact rank reduces a stack mod a prime only when its entries are not
+    already residues, and every further prime and the minors' bound see the
+    integer block, never its residues mod an earlier prime."""
 
     def test_in_range_int64_stacks_are_not_reduced(self, rng):
         stack = rng.integers(0, RANK_PRIME, size=(3, 4, 5))
-        assert _residues(stack) is stack
+        assert _residues(stack, RANK_PRIME) is stack
         empty = np.zeros((1, 0, 3), dtype=np.int64)
-        assert _residues(empty) is empty
+        assert _residues(empty, RANK_PRIME) is empty
 
     def test_other_stacks_are_reduced(self, rng):
         stack = rng.integers(0, RANK_PRIME, size=(3, 4, 5))
@@ -380,19 +396,20 @@ class TestResidues:
         negative[1, 2, 3] = -1
         above[0, 0, 0] = RANK_PRIME + 5
         for s in (negative, above, stack.astype(object), stack.astype(np.int32) % 1000):
-            got = _residues(s)
+            got = _residues(s, RANK_PRIME)
             assert got is not s and got.dtype == np.int64
             assert np.array_equal(got, np.asarray(s % RANK_PRIME, dtype=np.int64))
-        assert _residues(negative)[1, 2, 3] == RANK_PRIME - 1
-        assert _residues(above)[0, 0, 0] == 5
+        assert _residues(negative, RANK_PRIME)[1, 2, 3] == RANK_PRIME - 1
+        assert _residues(above, RANK_PRIME)[0, 0, 0] == 5
 
-    def test_deficient_mod_p_only_still_goes_to_bareiss(self, rng):
+    def test_deficient_mod_p_only_is_reranked_from_the_integers(self, rng):
         # det = 2^27 * 16 - 1 = RANK_PRIME, from residues that need no
         # reduction; (2^27)^2 * 2 is past the Gram bound, so no Cholesky is tried
         in_range = np.array([[2**27, 1], [1, 16]], dtype=np.int64)
-        assert _stack_ranks_mod_p(in_range[None]).tolist() == [1]
-        # a row times the prime: entries above it, so the stack is reduced,
-        # and Bareiss must get the integer block, not its residues
+        assert _stack_ranks_mod_p(in_range[None], RANK_PRIME).tolist() == [1]
+        # a row times the prime: entries above it, so the stack is reduced;
+        # the next prime must reduce the integer block, not its residues,
+        # in which that row is zero
         above = np.eye(5, 7, dtype=np.int64) + np.triu(rng.integers(0, 3, size=(5, 7)), 1)
         above[0] *= RANK_PRIME
         assert _bareiss_rank(above.tolist()) == 5
@@ -402,17 +419,19 @@ class TestResidues:
         q, a = divmod(RANK_PRIME, 2**20)
         below = np.array([[2**20, 1, 0], [0, 2**20, 1], [a, -q, 0]], dtype=np.int64)
         assert not _gram_certifies([below[None]])[0]
-        assert _stack_ranks_mod_p(_residues(below[None])).tolist() == [2]
+        assert _stack_ranks_mod_p(_residues(below[None], RANK_PRIME), RANK_PRIME).tolist() == [2]
         for m in (in_range, above, below):
             rr = rank(m, mode="exact")
-            assert (rr.rank, rr.engine, rr.prime) == (min(m.shape), "bareiss", None)
+            assert (rr.rank, rr.engine, rr.prime, rr.primes) == (min(m.shape), "mod-p", RANK_PRIME, 2)
+            assert rr.rank == _bareiss_rank(m.tolist())
         # all three as blocks of a matrix above the split side
         m = np.zeros((_SPLIT_MIN_SIDE, _SPLIT_MIN_SIDE), dtype=np.int64)
         m[:2, :2] = in_range
         m[2:7, 2:9] = above
         m[7:10, 9:12] = below
         rr = rank(m, mode="exact")
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (10, "bareiss", None, 3)
+        assert (rr.rank, rr.engine, rr.prime, rr.primes, rr.blocks) == (10, "mod-p", RANK_PRIME, 2, 3)
+        assert rr.rank == _bareiss_rank(m.tolist())
 
     def test_exact_rank_never_writes_to_its_input(self, rng):
         planted, _ = planted_block_diagonal(rng, [(5, 7), (9, 4), (6, 6)], [5, 3, 6])
@@ -449,6 +468,131 @@ BUILT_INS = [
     shift_family(3, 2),
     shift_family(7, 10),
 ]
+
+
+def elimination_rank_mod(m, prime):
+    """Rank of an integer matrix mod ``prime`` by Gaussian elimination with
+    modular inverses, in Python ints."""
+    rows = [[x % prime for x in row] for row in m]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, prime)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] * inv % prime
+            rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def exact_det(m):
+    """Determinant of a square integer matrix by the Leibniz formula."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+class TestPrimeCertificate:
+    """A block deficient mod RANK_PRIME is settled by the Hadamard bound on
+    its minors once the primes used multiply past it; until then it is
+    ranked mod the next prime below the last."""
+
+    def test_a_minor_that_is_the_prime_takes_a_second_one(self):
+        # past the Gram bound; rank 1 mod RANK_PRIME, and its 2 x 2 minor,
+        # RANK_PRIME itself, is bounded by ~2^31 > 2^30
+        m = np.array([[RANK_PRIME, 1], [0, 1]], dtype=np.int64)
+        rr = rank(m, mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.primes) == (2, "mod-p", RANK_PRIME, 2)
+        assert rr.to_json()["primes"] == 2
+
+    def test_minor_bits_bound_every_next_minor(self, rng):
+        # int64 entries, and entries past 2^31 that make the squared norms
+        # Python ints; every (s + 1)-minor lies below 2^bits for every s < 5
+        paths = set()
+        for n in range(40):
+            top = 2**40 if n % 4 == 3 else int(rng.integers(1, 50))
+            m = rng.integers(-top, top + 1, size=(5, 6))
+            m[:, rng.random(6) < 0.2] = 0
+            stack = m[None] if n % 2 else m.astype(object)[None]
+            paths.add(n % 2 == 1 and top * top * 6 < 2**63)
+            for s in range(5):
+                bits = _minor_bits(stack, np.array([s]))
+                assert len(bits) == 1
+                for rows in itertools.combinations(range(5), s + 1):
+                    for cols in itertools.combinations(range(6), s + 1):
+                        minor = exact_det([[int(m[i, j]) for j in cols] for i in rows])
+                        assert abs(minor) < 2 ** bits[0]
+        assert paths == {False, True}
+        # the bound is the least: diag(8, 4, 1) at s = 1 has H = 32 = its minor
+        diag = np.diag([8, 4, 1])[None]
+        assert _minor_bits(diag, np.array([1])) == [6]
+        assert _minor_bits(np.zeros((1, 3, 4), dtype=np.int64), np.array([0])) == [0]
+
+    def test_primes_are_consecutive_below_2_31(self):
+        def is_prime(n):
+            return n > 1 and not np.any(n % np.arange(2, math.isqrt(n) + 1) == 0)
+
+        primes = [RANK_PRIME]
+        while len(primes) < 20:
+            primes.append(_prime_below(primes[-1]))
+        assert primes[0] == 2**31 - 1
+        for above, below in zip(primes, primes[1:]):
+            assert is_prime(below)
+            assert not any(is_prime(n) for n in range(below + 1, above))
+        assert primes[1] == 2**31 - 19
+        # the least strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
+        # are composites that the smaller base sets would take for primes
+        for pseudoprime in (2047, 1373653, 25326001):
+            below = _prime_below(pseudoprime + 1)
+            assert below < pseudoprime and is_prime(below)
+            assert not any(is_prime(n) for n in range(below + 1, pseudoprime))
+
+    def test_planted_deficient_blocks_match_the_oracle(self, rng):
+        needed = []
+        cases = []
+        for _ in range(6):
+            p, q = (int(x) for x in rng.integers(8, 20, size=2))
+            s = int(rng.integers(1, min(p, q)))
+            dense = rng.integers(-2, 3, size=(p, s)) @ rng.integers(-2, 3, size=(s, q))
+            sparse = dense * (rng.random((p, q)) < 0.3)
+            big = dense.astype(object) * (2**63 + 7)
+            big[0] += 1
+            cases += [dense, sparse, big]
+        for m in cases:
+            rr = rank(m, mode="exact")
+            assert rr.rank == _bareiss_rank(m.tolist())
+            if rr.rank < min(m.shape):
+                assert (rr.engine, rr.prime) == ("mod-p", RANK_PRIME)
+                needed.append(rr.primes)
+        assert len(needed) >= 12 and max(needed) >= 3
+
+    def test_stack_ranks_mod_a_second_prime(self, rng):
+        second = _prime_below(RANK_PRIME)
+        # det = second: full rank mod RANK_PRIME, deficient mod the second prime
+        q, a = divmod(second, 2**20)
+        singular = np.array([[2**20, 1, 0], [0, 2**20, 1], [a, -q, 0]], dtype=np.int64)
+        assert exact_det(singular.tolist()) == second
+        stack = np.stack([singular, *(planted_stack(rng, 1, 3, 3)[0] for _ in range(5))])
+        for prime in (RANK_PRIME, second):
+            got = _stack_ranks_mod_p(_residues(stack, prime), prime)
+            assert got.tolist() == [elimination_rank_mod(b.tolist(), prime) for b in stack]
+        assert _stack_ranks_mod_p(_residues(stack[:1], second), second).tolist() == [2]
+        assert _stack_ranks_mod_p(_residues(stack[:1], RANK_PRIME), RANK_PRIME).tolist() == [3]
+        for _ in range(20):
+            stack = planted_stack(rng, int(rng.integers(1, 6)), 7, 9)
+            stack[0, 0] *= second
+            want = [elimination_rank_mod(b.tolist(), second) for b in stack]
+            assert _stack_ranks_mod_p(_residues(stack, second), second).tolist() == want
+        # residues already in [0, second) are not reduced again
+        small = rng.integers(0, second, size=(2, 3, 4))
+        assert _residues(small, second) is small
+        assert _residues(small + second, second) is not small
 
 
 def exact_block_diagonal(blocks, zero_rows=0, zero_cols=0):
@@ -543,7 +687,7 @@ class TestGramCertificate:
         assert _gram_certifies(seen) == [None] * len(seen)
 
     def test_rank_agrees_with_bareiss(self, rng):
-        engines = set()
+        engines, primes = set(), set()
         seen = []
         for n in range(120):
             k = int(rng.integers(1, 4))
@@ -560,10 +704,14 @@ class TestGramCertificate:
                 rr = rank(b, mode="exact")
                 assert rr.rank == w
                 engines.add(rr.engine)
+                assert rr.prime == (RANK_PRIME if rr.engine == "mod-p" else None)
+                primes.add(rr.primes)
             rr = rank(exact_block_diagonal(list(stack)), mode="exact")
             assert rr.rank == sum(want)
             seen.append(stack)
-        assert engines == {"cholesky", "mod-p", "bareiss"}
+        assert engines == {"cholesky", "mod-p"}
+        # None for cholesky; a row that is zero mod RANK_PRIME needs a second prime
+        assert primes == {None, 1, 2}
         assert assert_grouped_as_alone(seen) > 0
 
     def test_below_the_shift_falls_back_to_mod_p(self):
@@ -573,17 +721,18 @@ class TestGramCertificate:
         close = np.array([[m_, m_ + 1], [m_ + 1, m_ + 2]], dtype=np.int64)
         assert not _gram_certifies([close[None]])[0]
         rr = rank(close, mode="exact")
-        assert (rr.rank, rr.engine, rr.prime) == (2, "mod-p", RANK_PRIME)
-        # over a matrix's blocks the engine is the strongest any block needed:
-        # bareiss > mod-p > cholesky
+        assert (rr.rank, rr.engine, rr.prime, rr.primes) == (2, "mod-p", RANK_PRIME, 1)
+        # over a matrix's blocks the engine is the strongest any block needed,
+        # mod-p > cholesky, and primes the most primes any block needed
         tri = np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]], dtype=np.int64)
         rr = rank(exact_block_diagonal([tri] * 4), mode="exact")
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (12, "cholesky", None, 4)
+        assert (rr.rank, rr.engine, rr.prime, rr.primes, rr.blocks) == (12, "cholesky", None, None, 4)
         rr = rank(exact_block_diagonal([tri] * 4 + [close]), mode="exact")
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (14, "mod-p", RANK_PRIME, 5)
+        assert (rr.rank, rr.engine, rr.prime, rr.primes, rr.blocks) == (14, "mod-p", RANK_PRIME, 1, 5)
         singular = np.array([[2**27, 1], [1, 16]], dtype=np.int64)  # det = RANK_PRIME
         rr = rank(exact_block_diagonal([close, tri, singular]), mode="exact")
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (7, "bareiss", None, 3)
+        assert (rr.rank, rr.engine, rr.prime, rr.primes, rr.blocks) == (7, "mod-p", RANK_PRIME, 2, 3)
+        assert rr.rank == _bareiss_rank(exact_block_diagonal([close, tri, singular]).tolist())
 
     def test_entries_past_the_bound_skip_the_cholesky(self):
         # t^2 * 2 < 2^53 exactly when t < 2^26; the identity times t is as well
@@ -746,14 +895,16 @@ class TestGroupedCertificate:
             got = dict(zip(order, _gram_certifies(stacks)))
             assert got[0] is None and got[1] is None
             assert same_bits(got[2][0], alone[2][0]) and same_bits(got[2][1], alone[2][1])
-        # exact rank: both stacks of side 3 go on to mod p, and deficient3
-        # to Bareiss; the rank, engine and prime are those of the stacks
-        # certified one by one (full3 by Cholesky, deficient3 by Bareiss)
+        # exact rank: both stacks of side 3 go on to mod p, where deficient3
+        # is settled by one prime; the rank, engine and primes are those of
+        # the stacks certified one by one (deficient3 is the neediest)
         blocks = [*full3, *deficient3, *full4]
         rr = rank(exact_block_diagonal(blocks), mode="exact")
         want = sum(_bareiss_rank(b.tolist()) for b in blocks)
         assert want == 4 * 3 + 2 * 2 + 3 * 4
-        assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (want, "bareiss", None, 9)
+        alone = rank(exact_block_diagonal(list(deficient3)), mode="exact")
+        assert (alone.engine, alone.prime, alone.primes) == ("mod-p", RANK_PRIME, 1)
+        assert (rr.rank, rr.engine, rr.prime, rr.primes, rr.blocks) == (want, "mod-p", RANK_PRIME, 1, 9)
 
     def test_a_stack_below_the_shift_takes_its_side_to_mod_p(self, rng):
         # close: det = -1, full rank but below the shift; wide: 2 x 3 blocks
@@ -891,10 +1042,12 @@ class TestBlockSplit:
         m, planted = planted_block_diagonal(rng, shapes, [12] * 5)
         rr = rank(m, mode="exact")
         assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (60, "cholesky", None, 5)
-        # a block that is singular mod p but not over the integers goes to Bareiss
+        # a block that is singular mod p but not over the integers takes a
+        # second prime, and the engine names it
         m[np.flatnonzero(m.any(axis=1))[0]] *= RANK_PRIME
         rr = rank(m, mode="exact")
-        assert (rr.rank, rr.engine, rr.prime) == (60, "bareiss", None)
+        assert (rr.rank, rr.engine, rr.prime, rr.primes) == (60, "mod-p", RANK_PRIME, 2)
+        assert rr.rank == _bareiss_rank(m.tolist())
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_numerical_rank_of_planted_blocks(self, rng, complex_entries):
@@ -1148,7 +1301,7 @@ class TestWholeCertificate:
         def boom(*args, **kwargs):
             raise AssertionError("an engine ran on a matrix with no nonzero entry")
 
-        for name in ("_gram_certifies", "_stack_ranks_mod_p", "_bareiss_rank", "_blocks"):
+        for name in ("_gram_certifies", "_stack_ranks_mod_p", "_exact_ranks", "_blocks"):
             monkeypatch.setattr(linalg, name, boom)
         monkeypatch.setattr(linalg.np.linalg, "svd", boom)
         zero = np.zeros(shape, dtype=np.int64 if mode == "exact" else float)
@@ -1405,6 +1558,24 @@ class TestMatrixJson:
     def test_rejects_bad_complex_entry(self, entry):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 1, "cols": 2, "entries": [[1.0, 0.0], entry]})
+
+    @pytest.mark.parametrize("bad", [[1.0, True], [1.0, 2.0, 3.0], [0.5, "2"]])
+    def test_a_bad_pair_is_named_by_its_index(self, bad):
+        # the type check over all entries fails, and the per-entry loop
+        # names the first bad one: a boolean, three parts, a string part
+        entries = [[1.0, 0.0], [2, -3], bad, [True, 0]]
+        with pytest.raises(ValueError) as err:
+            matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+        assert str(err.value) == "entry 2 is neither a [re, im] pair of numbers nor a rational string"
+
+    def test_pairs_of_other_number_types_take_the_loop(self):
+        # tuples, numpy scalars and ints past float64 are judged entry by
+        # entry, as before the type check
+        entries = [(1, 2.5), [np.float64(-0.5), np.int64(3)], [np.float32(0.25), 0], [4, 5]]
+        back = matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+        assert back.tolist() == [[1 + 2.5j, -0.5 + 3j], [0.25 + 0j, 4 + 5j]]
+        with pytest.raises(ValueError, match="numeric \\[re, im\\] pairs"):
+            matrix_from_json({"rows": 1, "cols": 1, "entries": [[10**400, 0]]})
 
     @pytest.mark.parametrize("text", ["1_000", "-1_0/3", "_1", "1__0", "+-5", "-", "\u00b2", "\u0663"])
     def test_strings_parse_exactly_as_fraction_does(self, text):
