@@ -60,7 +60,6 @@ Conventions, fixed package-wide:
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from collections.abc import Callable, Iterable
@@ -1047,19 +1046,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         except ZeroDivisionError as exc:
             raise ValueError(f"rational entry with a zero denominator: {exc}") from exc
         return out.reshape(nrows, ncols)
-    # the sets of the entries' types and lengths and of their parts' types
-    # pass the common case, lists of two JSON numbers, without a Python loop;
-    # the loop, which also takes numpy scalars, names the first bad entry
-    if not (
-        set(map(type, entries)) <= {list, tuple}
-        and set(map(len, entries)) == {2}
-        and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}
-    ):
-        for idx, e in enumerate(entries):
-            pair = isinstance(e, (list, tuple)) and len(e) == 2
-            # JSON's true and false are not the numbers 1 and 0
-            if not pair or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in e):
-                raise ValueError(f"entry {idx} is neither a [re, im] pair of numbers nor a rational string")
+    for idx, e in enumerate(entries):
+        pair = isinstance(e, (list, tuple)) and len(e) == 2
+        # JSON's true and false are not the numbers 1 and 0
+        if not pair or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in e):
+            raise ValueError(f"entry {idx} is neither a [re, im] pair of numbers nor a rational string")
     try:
         pairs = np.array(entries, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1561,16 +1561,15 @@ class TestMatrixJson:
 
     @pytest.mark.parametrize("bad", [[1.0, True], [1.0, 2.0, 3.0], [0.5, "2"]])
     def test_a_bad_pair_is_named_by_its_index(self, bad):
-        # the type check over all entries fails, and the per-entry loop
-        # names the first bad one: a boolean, three parts, a string part
+        # the first bad entry is named: a boolean, three parts, a string part
         entries = [[1.0, 0.0], [2, -3], bad, [True, 0]]
         with pytest.raises(ValueError) as err:
             matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
         assert str(err.value) == "entry 2 is neither a [re, im] pair of numbers nor a rational string"
 
-    def test_pairs_of_other_number_types_take_the_loop(self):
-        # tuples, numpy scalars and ints past float64 are judged entry by
-        # entry, as before the type check
+    def test_pairs_of_other_number_types(self):
+        # tuples and numpy scalars are numeric pairs; an int past float64 is
+        # refused by the conversion, not by the pair check
         entries = [(1, 2.5), [np.float64(-0.5), np.int64(3)], [np.float32(0.25), 0], [4, 5]]
         back = matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
         assert back.tolist() == [[1 + 2.5j, -0.5 + 3j], [0.25 + 0j, 4 + 5j]]
