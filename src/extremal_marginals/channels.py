@@ -96,6 +96,13 @@ class KrausFamily:
     read that stack as it is. An operator given in ``ops`` as the very
     array given in ``exact_ops`` is that exact operator as floats: the
     stack divided by the lcm, or ``float`` of each entry past 2^53.
+
+    ``factors`` is the pair (f, g) of a family that :func:`tensor` built as
+    f (x) g, and None for every other family. It cannot be given to the
+    constructor, so a family rebuilt from ``ops`` (a JSON round trip, a
+    ``--numerical`` copy) carries none and is treated as any other family.
+    :func:`separability.separability_verdict` reads the PPT margin of a
+    tensor family from its factors.
     """
 
     d_in: int
@@ -103,6 +110,9 @@ class KrausFamily:
     ops: np.ndarray
     exact_ops: tuple[np.ndarray, ...] | None = None
     integer_ops: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    factors: tuple[KrausFamily, KrausFamily] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.d_in < 1 or self.d_out < 1:
@@ -290,18 +300,27 @@ def adjoint(f: KrausFamily) -> KrausFamily:
 
 def tensor(f: KrausFamily, g: KrausFamily) -> KrausFamily:
     """Tensor product with operators K_i (x) G_j in lexicographic (i, j) order,
-    all r_f r_g of them from one broadcast product of the two stacks."""
+    all r_f r_g of them from one broadcast product of the two stacks.
+
+    The result records (f, g) as its ``factors``. Its partial-transposed
+    Choi matrix is a permutation similarity of the Kronecker product of
+    theirs, so :func:`separability.separability_verdict` takes its PPT
+    margin from their spectra; a family rebuilt from the result's ``ops``
+    has no factors and is eigensolved whole.
+    """
     if not f.is_normalized() or not g.is_normalized():
         raise ValueError("tensor requires normalized families")
     exact = None
     if f.exact_ops is not None and g.exact_ops is not None:
         exact = _kron_stack(np.stack(f.exact_ops), np.stack(g.exact_ops))
-    return KrausFamily(
+    out = KrausFamily(
         d_in=f.d_in * g.d_in,
         d_out=f.d_out * g.d_out,
         ops=_kron_stack(f.ops, g.ops),
         exact_ops=exact,
     )
+    object.__setattr__(out, "factors", (f, g))
+    return out
 
 
 def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

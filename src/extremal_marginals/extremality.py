@@ -267,10 +267,16 @@ def is_extremal(
     numerical mode ``tol`` thresholds the singular values of that span, or
     the certified lower bound on them (engine "cholesky"). When ``targets``
     is given the computed marginals are checked against it, relative to the
-    Choi trace, and the residual recorded.
+    Choi trace, and the residual recorded; targets whose shapes are not
+    (d_in, d_in) and (d_out, d_out) raise ValueError.
     """
     if mode not in (None, "exact", "numerical"):
         raise ValueError("mode must be None, 'exact' or 'numerical'")
+    if targets is not None:
+        want = ((f.d_in, f.d_in), (f.d_out, f.d_out))
+        got = (np.shape(targets.rho1), np.shape(targets.rho2))
+        if got != want:
+            raise ValueError(f"targets (rho1, rho2) must have shapes {want}, got {got}")
     use_exact = f.exact_ops is not None if mode is None else mode == "exact"
     rr = rank(_span(f, use_exact), mode="exact" if use_exact else "numerical", tol=tol)
     residual = trace = 0.0

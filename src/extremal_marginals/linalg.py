@@ -393,6 +393,12 @@ def min_eigenvalue(h: np.ndarray | Coo, atol: float = HERMITIAN_ATOL) -> float:
     matrix is then a symmetric permutation of the direct sum of the blocks,
     so its smallest eigenvalue is the smallest over them.
     """
+    return _eigenvalue_range(h, atol)[0]
+
+
+def _eigenvalue_range(h: np.ndarray | Coo, atol: float) -> tuple[float, float]:
+    """The smallest and the largest eigenvalue of a Hermitian matrix, checked
+    and computed as by :func:`min_eigenvalue`, both from its eigensolves."""
     a = _as_float_matrix(h)
     if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -400,14 +406,15 @@ def min_eigenvalue(h: np.ndarray | Coo, atol: float = HERMITIAN_ATOL) -> float:
         raise ValueError("the empty (0 x 0) matrix has no eigenvalue")
     if not np.isfinite(_entries(a)).all():
         raise ValueError("matrix entries must be finite (no NaN or inf)")
-    smallest = math.inf
+    smallest, largest = math.inf, -math.inf
     for b in _blocks(a, symmetric=True):
         adj = b.conj().transpose(0, 2, 1)
         dev = float(np.abs(b - adj).max())
         if dev > atol:
             raise ValueError(f"matrix is not Hermitian within {atol:g} (deviation {dev:.3e})")
-        smallest = min(smallest, float(np.linalg.eigvalsh((b + adj) / 2)[:, 0].min()))
-    return smallest
+        w = np.linalg.eigvalsh((b + adj) / 2)
+        smallest, largest = min(smallest, float(w[:, 0].min())), max(largest, float(w[:, -1].max()))
+    return smallest, largest
 
 
 @dataclass(frozen=True)
@@ -785,10 +792,23 @@ def _minor_bits(stack: np.ndarray, ranks: np.ndarray) -> list[int]:
     return bits
 
 
+def _primitive_rows(stack: np.ndarray) -> np.ndarray:
+    """An integer (k, p, q) stack with each row divided by the gcd of its
+    entries, all-zero rows kept: each block's rank over the rationals is
+    the same, a common factor that a prime divides no longer hides a row
+    modulo that prime, and the Hadamard bound on the minors shrinks by the
+    factors. A stack whose rows have no common factor is returned as it is.
+    """
+    g = np.gcd.reduce(stack, axis=2, keepdims=True)
+    if ((g == 0) | (g == 1)).all():
+        return stack
+    return stack // np.where(g == 0, 1, g)
+
+
 def _exact_ranks(stack: np.ndarray) -> tuple[np.ndarray, int]:
     """The rank over the rationals of each block of an integer (k, p, q)
     stack, from its ranks modulo primes, and the number of primes the
-    neediest block used.
+    neediest block used. The ranks are those of :func:`_primitive_rows`.
 
     Every block is ranked mod RANK_PRIME, and a block of full rank n = min(p,
     q) there has it over the rationals (a minor nonzero mod a prime is a
@@ -805,6 +825,7 @@ def _exact_ranks(stack: np.ndarray) -> tuple[np.ndarray, int]:
     The primes above 2^30 number over 5 * 10^7, so they would run out only
     for a bound past 10^9 bits.
     """
+    stack = _primitive_rows(stack)
     n = min(stack.shape[1:])
     prime, used = RANK_PRIME, 1
     ranks = _stack_ranks_mod_p(_residues(stack, prime), prime)
@@ -935,8 +956,9 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     matrix, from one stacked SVD per block shape on every stack, on the tall
     orientation and in real arithmetic for real input; the blocks' values,
     padded with exact zeros to min(rows, cols), are the whole matrix's.
-    Exactly: each stack the certificate did not prove is ranked mod
-    RANK_PRIME by one inverse-free elimination, and a block deficient there
+    Exactly: each stack the certificate did not prove, each row divided by
+    the gcd of its entries, is ranked mod RANK_PRIME by one inverse-free
+    elimination, and a block deficient there
     mod the next primes below it, until they multiply past the Hadamard
     bound on its minors taken from its integer entries (:func:`_exact_ranks`).
     """

@@ -10,7 +10,12 @@ partial-transposed Choi matrix is built from products of entry pairs
 within each operator, as a :class:`linalg.Coo`, with no dense Choi matrix.
 Either way it is real for a real family and complex otherwise, in the
 arithmetic :class:`channels.KrausFamily` picked for the operators, the one
-place that decides between the two.
+place that decides between the two. A family built by
+:func:`channels.tensor` is not eigensolved whole: the partial transpose of
+its Choi matrix is a permutation similarity of the Kronecker product of its
+factors', whose eigenvalues are the products of theirs (Horn and Johnson,
+Topics in Matrix Analysis, Thm 4.2.12), so its extreme eigenvalues are
+among the four products of the factors' extreme ones.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .channels import KrausFamily, choi, choi_rank
 from .linalg import (
     HERMITIAN_ATOL,
     Coo,
+    _eigenvalue_range,
     coo_is_cheaper,
     group_pairs,
     min_eigenvalue,
@@ -84,12 +90,13 @@ def ppt(c: np.ndarray, d1: int, d2: int) -> tuple[bool, float]:
     operators. Returns the flag and the minimum partial-transpose eigenvalue.
     """
     pt = partial_transpose(c, d1, d2, "first")
-    return _psd_within(pt, abs(float(np.trace(pt).real)))
+    trace = abs(float(np.trace(pt).real))
+    smallest = min_eigenvalue(pt, atol=HERMITIAN_ATOL * trace)
+    return _is_ppt(smallest, trace), smallest
 
 
-def _psd_within(pt: np.ndarray | Coo, scale: float) -> tuple[bool, float]:
-    smallest = min_eigenvalue(pt, atol=HERMITIAN_ATOL * scale)
-    return smallest >= -PPT_ATOL * scale, smallest
+def _is_ppt(smallest: float, trace: float) -> bool:
+    return smallest >= -PPT_ATOL * trace
 
 
 def _partial_transposed_choi(k: np.ndarray) -> Coo:
@@ -112,6 +119,44 @@ def _partial_transposed_choi(k: np.ndarray) -> Coo:
     )
 
 
+def _pt_spectrum(f: KrausFamily) -> tuple[float, float, float]:
+    """The smallest and largest eigenvalue of the partial transpose over the
+    input of the Choi matrix of ``f``, and its trace sum_i ||K_i||_F^2.
+
+    A family with ``factors`` (f_1, f_2) takes them from its factors: the
+    operators K_i (x) G_j in :func:`channels.tensor`'s order give the Choi
+    index (b_1 d_in2 + b_2) d_out + a_1 d_out2 + a_2 for input index b and
+    output index a, which is that of C_1 (x) C_2 with b_2 and a_1 swapped.
+    The partial transpose over the input (b_1, b_2) commutes with that swap
+    and acts on each factor, so PT C = P (PT C_1 (x) PT C_2) P^T for a
+    permutation P, with eigenvalues the products l_1 l_2, each l_k in the
+    interval of PT C_k; a product is extreme at a corner, so the four
+    products of the extremes hold both ends, and the traces multiply.
+
+    Any other family is eigensolved. When the operators are sparse enough
+    (:func:`linalg.coo_is_cheaper` on the (d_in d_out)^2 Choi entries against
+    the products of entry pairs within each operator), its partial-transposed
+    Choi matrix is built from those products as a :class:`linalg.Coo`, and
+    otherwise from the dense Choi matrix. The eigensolve checks that it is
+    Hermitian within ``HERMITIAN_ATOL`` times the trace.
+    """
+    if f.factors is not None:
+        (lo1, hi1, tr1), (lo2, hi2, tr2) = (_pt_spectrum(g) for g in f.factors)
+        corners = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
+        return min(corners), max(corners), tr1 * tr2
+    side = f.d_in * f.d_out
+    k = f.ops
+    trace = float(np.vdot(k, k).real)
+    # one product per pair of entries of one operator
+    if coo_is_cheaper(
+        (side, side), lambda: int(((k != 0).sum(axis=(1, 2)) ** 2).sum()), k.dtype
+    ):
+        pt = _partial_transposed_choi(k)
+    else:
+        pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
+    return (*_eigenvalue_range(pt, HERMITIAN_ATOL * trace), trace)
+
+
 def _marginal_rank_reaches(f: KrausFamily, choi_rank_: int) -> bool:
     """Whether max(rank rho1, rank rho2) >= ``choi_rank_``: rank rho2 is that
     of the operators side by side, taken first, and rank rho1 that of the
@@ -129,26 +174,21 @@ def _marginal_rank_reaches(f: KrausFamily, choi_rank_: int) -> bool:
 def separability_verdict(f: KrausFamily, tol: float | None = None) -> SeparabilityVerdict:
     """Choi-state separability verdict from PPT plus the low-rank criterion.
 
-    PPT is decided as by :func:`ppt`, relative to the Choi trace. When the
-    operators are sparse enough (:func:`linalg.coo_is_cheaper` on the
-    (d_in d_out)^2 Choi entries against the products of entry pairs within
-    each operator), the partial-transposed Choi matrix is built from those
-    products as a :class:`linalg.Coo` and no dense Choi matrix is formed.
-    ``tol`` thresholds the singular values of the reported Choi rank as in
+    PPT is decided as by :func:`ppt`, relative to the Choi trace, on the
+    extreme partial-transpose eigenvalues of :func:`_pt_spectrum`: of a
+    partial-transposed Choi matrix built sparse or dense, or, for a family
+    that :func:`channels.tensor` built, from its factors' spectra, with no
+    Choi matrix of the whole family. A family rebuilt from such a family's
+    ``ops`` has no factors and is eigensolved whole, which gives the same
+    verdict and the same PT minimum to rounding. ``tol`` thresholds the
+    singular values of the reported Choi rank as in
     :func:`channels.choi_rank`; the criterion reads the larger of that rank
     and the one at the default threshold. Marginal ranks are taken only for
-    a PPT state whose criterion rank is <= d_out.
+    a PPT state whose criterion rank is <= d_out. The Choi rank and the
+    marginal ranks are ranked directly, tensor or not.
     """
-    side = f.d_in * f.d_out
-    k = f.ops
-    # one product per pair of entries of one operator
-    if coo_is_cheaper(
-        (side, side), lambda: int(((k != 0).sum(axis=(1, 2)) ** 2).sum()), k.dtype
-    ):
-        trace = float(np.vdot(k, k).real)
-        is_ppt, smallest = _psd_within(_partial_transposed_choi(k), trace)
-    else:
-        is_ppt, smallest = ppt(choi(f), f.d_in, f.d_out)
+    smallest, _, trace = _pt_spectrum(f)
+    is_ppt = _is_ppt(smallest, trace)
     reported = choi_rank(f, tol=tol)
     cr = reported.rank
     # a tol above the default threshold may undercount the Choi rank, and the

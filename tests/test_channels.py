@@ -117,18 +117,19 @@ class TestKrausFamily:
         # (operators, stack dtype, lcm, span and Choi rank, engine and primes):
         # every rank is deficient (the fourth fraction operator is a sum of
         # two others) or past the 2^53 Gram bound, so it is decided mod p; the
-        # span scaled by 60^2 needs five primes to pass its minors' bound
+        # span scaled by 60^2 needs three primes to pass its minors' bound once
+        # each row is divided by the gcd of its entries (five without)
         cases = [
-            ([np.array(m, dtype=object) for m in fractions], np.int64, 60, (9, "mod-p", 5), (3, "mod-p", 1)),
+            ([np.array(m, dtype=object) for m in fractions], np.int64, 60, (9, "mod-p", 3), (3, "mod-p", 1)),
             ([np.array(m, dtype=object) for m in big], object, 1, (9, "mod-p", 1), (3, "mod-p", 1)),
             ([np.array(m, dtype=np.int64) for m in small], np.int64, 1, (4, "mod-p", 1), (2, "mod-p", 1)),
             ([to_object(np.int64)(m) for m in small], np.int64, 1, (4, "mod-p", 1), (2, "mod-p", 1)),
-            ([to_object(numpy_parts)(m) for m in fractions], np.int64, 60, (9, "mod-p", 5), (3, "mod-p", 1)),
+            ([to_object(numpy_parts)(m) for m in fractions], np.int64, 60, (9, "mod-p", 3), (3, "mod-p", 1)),
         ]
         cases = [(family(mats), mats, *rest) for mats, *rest in cases]
         from_json = family_from_json({"d_in": 2, "d_out": 3, "ops": fractions_json})
         parsed = [matrix_from_json(m) for m in fractions_json]
-        cases.append((from_json, parsed, np.int64, 60, (9, "mod-p", 5), (3, "mod-p", 1)))
+        cases.append((from_json, parsed, np.int64, 60, (9, "mod-p", 3), (3, "mod-p", 1)))
         for f, given, dtype, lcm, span, vecs in cases:
             for e, g in zip(f.exact_ops, given):
                 assert e.tolist() == np.asarray(g).tolist()

@@ -205,6 +205,20 @@ class TestIsExtremal:
         assert cert.marginal_residual > 1e-9
         assert cert.extremal  # the Gram test does not look at the targets
 
+    def test_misshaped_targets_raise(self):
+        """Targets are compared entry by entry, not by broadcasting: a
+        vector that would broadcast to the right values and swapped targets
+        are both refused, with the expected shapes named."""
+        f = KrausFamily(d_in=2, d_out=1, ops=(np.array([[1.0, 1.0]]) / np.sqrt(2),))
+        right = MarginalPair(rho1=np.full((2, 2), 0.5), rho2=np.array([[1.0]]))
+        assert is_extremal(f, targets=right).valid_marginals
+        for bad in (
+            MarginalPair(rho1=np.array([0.5, 0.5]), rho2=np.array(1.0)),
+            MarginalPair(rho1=right.rho2, rho2=right.rho1),
+        ):
+            with pytest.raises(ValueError, match=r"\(\(2, 2\), \(1, 1\)\)"):
+                is_extremal(f, targets=bad)
+
     def test_marginal_check_is_relative_to_the_choi_trace(self):
         f = shift_family(3, 2)
         big = KrausFamily(d_in=3, d_out=5, ops=tuple(1e5 * k for k in f.ops))
@@ -320,15 +334,16 @@ def integer_operators(f):
 
 def seeded_integer_family(rng, d_in, d_out, r, repeat=False, dens=None, big=1):
     """Sparse integer operators in [-2, 2] times ``big``, each divided by its
-    entry of ``dens``; with ``repeat`` one operator is a copy of another."""
+    entry of ``dens``; with ``repeat`` one operator is a copy of another.
+    The operators are drawn again until one of them is nonzero."""
     shape = (r, d_out, d_in)
     while True:
         mats = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.6)
+        if repeat and r > 1:
+            i, j = rng.choice(r, size=2, replace=False)
+            mats[i] = mats[j]
         if mats.any():
             break
-    if repeat and r > 1:
-        i, j = rng.choice(r, size=2, replace=False)
-        mats[i] = mats[j]
     dens = dens or [1] * r
     exact = tuple(
         np.array([[Fraction(int(x) * big, den) for x in row] for row in m], dtype=object)
@@ -388,9 +403,12 @@ class TestTraceQuotient:
         a repeated operator, per-operator denominators or Python-int entries.
         A rank of min(r^2, D - 1) is certified by the span's Gram on int64
         entries and mod p on Python ints; any smaller rank is decided mod p,
-        with as many primes as its minors' bound asks for."""
+        with as many primes as its minors' bound asks for. Each span row is
+        divided by the gcd of its entries first, so the factor 9 * 2^80 of a
+        Python-int family's rows costs no prime, and 480 families are drawn
+        to see ten that take more than one."""
         seen = {"r2>=D": 0, "full at D-1": 0, "deficient": 0, "python-int": 0, "primes > 1": 0}
-        for n in range(240):
+        for n in range(480):
             d_in, d_out = (int(x) for x in rng.integers(1, 5, size=2))
             r = int(rng.integers(1, 7))
             dens = [int(x) for x in rng.integers(1, 5, size=r)] if n % 3 == 0 else None

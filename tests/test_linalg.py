@@ -39,11 +39,13 @@ from extremal_marginals.linalg import (
     RankResult,
     _blocks,
     _certified_full_rank,
+    _exact_ranks,
     _gram_certifies,
     _integer_matrix,
     _labels,
     _minor_bits,
     _prime_below,
+    _primitive_rows,
     _residues,
     _singular_values,
     _stack_ranks_mod_p,
@@ -217,11 +219,16 @@ class TestRank:
 
 class TestExactRankEngine:
     def test_singular_mod_p_takes_a_second_prime(self):
-        # rank 1 mod RANK_PRIME; its 2 x 2 minor is bounded by 1 * RANK_PRIME,
-        # past the 30 bits one prime counts for, so the next prime decides
-        rr = rank(np.diag([1, RANK_PRIME]), mode="exact")
+        # rank 1 mod RANK_PRIME, the second row being RANK_PRIME times a row
+        # plus the first; its 2 x 2 minor, RANK_PRIME, is bounded by
+        # sqrt(1 + RANK_PRIME^2), past the 30 bits one prime counts for, so
+        # the next prime decides
+        rr = rank(np.array([[1, 0], [1, RANK_PRIME]]), mode="exact")
         assert (rr.rank, rr.engine, rr.prime, rr.primes) == (2, "mod-p", RANK_PRIME, 2)
         assert rr.to_json()["primes"] == 2
+        # a row that is RANK_PRIME times another is divided by it first
+        rr = rank(np.diag([1, RANK_PRIME]), mode="exact")
+        assert (rr.rank, rr.engine, rr.prime, rr.primes) == (2, "mod-p", RANK_PRIME, 1)
 
     def test_full_rank_mod_p_is_the_certificate(self):
         # (2^31)^2 * 2 is past the 2^53 Gram bound, so no Cholesky is tried
@@ -253,8 +260,13 @@ class TestExactRankEngine:
             rows, cols = (int(x) for x in rng.integers(1, 15, size=2))
             k = int(rng.integers(0, min(rows, cols) + 1))
             m = rng.integers(-4, 5, size=(rows, k)) @ rng.integers(-4, 5, size=(k, cols))
-            if rng.random() < 0.2:
+            if rng.random() < 0.1:
                 m[int(rng.integers(rows))] *= RANK_PRIME
+            elif rows > 1 and rng.random() < 0.2:
+                # a row that is the prime times itself plus another row is
+                # deficient mod the prime only, and has no common factor
+                i, j = rng.choice(rows, size=2, replace=False)
+                m[i] = RANK_PRIME * m[i] + m[j]
             rr = rank(m, mode="exact")
             assert rr.rank == _bareiss_rank(m.tolist())
             # a zero matrix (k = 0) has no block and runs no engine
@@ -263,7 +275,7 @@ class TestExactRankEngine:
                 assert (rr.engine, rr.prime) == want
                 assert (rr.primes is None) == (not m.any())
                 primes.add(rr.primes)
-        # a row times the prime makes some deficient blocks need a second one
+        # a row deficient mod the prime makes some deficient blocks need a second one
         assert {1, 2} <= primes
 
 
@@ -310,12 +322,13 @@ class TestStackedEliminationModP:
         stack = np.stack([planted_stack(rng, 1, 6, 9)[0] for _ in range(5)])
         stack[2] = rng.integers(-3, 4, size=(6, 6)) @ rng.integers(-3, 4, size=(6, 9))
         full = [_bareiss_rank(b.tolist()) for b in stack]
-        stack[2, 0] *= RANK_PRIME
+        stack[2, 0] = RANK_PRIME * stack[2, 0] + stack[2, 1]
+        assert _bareiss_rank(stack[2].tolist()) == full[2]
         assert _stack_ranks_mod_p(stack % RANK_PRIME, RANK_PRIME)[2] == full[2] - 1
         m = np.zeros((30 + _SPLIT_MIN_SIDE, 45 + _SPLIT_MIN_SIDE), dtype=np.int64)
         for i, b in enumerate(stack):
             m[6 * i : 6 * i + 6, 9 * i : 9 * i + 9] = b
-        # the scaled row puts the bound on the block's 6-minors past the 30
+        # the planted row puts the bound on the block's 6-minors past the 30
         # bits one prime counts for, so the block takes a second prime
         rr = rank(m, mode="exact")
         assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (sum(full), "mod-p", RANK_PRIME, 5)
@@ -407,11 +420,11 @@ class TestResidues:
         # reduction; (2^27)^2 * 2 is past the Gram bound, so no Cholesky is tried
         in_range = np.array([[2**27, 1], [1, 16]], dtype=np.int64)
         assert _stack_ranks_mod_p(in_range[None], RANK_PRIME).tolist() == [1]
-        # a row times the prime: entries above it, so the stack is reduced;
-        # the next prime must reduce the integer block, not its residues,
-        # in which that row is zero
+        # a row times the prime plus the next row: entries above the prime,
+        # so the stack is reduced; the next prime must reduce the integer
+        # block, not its residues, in which those two rows are equal
         above = np.eye(5, 7, dtype=np.int64) + np.triu(rng.integers(0, 3, size=(5, 7)), 1)
-        above[0] *= RANK_PRIME
+        above[0] = RANK_PRIME * above[0] + above[1]
         assert _bareiss_rank(above.tolist()) == 5
         # det = a + q * 2^20 = RANK_PRIME: the third row lies within
         # RANK_PRIME / 2^40 < 2^-9 of the plane of the first two, so the Gram is
@@ -533,6 +546,31 @@ class TestPrimeCertificate:
         diag = np.diag([8, 4, 1])[None]
         assert _minor_bits(diag, np.array([1])) == [6]
         assert _minor_bits(np.zeros((1, 3, 4), dtype=np.int64), np.array([0])) == [0]
+
+    def test_planted_row_factors_cost_no_primes(self, rng):
+        """Each row is divided by the gcd of its entries before it is ranked:
+        a block whose rows carry planted factors, small, the prime itself or
+        past int64, gets the ranks and the prime count of the block without
+        them, and the ranks Bareiss gives it."""
+        factors = [2, 3, 6, 12, RANK_PRIME, 7 * RANK_PRIME, 2**40 + 15, 2**70]
+        for _ in range(40):
+            p, q = (int(x) for x in rng.integers(2, 12, size=2))
+            stack = planted_stack(rng, int(rng.integers(1, 5)), p, q)
+            # the prime times a row plus another: some blocks are deficient
+            # mod the prime and take more primes, with or without factors
+            stack[:, 0] = RANK_PRIME * stack[:, 0] + stack[:, 1]
+            scaled = stack.astype(object)
+            for b, i in zip(*np.nonzero(rng.random(stack.shape[:2]) < 0.5)):
+                scaled[b, i] *= factors[int(rng.integers(len(factors)))]
+            ranks, used = _exact_ranks(stack)
+            got, got_used = _exact_ranks(scaled)
+            assert (got.tolist(), got_used) == (ranks.tolist(), used)
+            assert got.tolist() == [_bareiss_rank(b.tolist()) for b in scaled]
+            primitive = _primitive_rows(scaled)
+            assert all(math.gcd(*row) in (0, 1) for row in primitive.reshape(-1, q).tolist())
+        # rows without a common factor leave the stack as it is
+        stack = np.array([[[2, 3], [0, 0], [-1, 5]]])
+        assert _primitive_rows(stack) is stack
 
     def test_primes_are_consecutive_below_2_31(self):
         def is_prime(n):
@@ -1044,7 +1082,8 @@ class TestBlockSplit:
         assert (rr.rank, rr.engine, rr.prime, rr.blocks) == (60, "cholesky", None, 5)
         # a block that is singular mod p but not over the integers takes a
         # second prime, and the engine names it
-        m[np.flatnonzero(m.any(axis=1))[0]] *= RANK_PRIME
+        i, j = np.flatnonzero(m.any(axis=1))[:2]
+        m[i] = RANK_PRIME * m[i] + m[j]
         rr = rank(m, mode="exact")
         assert (rr.rank, rr.engine, rr.prime, rr.primes) == (60, "mod-p", RANK_PRIME, 2)
         assert rr.rank == _bareiss_rank(m.tolist())

@@ -11,10 +11,12 @@ from extremal_marginals import (
     partial_transpose,
     ppt,
     rank8_66,
+    random_family,
     rank8k_6k,
     separability_verdict,
     shift_family,
     sigma_rank2,
+    tensor,
 )
 from extremal_marginals import separability
 from extremal_marginals.separability import SeparabilityVerdict, _partial_transposed_choi
@@ -306,8 +308,89 @@ class TestSparsePartialTranspose:
         # ohno-d 12: 144^2 Choi entries from 165 products, 126 per product
         sparse = separability_verdict(ohno_rank_d(12))
         assert calls == []
-        # rank8-66: a Choi matrix of side 36 is under the split side of 48
-        separability_verdict(rank8_66())
-        assert len(calls) == 1
+        # ohno-d 5: a Choi matrix of side 25 is under the split side of 48
+        f = ohno_rank_d(5)
+        separability_verdict(f)
+        assert len(calls) == 1 and calls[0] is f
+        # rank8-66, a tensor, builds no Choi matrix of its own, of side 36,
+        # but one per factor, of sides 4 and 9, both under the split side
+        calls.clear()
+        g = rank8_66()
+        separability_verdict(g)
+        assert len(calls) == 2 and all(c is h for c, h in zip(calls, g.factors))
         pt = partial_transpose(choi(ohno_rank_d(12)), 12, 12, "first")
         assert abs(sparse.min_pt_eigenvalue - min_eigenvalue(pt)) <= 8 * np.finfo(float).eps
+
+
+def rebuilt(f):
+    """The family with ``f``'s operators and no factors."""
+    return KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=f.ops, exact_ops=f.exact_ops)
+
+
+class TestTensorPartialTranspose:
+    """A family that ``tensor`` built takes its PPT margin from its factors'
+    partial-transpose spectra; the same operators rebuilt without factors
+    are eigensolved whole and must give the same verdict."""
+
+    def tensors(self, rng):
+        out = [rank8_66(), rank8k_6k(3), rank8k_6k(4)]
+        for _ in range(8):
+            a, b = (
+                random_family(rng, *(int(x) for x in rng.integers(1, 4, size=3)))
+                for _ in range(2)
+            )
+            out += [tensor(a, b), tensor(b, a)]
+        for _ in range(3):
+            a, b, c = (
+                random_family(rng, *(int(x) for x in rng.integers(1, 4, size=3)))
+                for _ in range(3)
+            )
+            out += [tensor(tensor(a, b), c), tensor(a, tensor(b, c))]
+        shift = shift_family(2, 1)
+        a = random_family(rng, 2, 3, 2)
+        out += [tensor(shift, a), tensor(a, shift), tensor(shift, shift), tensor(sigma_rank2(), shift)]
+        return out
+
+    def test_verdict_matches_the_rebuilt_family(self, rng):
+        seen = set()
+        for f in self.tensors(rng):
+            assert f.factors is not None
+            plain = rebuilt(f)
+            assert plain.factors is None
+            v, w = separability_verdict(f), separability_verdict(plain)
+            fields = ("ppt", "conclusion", "choi_rank", "choi_rank_engine", "criterion_applicable")
+            assert [getattr(v, x) for x in fields] == [getattr(w, x) for x in fields]
+            trace = float(np.vdot(f.ops, f.ops).real)
+            assert abs(v.min_pt_eigenvalue - w.min_pt_eigenvalue) <= 8 * np.finfo(float).eps * trace
+            seen.add(v.conclusion)
+        assert seen == {"entangled", "separable", "undetermined"}
+
+    def test_extremes_are_the_whole_spectrum_ends(self, rng):
+        for f in self.tensors(rng):
+            smallest, largest, trace = separability._pt_spectrum(f)
+            w = np.linalg.eigvalsh(partial_transpose(choi(f), f.d_in, f.d_out, "first"))
+            assert abs(smallest - w[0]) <= 8 * np.finfo(float).eps * trace
+            assert abs(largest - w[-1]) <= 8 * np.finfo(float).eps * trace
+            assert trace == pytest.approx(1.0, abs=1e-14)
+
+    def test_every_call_eigensolves_the_leaves(self, monkeypatch):
+        # rank8k 4 = ohno-d 4 (x) (sigma (x) ohno4): three leaves per verdict,
+        # and nothing is kept from one call to the next
+        solved = []
+        real = separability._eigenvalue_range
+        monkeypatch.setattr(
+            separability, "_eigenvalue_range", lambda h, atol: solved.append(h.shape) or real(h, atol)
+        )
+        f = rank8k_6k(4)
+        for n in (1, 2):
+            separability_verdict(f)
+            assert solved == [(16, 16), (4, 4), (9, 9)] * n
+
+    def test_factors_are_set_only_by_tensor(self):
+        with pytest.raises(TypeError):
+            KrausFamily(d_in=1, d_out=1, ops=(np.eye(1),), factors=None)
+        f, g = sigma_rank2(), ohno_rank4()
+        t = tensor(f, g)
+        assert t.factors[0] is f and t.factors[1] is g
+        assert f.factors is None and rebuilt(t).factors is None
+        assert "factors" not in repr(t)
