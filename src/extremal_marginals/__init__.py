@@ -10,7 +10,6 @@ from .channels import (
     KrausFamily,
     MarginalPair,
     adjoint,
-    apply,
     choi,
     choi_rank,
     exact_marginals,
@@ -45,15 +44,11 @@ from .families import (
 )
 from .linalg import (
     RankResult,
-    direct_sum,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
-    partial_trace,
     partial_transpose,
     rank,
-    rational_matrix,
-    vec,
 )
 from .reductions import (
     CanonicalizationRecord,
@@ -74,14 +69,12 @@ __all__ = [
     "SeparabilityVerdict",
     "adjoint",
     "adjoint_duality_check",
-    "apply",
     "block_gram",
     "bound_attained",
     "choi",
     "choi_rank",
     "closed_form_choi_pt",
     "diagonalize_marginals",
-    "direct_sum",
     "exact_marginals",
     "family_from_json",
     "family_to_json",
@@ -94,7 +87,6 @@ __all__ = [
     "ohno_rank4",
     "ohno_rank_d",
     "parthasarathy_bound",
-    "partial_trace",
     "partial_transpose",
     "ppt",
     "random_family",
@@ -103,7 +95,6 @@ __all__ = [
     "rank8_66_marginal",
     "rank8k_6k",
     "rank8k_marginal",
-    "rational_matrix",
     "restrict_to_support",
     "separability_verdict",
     "shift_family",
@@ -113,5 +104,4 @@ __all__ = [
     "sigma_marginal",
     "sigma_rank2",
     "tensor",
-    "vec",
 ]

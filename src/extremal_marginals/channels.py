@@ -49,7 +49,6 @@ __all__ = [
     "KrausFamily",
     "MarginalPair",
     "adjoint",
-    "apply",
     "choi",
     "choi_rank",
     "exact_marginals",
@@ -213,17 +212,6 @@ def _check_proportional(ops: np.ndarray, floats: np.ndarray) -> None:
         )
 
 
-def apply(f: KrausFamily, x: np.ndarray) -> np.ndarray:
-    """Evaluate the map: sum_i K_i X K_i^dagger."""
-    a = np.asarray(x, dtype=complex)
-    if a.shape != (f.d_in, f.d_in):
-        raise ValueError(f"input must be {f.d_in} x {f.d_in}, got {a.shape}")
-    out = np.zeros((f.d_out, f.d_out), dtype=complex)
-    for k in f.ops:
-        out += k @ a @ k.conj().T
-    return out
-
-
 def marginals(f: KrausFamily) -> MarginalPair:
     """Both marginals, one product per side.
 
@@ -279,10 +267,12 @@ def choi_rank(f: KrausFamily, tol: float | None = None) -> RankResult:
     integer stack when it carries certified rational operators, and
     otherwise by numerical :func:`linalg.rank` in the operators' own real or
     complex arithmetic: a verified Cholesky certificate of full rank, which
-    every built-in's stacked vectors pass, else an SVD.
+    every built-in's stacked vectors pass, else an SVD. ``tol`` goes to
+    :func:`linalg.rank`, which refuses it in exact mode, so a rational family
+    given one raises ValueError.
     """
     if f.integer_ops is not None:
-        return rank(_vecs(f.integer_ops), mode="exact")
+        return rank(_vecs(f.integer_ops), mode="exact", tol=tol)
     return rank(_vecs(f.ops), mode="numerical", tol=tol)
 
 

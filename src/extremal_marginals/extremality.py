@@ -34,16 +34,12 @@ and every deficient one, goes to the SVD, which sees the span's own
 singular values, so there the conditioning is not squared. Every built-in
 span is certified.
 
-A span whose smaller side is at most ``linalg._WHOLE_MAX_SIDE`` (120) is
-built densely by two stacked matmuls, and :func:`linalg.rank` offers it to
-the certificate whole before any split: among the built-ins, the float
-spans of rank8-66 and ohno-d 8 and the exact span of paper 4 4.
-Above that side the span of a sparse family (:func:`linalg.coo_is_cheaper`)
-is built as a :class:`linalg.Coo` from products of the operators' nonzero
-entries that share an output row (for K_i^dagger K_j) or an input column
-(for K_j K_i^dagger), and only its independent blocks are ever dense; any
-other span is built densely. Both give the same matrix, exactly in integer
-arithmetic and up to the order of float additions.
+The span is built densely by two stacked matmuls, or, where
+:func:`linalg.coo_is_cheaper` says so, as a :class:`linalg.Coo` from
+products of the operators' nonzero entries that share an output row (for
+K_i^dagger K_j) or an input column (for K_j K_i^dagger), so that only its
+independent blocks are ever dense. Both give the same matrix, exactly in
+integer arithmetic and up to the order of float additions.
 The conjugate Gram
 
     G[(i,j),(k,l)] = tr((K_i^dagger K_j)^dagger (K_k^dagger K_l))
@@ -61,15 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, MarginalPair, marginals
-from .linalg import (
-    _WHOLE_MAX_SIDE,
-    BORDERLINE_GAP_RATIO,
-    Coo,
-    RankResult,
-    coo_is_cheaper,
-    group_pairs,
-    rank,
-)
+from .linalg import BORDERLINE_GAP_RATIO, Coo, RankResult, coo_is_cheaper, group_pairs, rank
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -200,15 +188,9 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     Numerical: float64 for a real family and complex128 otherwise, as the
     family stores its operators; for a rational family, the exact span
     times one positive scalar, in floats.
-    The span is a :class:`linalg.Coo` when its smaller side exceeds
-    ``linalg._WHOLE_MAX_SIDE``, under which rank takes it whole and dense,
-    and the products of nonzero entries that build it are few for its size
-    (:func:`linalg.coo_is_cheaper`, on the dtype of the operators it
-    multiplies); else it is a dense array. Integer products cross over
-    earlier than float ones, so the exact spans of the shift family from
-    ``paper 5 6`` up are built sparse while their float spans up to
-    ``paper 6 8`` are dense; the spans of rank8-66, ohno-d 8 and
-    ``paper 4 4``, whose smaller side is 64, are dense.
+    The span is a :class:`linalg.Coo` where :func:`linalg.coo_is_cheaper`
+    finds the products of nonzero entries that build it few for its shape,
+    and a dense array otherwise.
     """
     if exact:
         k = f.integer_ops
@@ -221,7 +203,7 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     else:
         k = f.ops
     shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
-    if min(shape) > _WHOLE_MAX_SIDE and coo_is_cheaper(shape, lambda: _span_terms(k != 0), k.dtype):
+    if coo_is_cheaper(shape, lambda: _span_terms(k != 0)):
         return _sparse_block_vectors(k)
     return _block_vectors(k)[:, 1:]
 
@@ -265,7 +247,8 @@ def is_extremal(
     sparse family's span is built from its operators' nonzero entries and
     ranked block by block without a dense copy of the whole span. In
     numerical mode ``tol`` thresholds the singular values of that span, or
-    the certified lower bound on them (engine "cholesky"). When ``targets``
+    the certified lower bound on them (engine "cholesky"); exact mode takes
+    no ``tol`` and raises ValueError for one. When ``targets``
     is given the computed marginals are checked against it, relative to the
     Choi trace, and the residual recorded; targets whose shapes are not
     (d_in, d_in) and (d_out, d_out) raise ValueError.

@@ -1,10 +1,10 @@
 """Complex matrix utilities, for dense matrices and sparse (:class:`Coo`) ones.
 
-Partial trace and partial transpose over a bipartite splitting, Hermitian
-eigenvalues, and matrix rank in two modes. Both run the same steps: every
-nonzero matrix first meets one routine, a verified Cholesky factorisation of
-each block's Gram less a rounding shift, which proves full rank when it
-completes, and only what it cannot prove goes on. Numerical rank counts
+Partial transpose over a bipartite splitting, Hermitian eigenvalues, and
+matrix rank in two modes. Both run the same steps: every nonzero matrix
+first meets one routine, a verified Cholesky factorisation of each block's
+Gram less a rounding shift, which proves full rank when it completes, and
+only what it cannot prove goes on. Numerical rank counts
 singular values above an explicit threshold: a float matrix whose blocks
 that factorisation certifies with a margin of BORDERLINE_GAP_RATIO over the
 threshold has its full rank proven, and the SVD ranks every other one. For
@@ -46,8 +46,8 @@ into the stacked dense blocks in one pass, every stack a view of one flat
 buffer, so a sparse matrix is densified as a whole only when rank offers it
 to the certificate whole.
 :func:`group_pairs` and :meth:`Coo.from_terms` build such a matrix from
-products of entry pairs, which is how the block-vector span and the
-partial-transposed Choi matrix of a sparse Kraus family are made
+products of entry pairs, which is how the block-vector span of a sparse
+Kraus family is made, the one matrix the package builds sparse
 (:func:`coo_is_cheaper` decides when).
 
 Conventions, fixed package-wide:
@@ -96,26 +96,21 @@ _SPLIT_MIN_SIDE = 48
 # graded matrix pays the failed attempt on top of the split, ~90 us at
 # 64 x 72.
 _WHOLE_MAX_SIDE = 120
-# The block-vector span and the partial-transposed Choi matrix of a Kraus
-# family are built from the operators' nonzero entries, as a Coo, only where
-# the dense matrix would be split into blocks anyway (smaller side at least
-# _SPLIT_MIN_SIDE, and for the span above _WHOLE_MAX_SIDE, under which rank
-# takes the dense span whole) and holds at least _COO_ENTRIES_PER_TERM
-# entries per product of two nonzero entries that the sparse build sums. On
-# a 2-core machine is_extremal took, dense vs sparse: ohno-d 12 (144 x 288,
-# 126 entries per product) 1.63 vs 0.70 ms, rank8k 3 (114) 10.5 vs 1.5 ms,
-# rank8k 4 (206) 25.6 vs 2.1 ms; under the split side the dense path labels
-# nothing and wins (ohno-d 5: 0.12 vs 0.34 ms). From 8 to 30 entries per
-# product, sparse random families were within +-10% either way.
-_COO_ENTRIES_PER_TERM = 32
-# Integer (exact) spans cross over earlier: the dense build is int64 batched
-# matmuls, which numpy runs without BLAS, and the dense span must then be
-# scanned for its nonzero pattern. On a 2-core machine is_extremal took,
-# dense vs sparse: paper 5 6 (121 x 145, 20.1 entries per product) 0.99 vs
-# 0.89 ms, paper 6 8 (27.1) 2.18 vs 1.06 ms, paper 7 10 (34.2) 4.68 vs
-# 1.28 ms; sparse integer families in [-2, 2] at 5-14 entries per product
-# were 6-24% slower sparse.
-_COO_INT_ENTRIES_PER_TERM = 16
+# The block-vector span of a Kraus family is built from the operators'
+# nonzero entries, as a Coo, only where rank splits it into blocks anyway
+# (smaller side above _WHOLE_MAX_SIDE, under which rank takes the dense span
+# whole) and the dense span holds at least _COO_ENTRIES_PER_TERM entries per
+# product of two nonzero entries that the sparse build sums, whatever the
+# dtype. On a 2-core machine is_extremal took, dense vs sparse: exact
+# paper 5 6 (121 x 145, 20.1 entries per product) 0.99 vs 0.89 ms, exact
+# paper 6 8 (27.1) 2.18 vs 1.06 ms and paper 7 10 (34.2) 4.68 vs 1.28 ms,
+# whose dense int64 matmuls numpy runs without BLAS; the float spans of
+# paper 5 6 and paper 6 8 0.65 vs 0.63 ms and 1.42 vs 0.74 ms; ohno-d 12
+# (144 x 288, 126) 1.63 vs 0.70 ms, rank8k 3 (114) 10.5 vs 1.5 ms and
+# rank8k 4 (206) 25.6 vs 2.1 ms. Sparse integer families in [-2, 2] at 5-14
+# entries per product were 6-24% slower sparse, and sparse float ones at
+# 8-30 within +-10% either way.
+_COO_ENTRIES_PER_TERM = 16
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -124,34 +119,15 @@ __all__ = [
     "Coo",
     "RankResult",
     "coo_is_cheaper",
-    "direct_sum",
     "group_pairs",
     "integer_entries",
     "json_fields",
     "matrix_from_json",
     "matrix_to_json",
     "min_eigenvalue",
-    "partial_trace",
     "partial_transpose",
     "rank",
-    "rational_matrix",
-    "vec",
 ]
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a matrix."""
-    return np.asarray(m).reshape(-1, order="F")
-
-
-def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-diagonal direct sum a (+) b."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 def _bipartite_view(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
@@ -162,20 +138,6 @@ def _bipartite_view(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
     if a.ndim != 2 or a.shape != (side, side):
         raise ValueError(f"expected a square matrix of side {d1}*{d2}={side}, got shape {a.shape}")
     return a.reshape(d1, d2, d1, d2)
-
-
-def partial_trace(m: np.ndarray, d1: int, d2: int, sub: str) -> np.ndarray:
-    """Trace out the named subsystem of a matrix on a d1 (x) d2 space.
-
-    ``sub="first"`` returns the d2 x d2 reduction, ``sub="second"`` the
-    d1 x d1 reduction. The full trace is preserved: tr(result) = tr(m).
-    """
-    t = _bipartite_view(m, d1, d2)
-    if sub == "second":
-        return np.einsum("iaja->ij", t)
-    if sub == "first":
-        return np.einsum("aiaj->ij", t)
-    raise ValueError("sub must be 'first' or 'second'")
 
 
 def partial_transpose(m: np.ndarray, d1: int, d2: int, sub: str) -> np.ndarray:
@@ -261,22 +223,17 @@ class Coo:
         return cls(key // shape[1], key % shape[1], sums[keep], shape)
 
 
-def coo_is_cheaper(
-    shape: tuple[int, int], count_terms: Callable[[], int], dtype: np.dtype
-) -> bool:
-    """Whether a matrix of this shape is cheaper to build as a :class:`Coo`,
-    summed from ``count_terms()`` products of nonzero entries of this
-    ``dtype``, than densely.
-
-    Integer entries (int64 or Python ints) cross over at fewer dense entries
-    per product than floating-point ones. ``count_terms`` runs only when the
-    shape alone does not decide.
+def coo_is_cheaper(shape: tuple[int, int], count_terms: Callable[[], int]) -> bool:
+    """Whether a span of this shape is cheaper to build as a :class:`Coo`,
+    summed from ``count_terms()`` products of nonzero entries, than densely:
+    when its smaller side is above _WHOLE_MAX_SIDE, so that :func:`rank`
+    splits it rather than taking it whole, and it has at least
+    _COO_ENTRIES_PER_TERM dense entries per product. ``count_terms`` runs
+    only when the shape alone does not decide.
     """
-    if min(shape) < _SPLIT_MIN_SIDE:
+    if min(shape) <= _WHOLE_MAX_SIDE:
         return False
-    floating = np.dtype(dtype).kind in "fc"
-    per_term = _COO_ENTRIES_PER_TERM if floating else _COO_INT_ENTRIES_PER_TERM
-    return shape[0] * shape[1] >= per_term * count_terms()
+    return shape[0] * shape[1] >= _COO_ENTRIES_PER_TERM * count_terms()
 
 
 def group_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -479,24 +436,6 @@ class RankResult:
             "largest_discarded_singular_value": self.largest_discarded_singular_value,
             "blocks": int(self.blocks),
         }
-
-
-def rational_matrix(rows: object) -> np.ndarray:
-    """Build an exact matrix (object array of Fraction) from nested data.
-
-    Accepts int, Fraction and "p/q" string entries.
-    """
-    data = [[_to_fraction(x) for x in row] for row in rows]
-    if not data or not data[0]:
-        raise ValueError("rational matrix needs at least one row and column")
-    ncols = len(data[0])
-    if any(len(row) != ncols for row in data):
-        raise ValueError("rows have inconsistent lengths")
-    out = np.empty((len(data), ncols), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
 
 
 def _to_fraction(x: object) -> Fraction:
@@ -932,8 +871,9 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     Conversion: exactly, entries that are integers or Fractions by
     construction, as int64 where every entry fits and Python ints otherwise;
     numerically, float64 for real input and complex128 otherwise, every
-    entry finite. A ``tol`` that is not a finite number >= 0 raises
-    ValueError in both modes, and the input is never written to. A matrix
+    entry finite. Numerically a ``tol`` that is not a finite number >= 0
+    raises ValueError; exactly every ``tol`` does, since exact rank has no
+    threshold to set. The input is never written to. A matrix
     with no nonzero entry has rank 0 and no block, and runs no engine (its
     engine reads "cholesky" exactly and "svd" numerically).
 
@@ -965,6 +905,8 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if mode == "exact":
+        if tol is not None:
+            raise ValueError("exact rank has no threshold: tol applies to numerical rank only")
         a = _integer_matrix(m)
     elif mode == "numerical":
         if len(np.shape(m)) != 2:

@@ -5,12 +5,12 @@ A PPT state of rank at most its larger marginal rank is separable
 that regime a PPT state stays undetermined and an NPT state is entangled.
 
 PPT is decided relative to the Choi trace sum_i ||K_i||_F^2, so no verdict
-depends on the overall scale of the operators. For a sparse family the
-partial-transposed Choi matrix is built from products of entry pairs
-within each operator, as a :class:`linalg.Coo`, with no dense Choi matrix.
-Either way it is real for a real family and complex otherwise, in the
-arithmetic :class:`channels.KrausFamily` picked for the operators, the one
-place that decides between the two. A family built by
+depends on the overall scale of the operators. The partial-transposed Choi
+matrix is built dense, by :func:`linalg.partial_transpose` of the Choi
+matrix, and its eigensolve splits it into the principal blocks of its
+nonzero pattern. It is real for a real family and complex otherwise, in
+the arithmetic :class:`channels.KrausFamily` picked for the operators, the
+one place that decides between the two. A family built by
 :func:`channels.tensor` is not eigensolved whole: the partial transpose of
 its Choi matrix is a permutation similarity of the Kronecker product of its
 factors', whose eigenvalues are the products of theirs (Horn and Johnson,
@@ -25,16 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausFamily, choi, choi_rank
-from .linalg import (
-    HERMITIAN_ATOL,
-    Coo,
-    _eigenvalue_range,
-    coo_is_cheaper,
-    group_pairs,
-    min_eigenvalue,
-    partial_transpose,
-    rank,
-)
+from .linalg import HERMITIAN_ATOL, _eigenvalue_range, partial_transpose, rank
 
 __all__ = ["PPT_ATOL", "SeparabilityVerdict", "ppt", "separability_verdict"]
 
@@ -89,34 +80,22 @@ def ppt(c: np.ndarray, d1: int, d2: int) -> tuple[bool, float]:
     relative to the same trace, changes with the overall scale of the
     operators. Returns the flag and the minimum partial-transpose eigenvalue.
     """
+    smallest, _, trace = _pt_range(c, d1, d2)
+    return _is_ppt(smallest, trace), smallest
+
+
+def _pt_range(c: np.ndarray, d1: int, d2: int) -> tuple[float, float, float]:
+    """The smallest and largest eigenvalue of the partial transpose of ``c``
+    over the first factor, and its trace |tr c|, from one eigensolve per
+    principal block; the eigensolve checks that the partial transpose is
+    Hermitian within ``HERMITIAN_ATOL`` times that trace."""
     pt = partial_transpose(c, d1, d2, "first")
     trace = abs(float(np.trace(pt).real))
-    smallest = min_eigenvalue(pt, atol=HERMITIAN_ATOL * trace)
-    return _is_ppt(smallest, trace), smallest
+    return (*_eigenvalue_range(pt, HERMITIAN_ATOL * trace), trace)
 
 
 def _is_ppt(smallest: float, trace: float) -> bool:
     return smallest >= -PPT_ATOL * trace
-
-
-def _partial_transposed_choi(k: np.ndarray) -> Coo:
-    """The partial transpose over the first factor of the Choi matrix of the
-    stacked operators ``k``, built from their nonzero entries.
-
-    Entries (a, b) and (a', b') of one operator K_i give the term
-    K_i[a, b] conj(K_i[a', b']) of C[b d_out + a, b' d_out + a'], which the
-    partial transpose moves to (b' d_out + a, b d_out + a').
-    """
-    _, d_out, d_in = k.shape
-    flat = k.reshape(-1)
-    at = np.flatnonzero(flat)
-    x = flat[at]
-    op, row, col = np.unravel_index(at, k.shape)
-    e, g = group_pairs(op)
-    side = d_in * d_out
-    return Coo.from_terms(
-        col[g] * d_out + row[e], col[e] * d_out + row[g], x[e] * np.conjugate(x[g]), (side, side)
-    )
 
 
 def _pt_spectrum(f: KrausFamily) -> tuple[float, float, float]:
@@ -133,28 +112,14 @@ def _pt_spectrum(f: KrausFamily) -> tuple[float, float, float]:
     interval of PT C_k; a product is extreme at a corner, so the four
     products of the extremes hold both ends, and the traces multiply.
 
-    Any other family is eigensolved. When the operators are sparse enough
-    (:func:`linalg.coo_is_cheaper` on the (d_in d_out)^2 Choi entries against
-    the products of entry pairs within each operator), its partial-transposed
-    Choi matrix is built from those products as a :class:`linalg.Coo`, and
-    otherwise from the dense Choi matrix. The eigensolve checks that it is
-    Hermitian within ``HERMITIAN_ATOL`` times the trace.
+    Any other family is eigensolved, as by :func:`ppt`, from its Choi
+    matrix, whose trace is sum_i ||K_i||_F^2.
     """
     if f.factors is not None:
         (lo1, hi1, tr1), (lo2, hi2, tr2) = (_pt_spectrum(g) for g in f.factors)
         corners = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
         return min(corners), max(corners), tr1 * tr2
-    side = f.d_in * f.d_out
-    k = f.ops
-    trace = float(np.vdot(k, k).real)
-    # one product per pair of entries of one operator
-    if coo_is_cheaper(
-        (side, side), lambda: int(((k != 0).sum(axis=(1, 2)) ** 2).sum()), k.dtype
-    ):
-        pt = _partial_transposed_choi(k)
-    else:
-        pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
-    return (*_eigenvalue_range(pt, HERMITIAN_ATOL * trace), trace)
+    return _pt_range(choi(f), f.d_in, f.d_out)
 
 
 def _marginal_rank_reaches(f: KrausFamily, choi_rank_: int) -> bool:
@@ -175,15 +140,16 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     """Choi-state separability verdict from PPT plus the low-rank criterion.
 
     PPT is decided as by :func:`ppt`, relative to the Choi trace, on the
-    extreme partial-transpose eigenvalues of :func:`_pt_spectrum`: of a
-    partial-transposed Choi matrix built sparse or dense, or, for a family
-    that :func:`channels.tensor` built, from its factors' spectra, with no
-    Choi matrix of the whole family. A family rebuilt from such a family's
+    extreme partial-transpose eigenvalues of :func:`_pt_spectrum`: of the
+    partial-transposed Choi matrix, or, for a family that
+    :func:`channels.tensor` built, from its factors' spectra, with no Choi
+    matrix of the whole family. A family rebuilt from such a family's
     ``ops`` has no factors and is eigensolved whole, which gives the same
     verdict and the same PT minimum to rounding. ``tol`` thresholds the
     singular values of the reported Choi rank as in
-    :func:`channels.choi_rank`; the criterion reads the larger of that rank
-    and the one at the default threshold. Marginal ranks are taken only for
+    :func:`channels.choi_rank`, which refuses it for a rational family; the
+    criterion reads the larger of that rank and the one at the default
+    threshold. Marginal ranks are taken only for
     a PPT state whose criterion rank is <= d_out. The Choi rank and the
     marginal ranks are ranked directly, tensor or not.
     """

@@ -8,6 +8,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from extremal_marginals.linalg import _bipartite_view, _to_fraction
+
 
 @pytest.fixture
 def rng():
@@ -75,3 +77,62 @@ def _bareiss_rank(rows):
         if row == n_rows:
             break
     return rank_
+
+
+# Independent oracles for the tests: the map itself, direct sums,
+# vectorization, partial traces and exact matrices from nested data. No
+# library path needs them.
+
+
+def apply(f, x):
+    """Evaluate the map: sum_i K_i X K_i^dagger."""
+    a = np.asarray(x, dtype=complex)
+    if a.shape != (f.d_in, f.d_in):
+        raise ValueError(f"input must be {f.d_in} x {f.d_in}, got {a.shape}")
+    out = np.zeros((f.d_out, f.d_out), dtype=complex)
+    for k in f.ops:
+        out += k @ a @ k.conj().T
+    return out
+
+
+def vec(m):
+    """Column-stacking vectorization of a matrix: vec(M)[c * rows + r] = M[r, c]."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
+def direct_sum(a, b):
+    """Block-diagonal direct sum a (+) b."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
+def partial_trace(m, d1, d2, sub):
+    """Trace out the named subsystem of a matrix on a d1 (x) d2 space:
+    ``sub="first"`` gives the d2 x d2 reduction, ``sub="second"`` the d1 x d1
+    one, and the full trace is kept."""
+    t = _bipartite_view(m, d1, d2)
+    if sub == "second":
+        return np.einsum("iaja->ij", t)
+    if sub == "first":
+        return np.einsum("aiaj->ij", t)
+    raise ValueError("sub must be 'first' or 'second'")
+
+
+def rational_matrix(rows):
+    """An exact matrix (object array of Fraction) from nested int, Fraction
+    and "p/q" string entries."""
+    data = [[_to_fraction(x) for x in row] for row in rows]
+    if not data or not data[0]:
+        raise ValueError("rational matrix needs at least one row and column")
+    ncols = len(data[0])
+    if any(len(row) != ncols for row in data):
+        raise ValueError("rows have inconsistent lengths")
+    out = np.empty((len(data), ncols), dtype=object)
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            out[i, j] = x
+    return out

@@ -35,9 +35,9 @@ from extremal_marginals import (
     separability_verdict,
     shift_family,
     sigma_rank2,
-    vec,
 )
 from extremal_marginals.cli import cmd_table
+from conftest import vec
 
 GRID = [(d, m) for d in range(2, 6) for m in range(1, 6)]
 

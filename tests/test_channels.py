@@ -7,7 +7,6 @@ import pytest
 from extremal_marginals import (
     KrausFamily,
     adjoint,
-    apply,
     block_gram,
     choi,
     choi_rank,
@@ -21,7 +20,7 @@ from extremal_marginals import (
     min_eigenvalue,
     ohno_rank4,
     ohno_rank_d,
-    partial_trace,
+    partial_transpose,
     random_family,
     rank,
     rank8_66,
@@ -29,12 +28,19 @@ from extremal_marginals import (
     shift_family,
     sigma_rank2,
     tensor,
-    vec,
 )
 from extremal_marginals.extremality import _span, is_extremal
 from extremal_marginals.linalg import RANK_PRIME
-from extremal_marginals.separability import _partial_transposed_choi
-from conftest import _bareiss_rank, random_density, random_unitary, reorder_subsystems, same_bits
+from conftest import (
+    _bareiss_rank,
+    apply,
+    partial_trace,
+    random_density,
+    random_unitary,
+    reorder_subsystems,
+    same_bits,
+    vec,
+)
 
 
 def identity_family(d=2):
@@ -197,7 +203,7 @@ class TestKrausFamily:
             span = _span(f, exact=False)
             assert choi(f).dtype == np.float64
             assert getattr(span, "vals", span).dtype == np.float64
-            assert _partial_transposed_choi(np.stack(f.ops)).vals.dtype == np.float64
+            assert partial_transpose(choi(f), f.d_in, f.d_out, "first").dtype == np.float64
             if f.exact_ops is None:
                 assert block_gram(f).dtype == np.float64
 
@@ -491,6 +497,13 @@ class TestChoiRank:
 
     def test_rank8_66(self):
         assert choi_rank(rank8_66()).rank == 8
+
+    def test_rational_family_takes_no_tol(self):
+        # its Choi rank is exact, so a tol is refused rather than ignored
+        f = shift_family(3, 2)
+        with pytest.raises(ValueError, match="tol"):
+            choi_rank(f, tol=100.0)
+        assert choi_rank(KrausFamily(d_in=3, d_out=5, ops=f.ops), tol=100.0).rank == 0
 
     def test_agrees_with_choi_matrix_rank(self, rng):
         for _ in range(10):

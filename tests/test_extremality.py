@@ -40,7 +40,7 @@ from extremal_marginals.linalg import (
     coo_is_cheaper,
     integer_entries,
 )
-from conftest import _bareiss_rank, random_unitary
+from conftest import _bareiss_rank, direct_sum, random_unitary
 
 
 def e_basis_family():
@@ -154,6 +154,15 @@ class TestIsExtremal:
         assert cert.gram_rank.rank == 24
         assert cert.gram_rank.gap_ratio > 10
         assert cert.borderline
+
+    def test_exact_mode_takes_no_tol(self):
+        # exact mode, chosen or by default for a rational family, refuses a
+        # tol rather than ignore it; numerically it thresholds the span
+        f = shift_family(3, 2)
+        for mode in (None, "exact"):
+            with pytest.raises(ValueError, match="tol"):
+                is_extremal(f, mode=mode, tol=100.0)
+        assert is_extremal(f, mode="numerical", tol=100.0).gram_rank.rank == 0
 
     def test_rank_engine_per_path(self):
         assert is_extremal(shift_family(4, 4)).gram_rank.engine == "cholesky"
@@ -278,8 +287,6 @@ class TestBounds:
 class TestSpanOracle:
     def test_gram_rank_equals_brute_force_span(self, rng):
         """Exhaustive over a fixed random suite with r <= 3 and d1, d2 <= 3."""
-        from extremal_marginals import direct_sum
-
         for d1 in (1, 2, 3):
             for d2 in (1, 2, 3):
                 for r in (1, 2, 3):
@@ -548,7 +555,7 @@ class TestSparseSpan:
 
         def ranked(f, per_term):
             with monkeypatch.context() as mp:
-                mp.setattr(linalg, "_COO_INT_ENTRIES_PER_TERM", per_term)
+                mp.setattr(linalg, "_COO_ENTRIES_PER_TERM", per_term)
                 sides = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
                 assert isinstance(_span(f, exact=True), Coo) == (
                     per_term == 0 and min(sides) > linalg._WHOLE_MAX_SIDE
@@ -564,8 +571,9 @@ class TestSparseSpan:
         for d in range(2, 9):
             for m in range(1, 13):
                 check(shift_family(d, m))
-        # seeded sparse integer families with both sides at least 48, on both
-        # sides of the integer crossover that applies above _WHOLE_MAX_SIDE
+        # seeded sparse integer families with both sides at least 48, so in
+        # the window rank takes whole, and on both sides of the crossover in
+        # entries per product that applies above it
         sides = set()
         for n in range(24):
             r, d_out, d_in = 7 + n % 2, int(rng.integers(6, 10)), int(rng.integers(4, 7))
@@ -578,7 +586,7 @@ class TestSparseSpan:
                 exact_ops=tuple(np.array(m.tolist(), dtype=object) for m in mats),
             )
             span_shape = (r * r, d_in * d_in + d_out * d_out)
-            sides.add(coo_is_cheaper(span_shape, lambda: _span_terms(mats != 0), np.int64))
+            sides.add(span_shape[0] * span_shape[1] >= linalg._COO_ENTRIES_PER_TERM * _span_terms(mats != 0))
             check(f)
         assert sides == {False, True}
 
@@ -616,23 +624,26 @@ class TestSparseSpan:
         assert (rr.rank, rr.engine, rr.blocks) == (289, "cholesky", 91)
 
     def test_crossover(self):
-        # on a side of 48 or more, at least 32 dense entries per summed
-        # product of floating-point entries and at least 16 per product of
-        # integer ones
-        for dtype, per_term in ((float, 32), (complex, 32), (np.int64, 16), (object, 16)):
-            assert coo_is_cheaper((48, 64), lambda: 48 * 64 // per_term, dtype)
-            assert not coo_is_cheaper((48, 64), lambda: 48 * 64 // per_term + 1, dtype)
-            assert not coo_is_cheaper((47, 10**6), lambda: 1, dtype)
-        # a span whose short side is at most _WHOLE_MAX_SIDE is built densely,
-        # as rank certifies it whole: the exact shift span of paper 4 4
-        # (64 x 79), the float spans of rank8-66 (64 x 72) and ohno-d 8
-        # (64 x 128, 53 entries per product); above it, the exact spans of
-        # paper 5 6 (121 x 145, 20.1) and 6 8 (196 x 231, 27.1) are a Coo and
-        # the float span of paper 6 8, under the float crossover of 32, is dense
-        assert isinstance(_span(shift_family(4, 4), exact=True), np.ndarray)
-        assert isinstance(_span(shift_family(5, 6), exact=True), Coo)
-        assert isinstance(_span(shift_family(6, 8), exact=True), Coo)
-        assert isinstance(_span(shift_family(6, 8), exact=False), np.ndarray)
-        assert isinstance(_span(rank8_66(), exact=False), np.ndarray)
-        assert isinstance(_span(ohno_rank_d(8), exact=False), np.ndarray)
-        assert isinstance(_span(ohno_rank_d(5), exact=False), np.ndarray)
+        # above a short side of _WHOLE_MAX_SIDE, at least 16 dense entries per
+        # summed product, one crossover for every dtype; at or under that
+        # side rank certifies the span whole, and the products are not counted
+        for shape in ((121, 145), (121, 10**4), (400, 200)):
+            entries = shape[0] * shape[1]
+            assert coo_is_cheaper(shape, lambda: entries // 16)
+            assert not coo_is_cheaper(shape, lambda: entries // 16 + 1)
+
+        def uncounted():
+            raise AssertionError("the shape alone decides")
+
+        assert not coo_is_cheaper((120, 10**6), uncounted)
+        assert not coo_is_cheaper((10**6, 120), uncounted)
+        # so the spans of paper 4 4 (64 x 79, exact), rank8-66 (64 x 72) and
+        # ohno-d 8 (64 x 128, 53 entries per product) are dense, and the
+        # exact and float spans of paper 5 6 (121 x 145, 20.1) and paper 6 8
+        # (196 x 231, 27.1) are a Coo, as are those of ohno-d 12 (126)
+        for f in (shift_family(4, 4), rank8_66(), ohno_rank_d(8), ohno_rank_d(5)):
+            assert isinstance(_span(f, exact=f.exact_ops is not None), np.ndarray)
+        for f in (shift_family(5, 6), shift_family(6, 8)):
+            assert isinstance(_span(f, exact=True), Coo)
+            assert isinstance(_span(f, exact=False), Coo)
+        assert isinstance(_span(ohno_rank_d(12), exact=False), Coo)

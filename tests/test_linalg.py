@@ -10,11 +10,9 @@ import pytest
 from extremal_marginals import (
     KrausFamily,
     choi,
-    direct_sum,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalue,
-    partial_trace,
     partial_transpose,
     ohno_rank4,
     ohno_rank_d,
@@ -22,14 +20,11 @@ from extremal_marginals import (
     rank,
     rank8_66,
     rank8k_6k,
-    rational_matrix,
     shift_family,
     sigma_rank2,
-    vec,
 )
 from extremal_marginals.extremality import _block_vectors, _span, is_extremal
 from extremal_marginals.channels import _vecs
-from extremal_marginals.separability import _partial_transposed_choi
 from extremal_marginals import linalg
 from extremal_marginals.linalg import (
     _SPLIT_MIN_SIDE,
@@ -51,7 +46,17 @@ from extremal_marginals.linalg import (
     _stack_ranks_mod_p,
     integer_entries,
 )
-from conftest import _bareiss_rank, random_density, random_unitary, same_bits
+from conftest import (
+    _bareiss_rank,
+    apply,
+    direct_sum,
+    partial_trace,
+    random_density,
+    random_unitary,
+    rational_matrix,
+    same_bits,
+    vec,
+)
 
 
 def bell_state():
@@ -74,8 +79,6 @@ class TestPartialTrace:
 
     def test_choi_of_shift_family_reduces_to_z(self):
         # Z at d=3, p=4/5: diagonal 1/3, off-diagonal (1-p)/d = 1/15.
-        from extremal_marginals import apply
-
         f = shift_family(3, 2)
         c = choi(f)
         z = partial_trace(c, 3, 5, "second")
@@ -192,6 +195,14 @@ class TestRank:
     def test_bad_tol_raises(self, tol, mode):
         with pytest.raises(ValueError, match="tol"):
             rank(np.eye(2, dtype=int), mode=mode, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 5.0])
+    def test_exact_rank_takes_no_tol(self, tol):
+        # exact rank has no threshold for a tol to set, so it refuses one
+        # rather than ignore it
+        with pytest.raises(ValueError, match="tol"):
+            rank(np.eye(3, dtype=np.int64), mode="exact", tol=tol)
+        assert rank(np.eye(3), tol=tol).rank == (3 if tol == 0.0 else 0)
 
     def test_exact_agrees_with_plain_fraction_elimination(self, rng):
         def fraction_elimination_rank(mat):
@@ -1483,12 +1494,16 @@ class TestGatherer:
     @pytest.mark.parametrize("name", ["paper 7 10", "rank8-66", "rank8k 4"])
     def test_spans_and_partial_transposes_of_the_built_ins(self, name):
         f = {"paper 7 10": lambda: shift_family(7, 10), "rank8-66": rank8_66, "rank8k 4": lambda: rank8k_6k(4)}[name]()
-        matrices = [_span(f, exact=False), _partial_transposed_choi(f.ops)]
+        # the partial-transposed Choi matrix, dense and as a Coo of its
+        # nonzero entries, goes to the symmetric gatherer
+        pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
+        at = np.nonzero(pt)
+        cases = [(_span(f, exact=False), False), (pt, True), (Coo(*at, pt[at], pt.shape), True)]
         if f.integer_ops is not None:
-            matrices += [_integer_matrix(_span(f, exact=True)), _partial_transposed_choi(f.integer_ops)]
-        for m, symmetric in zip(matrices, [False, True, False, True]):
+            cases.append((_integer_matrix(_span(f, exact=True)), False))
+        for m, symmetric in cases:
             assert_same_stacks(_blocks(m, symmetric), oracle_blocks(m, symmetric))
-        blocks = sum(s.shape[0] for s in _blocks(matrices[0], symmetric=False))
+        blocks = sum(s.shape[0] for s in _blocks(cases[0][0], symmetric=False))
         assert blocks == {"paper 7 10": 91, "rank8-66": 12, "rank8k 4": 156}[name]
 
     def test_labels_of_a_long_path(self, rng):
@@ -1639,8 +1654,6 @@ def test_vec_is_column_stacking():
 
 
 def test_direct_sum_layout():
-    from extremal_marginals import direct_sum
-
     out = direct_sum(np.ones((1, 2)), 2 * np.eye(2))
     expected = np.array([[1, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], dtype=complex)
     assert np.abs(out - expected).max() == 0

@@ -19,7 +19,8 @@ from extremal_marginals import (
     tensor,
 )
 from extremal_marginals import separability
-from extremal_marginals.separability import SeparabilityVerdict, _partial_transposed_choi
+from extremal_marginals.linalg import _SPLIT_MIN_SIDE, _blocks
+from extremal_marginals.separability import SeparabilityVerdict
 from conftest import random_density, random_unitary
 
 
@@ -178,22 +179,30 @@ class TestSeparabilityVerdict:
         ids=lambda x: x if isinstance(x, str) else f"{x.d_in}x{x.d_out}-r{x.r}",
     )
     def test_real_pipeline_keeps_pt_minimum_and_verdict(self, f, conclusion):
-        """Real families take real products and eigensolves, dense and sparse;
-        the complex pipeline of the same matrices gives the same PT minimum."""
+        """Real families take real products and eigensolves, split into
+        principal blocks; the complex pipeline of the same matrices and the
+        unsplit eigensolve give the same PT minimum."""
         c = choi(f)
         assert c.dtype == np.float64
         real = ppt(c, f.d_in, f.d_out)
         cplx = ppt(c.astype(complex), f.d_in, f.d_out)
         assert real[0] == cplx[0]
         assert abs(real[1] - cplx[1]) <= 1e-13
-        k = np.stack(f.ops)
-        assert k.dtype == np.float64
-        sparse = min_eigenvalue(_partial_transposed_choi(k))
-        assert abs(sparse - min_eigenvalue(_partial_transposed_choi(k.astype(complex)))) <= 1e-13
-        assert abs(sparse - real[1]) <= 1e-13
+        pt = partial_transpose(c, f.d_in, f.d_out, "first")
+        assert pt.dtype == np.float64
+        assert abs(real[1] - np.linalg.eigvalsh(pt)[0]) <= 1e-13
         v = separability_verdict(f)
         assert (v.ppt, v.conclusion) == (real[0], conclusion)
         assert abs(v.min_pt_eigenvalue - real[1]) <= 1e-13
+
+    def test_rational_family_takes_no_tol(self):
+        # its Choi rank is exact, so a tol is refused rather than ignored;
+        # the same operators without exact entries take it
+        f = shift_family(3, 2)
+        with pytest.raises(ValueError, match="tol"):
+            separability_verdict(f, tol=100.0)
+        v = separability_verdict(KrausFamily(d_in=3, d_out=5, ops=f.ops), tol=100.0)
+        assert (v.choi_rank, v.conclusion) == (0, "separable")
 
     def test_grid_families_separable(self):
         for d, m in [(2, 1), (3, 2), (4, 1)]:
@@ -276,8 +285,9 @@ class TestScaleInvariantPPT:
 
 
 class TestSparsePartialTranspose:
-    """Above the crossover the partial-transposed Choi matrix is built from
-    products of entry pairs within each operator."""
+    """The partial-transposed Choi matrix of a sparse family is built dense,
+    from its Choi matrix, and its eigensolve splits it into the principal
+    blocks of its nonzero pattern."""
 
     def families(self, rng):
         out = [sigma_rank2(), ohno_rank4(), rank8_66(), ohno_rank_d(8), ohno_rank_d(12)]
@@ -292,34 +302,42 @@ class TestSparsePartialTranspose:
         return out
 
     def test_equals_the_dense_partial_transpose(self, rng):
+        """The split eigensolve of the partial-transposed Choi matrix, through
+        min_eigenvalue, ppt and the verdict's spectrum, against one eigvalsh
+        of the whole matrix."""
         for f in self.families(rng):
-            k = np.stack(f.ops)
-            coo = _partial_transposed_choi(k)
-            dense = np.zeros(coo.shape, dtype=complex)
-            dense[coo.rows, coo.cols] = coo.vals
             pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
-            trace = float(np.vdot(k, k).real)
-            assert np.abs(dense - pt).max() <= 4 * np.finfo(float).eps * trace
-            assert abs(min_eigenvalue(coo) - min_eigenvalue(pt)) <= 8 * np.finfo(float).eps * trace
+            w = np.linalg.eigvalsh(pt)
+            trace = float(np.vdot(f.ops, f.ops).real)
+            tol = 8 * np.finfo(float).eps * trace
+            assert abs(min_eigenvalue(pt) - w[0]) <= tol
+            assert abs(ppt(choi(f), f.d_in, f.d_out)[1] - w[0]) <= tol
+            if f.factors is None:
+                smallest, largest, tr = separability._pt_spectrum(f)
+                assert abs(smallest - w[0]) <= tol and abs(largest - w[-1]) <= tol
+                assert tr == pytest.approx(trace, rel=1e-14)
+            if pt.shape[0] >= _SPLIT_MIN_SIDE:
+                # ohno-d 8 and 12, rank8k 3 and paper 7 10 fall apart
+                assert sum(s.shape[0] for s in _blocks(pt, symmetric=True)) > 1
 
     def test_crossover(self, monkeypatch):
         calls = []
         monkeypatch.setattr(separability, "choi", lambda f: calls.append(f) or choi(f))
-        # ohno-d 12: 144^2 Choi entries from 165 products, 126 per product
-        sparse = separability_verdict(ohno_rank_d(12))
-        assert calls == []
-        # ohno-d 5: a Choi matrix of side 25 is under the split side of 48
-        f = ohno_rank_d(5)
-        separability_verdict(f)
-        assert len(calls) == 1 and calls[0] is f
+        # every family that is not a tensor builds its Choi matrix once: the
+        # sparse ohno-d 12 (side 144, split by the eigensolve) as ohno-d 5
+        # (side 25, under the split side of 48)
+        for d in (12, 5):
+            f = ohno_rank_d(d)
+            v = separability_verdict(f)
+            assert len(calls) == 1 and calls[0] is f
+            pt = partial_transpose(choi(f), d, d, "first")
+            assert abs(v.min_pt_eigenvalue - min_eigenvalue(pt)) <= 8 * np.finfo(float).eps
+            calls.clear()
         # rank8-66, a tensor, builds no Choi matrix of its own, of side 36,
         # but one per factor, of sides 4 and 9, both under the split side
-        calls.clear()
         g = rank8_66()
         separability_verdict(g)
         assert len(calls) == 2 and all(c is h for c, h in zip(calls, g.factors))
-        pt = partial_transpose(choi(ohno_rank_d(12)), 12, 12, "first")
-        assert abs(sparse.min_pt_eigenvalue - min_eigenvalue(pt)) <= 8 * np.finfo(float).eps
 
 
 def rebuilt(f):
