@@ -100,8 +100,10 @@ class KrausFamily:
     f (x) g, and None for every other family. It cannot be given to the
     constructor, so a family rebuilt from ``ops`` (a JSON round trip, a
     ``--numerical`` copy) carries none and is treated as any other family.
-    :func:`separability.separability_verdict` reads the PPT margin of a
-    tensor family from its factors.
+    Two layers read it: :func:`separability.separability_verdict` takes the
+    PPT margin of a tensor family from its factors' spectra, and
+    :func:`extremality.is_extremal` its span rank from their spans, where
+    the factors allow it.
     """
 
     d_in: int
@@ -295,8 +297,12 @@ def tensor(f: KrausFamily, g: KrausFamily) -> KrausFamily:
     The result records (f, g) as its ``factors``. Its partial-transposed
     Choi matrix is a permutation similarity of the Kronecker product of
     theirs, so :func:`separability.separability_verdict` takes its PPT
-    margin from their spectra; a family rebuilt from the result's ``ops``
-    has no factors and is eigensolved whole.
+    margin from their spectra; its block-vector span is a row and column
+    permutation of [P_f (x) P_g, Q_f (x) Q_g], so :func:`extremality.is_extremal`
+    takes its span rank from theirs where they allow it. A family rebuilt
+    from the result's ``ops`` has no factors: it is eigensolved whole and
+    its span is built and ranked directly. The exact operators are set
+    only when both factors carry them.
     """
     if not f.is_normalized() or not g.is_normalized():
         raise ValueError("tensor requires normalized families")

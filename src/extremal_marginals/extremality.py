@@ -34,6 +34,22 @@ and every deficient one, goes to the SVD, which sees the span's own
 singular values, so there the conditioning is not squared. Every built-in
 span is certified.
 
+A family that :func:`channels.tensor` built as f (x) g is offered first to
+a certificate from its factors (:func:`_kronecker`). Write P for the rows
+vec(K_i^dagger K_j) of a span and Q for the rows vec(K_j K_i^dagger). Up
+to permutations of rows and columns the span of f (x) g is [P_f (x) P_g,
+Q_f (x) Q_g], so it has full row rank r^2 when P_f and Q_f have full row
+rank r_f^2 and g's full span [P_g, Q_g] has full row rank r_g^2, checked
+from g's own factors when it has them. Exactly, that is the exact ranks of
+those factor matrices. Numerically, lifted Gram certificates of them give
+a lower bound on the span's sigma_min, less the rounding of the stored
+operators and over the column dropped, which must clear the threshold
+tenfold. For rank8k 4 that is five Grams of side at most 16 and no
+1024 x 1151 span. When the rule does not apply (a factor's P or Q part
+deficient, g not extremal, or a bound that misses the margin), the span is
+built and ranked as for any other family; so is a family rebuilt from a
+tensor's ``ops``, which has no factors. The certificate changes no verdict.
+
 The span is built densely by two stacked matmuls, or, where
 :func:`linalg.coo_is_cheaper` says so, as a :class:`linalg.Coo` from
 products of the operators' nonzero entries that share an output row (for
@@ -53,11 +69,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import KrausFamily, MarginalPair, marginals
-from .linalg import BORDERLINE_GAP_RATIO, Coo, RankResult, coo_is_cheaper, group_pairs, rank
+from .linalg import (
+    BORDERLINE_GAP_RATIO,
+    Coo,
+    RankResult,
+    _check_tol,
+    _gram_certifies,
+    coo_is_cheaper,
+    group_pairs,
+    rank,
+)
 
 __all__ = [
     "BORDERLINE_GAP_RATIO",
@@ -85,8 +111,8 @@ class ExtremalityCertificate:
     numerical singular-value gap around the rank threshold is thinner than a
     factor of 10 (on the discarded side only for a caller-set ``tol``, since
     under the default threshold a discarded value is rounding noise), which
-    a numerical rank certified by ``cholesky`` never is: its certified
-    bound clears the threshold tenfold by construction;
+    a numerical rank certified by ``cholesky`` or ``kronecker`` never is:
+    its certified bound clears the threshold tenfold by construction;
     ``valid_marginals`` is False when the computed marginals miss the
     declared targets, which does not change the extremality verdict (the
     span test is marginal-independent). The residual is compared with
@@ -192,26 +218,201 @@ def _span(f: KrausFamily, exact: bool) -> np.ndarray | Coo:
     finds the products of nonzero entries that build it few for its shape,
     and a dense array otherwise.
     """
-    if exact:
-        k = f.integer_ops
-        if k is None:
-            raise ValueError("family carries no certified rational operators")
-        if k.dtype == np.int64:
-            big = max(int(k.max()), -int(k.min()))
-            if big * big * max(f.d_in, f.d_out) >= _INT64_PRODUCT_LIMIT:
-                k = k.astype(object)
-    else:
-        k = f.ops
+    k = _operators(f, exact)
     shape = (f.r * f.r, f.d_in * f.d_in + f.d_out * f.d_out)
     if coo_is_cheaper(shape, lambda: _span_terms(k != 0)):
         return _sparse_block_vectors(k)
     return _block_vectors(k)[:, 1:]
 
 
+def _operators(f: KrausFamily, exact: bool) -> np.ndarray:
+    """The (r, d_out, d_in) stack whose block vectors are the span of ``f``:
+    ``integer_ops`` exactly, as Python ints where a product of two entries
+    summed max(d_in, d_out) times could pass int64, and ``ops`` otherwise."""
+    if not exact:
+        return f.ops
+    k = f.integer_ops
+    if k is None:
+        raise ValueError("family carries no certified rational operators")
+    if k.dtype == np.int64:
+        big = max(int(k.max()), -int(k.min()))
+        if big * big * max(f.d_in, f.d_out) >= _INT64_PRODUCT_LIMIT:
+            k = k.astype(object)
+    return k
+
+
 def _span_terms(nonzero: np.ndarray) -> int:
     """Products :func:`_sparse_block_vectors` sums for this (r, d_out, d_in)
     nonzero pattern: a pair of entries per output row and per input column."""
     return int((nonzero.sum(axis=(0, 2)) ** 2).sum() + (nonzero.sum(axis=(0, 1)) ** 2).sum())
+
+
+class _Kron(NamedTuple):
+    """What the factors of a tensor family prove of its full-column span
+    X = [P, Q], all r^2 block vectors with column 0: in numerical mode
+    ``sigma``, a lower bound on sigma_min of X for the exact Kronecker
+    product of the leaves' stored operators; ``traces``, the computed
+    ||P||_F^2 and ||Q||_F^2; ``t``, the computed sum_i ||K_i||_F^2; and
+    ``depth``, the number of rounded products from the leaves to the stored
+    operators. ``count`` is the number of factor matrices certified."""
+
+    sigma: float
+    traces: tuple[float, float]
+    t: float
+    depth: int
+    count: int
+
+
+# The factor certificates shift each Gram by this fraction of its computed
+# smallest eigenvalue, so that they prove about that fraction of it rather
+# than the rounding shift of order u tr G: the product of the factors' bounds
+# must clear the whole span's threshold tenfold (rank8k 4: 4.9e-6 against
+# 7.8e-14, where unlifted bounds multiply to about 1e-22).
+_KRONECKER_LIFT = 0.5
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53 (Higham Sec. 3.1)."""
+    return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+
+def _full_row_rank(mats: list[np.ndarray], exact: bool) -> list[tuple[float, float]] | None:
+    """For wide matrices, each (a lower bound on its sigma_min, ||M||_F^2)
+    when every one has full row rank, else None: exactly by
+    :func:`linalg.rank`, with 1.0 and 0.0 standing for the numbers, and
+    numerically by the lifted certificate of :func:`linalg._gram_certifies`
+    on each matrix as computed, matrices of one shape in one stack, so that
+    each shape takes one eigensolve."""
+    if any(m.shape[0] > m.shape[1] for m in mats):
+        return None
+    if exact:
+        ok = all(rank(m, mode="exact").rank == m.shape[0] for m in mats)
+        return [(1.0, 0.0)] * len(mats) if ok else None
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, m in enumerate(mats):
+        shapes.setdefault(m.shape, []).append(i)
+    stacks = [np.stack([mats[i] for i in group]) for group in shapes.values()]
+    certified = _gram_certifies(stacks, lift=_KRONECKER_LIFT)
+    if None in certified:
+        return None
+    out = [(0.0, 0.0)] * len(mats)
+    for group, (bounds, traces) in zip(shapes.values(), certified):
+        for i, b, t in zip(group, bounds.tolist(), traces.tolist()):
+            out[i] = (math.sqrt(b), t)
+    return out
+
+
+def _kronecker(k: KrausFamily, exact: bool) -> _Kron | None:
+    """The certificate of the full-column span of ``k``, a family that
+    :func:`channels.tensor` built, from its factors, or None.
+
+    With (f, g) its factors in either order, the operators K = A_i (x) B_a
+    give the blocks (A_i^dagger A_j) (x) (B_a^dagger B_b) and
+    (A_j A_i^dagger) (x) (B_b B_a^dagger), whose row-major vecs are those of
+    the factors' blocks Kronecker-multiplied with the columns permuted. So
+    up to a permutation of rows and of columns X_k = [P_f (x) P_g, Q_f (x)
+    Q_g], the same permutations in either factor order, and its Gram is
+    G_Pf (x) G_Pg + G_Qf (x) G_Qg. A Kronecker product of positive
+    semidefinite matrices is positive semidefinite (Horn and Johnson,
+    Topics in Matrix Analysis, Sec. 4.2), so with a = min(lambda_min G_Pf,
+    lambda_min G_Qf), (G_Pf - a I) (x) G_Pg and (G_Qf - a I) (x) G_Qg are,
+    and the Gram is at least a I (x) (G_Pg + G_Qg) = a I (x) G_g: X_k has
+    full row rank with sigma_min(X_k) >= sqrt(a) sigma_min(X_g) when P_f and
+    Q_f have full row rank r_f^2 and X_g full row rank r_g^2. The order
+    (f, g) of :func:`channels.tensor` is tried first, then (g, f).
+
+    P_f and Q_f are built from f's operators as they are stored, a tensor
+    family or not. X_g comes from g's own factors when it has them and they
+    certify it, else from g's operators. Exactly, each of these matrices is
+    ranked from the integer operators. Numerically, each is certified as
+    computed by the lifted Gram certificate, and its bound brought to the
+    exact matrix of the stored operators by Weyl's inequality: each entry
+    of K_i^dagger K_j or K_j K_i^dagger is an inner product of length at
+    most m = max(d_in, d_out), within gamma_{m+2} |K_i|^T |K_j| of exact
+    (Higham Sec. 3.5-3.6), so P and Q are each within gamma_{m+2} t and X
+    within sqrt(2) gamma_{m+2} t in Frobenius norm, t = sum_i ||K_i||_F^2.
+    These terms are doubled, which covers t and gamma as computed.
+    The traces and t multiply, and the depth grows by one.
+    """
+    for f, g in (k.factors, k.factors[::-1]):
+        if f.r * f.r > min(f.d_in, f.d_out) ** 2:
+            continue
+        inner = None if g.factors is None else _kronecker(g, exact)
+        x = _block_vectors(_operators(f, exact))
+        mats = [x[:, : f.d_in**2], x[:, f.d_in**2 :]]
+        if inner is None:
+            mats.append(_block_vectors(_operators(g, exact)))
+        got = _full_row_rank(mats, exact)
+        if got is None:
+            continue
+        if exact:
+            return _Kron(1.0, (0.0, 0.0), 0.0, 0, 2 + (1 if inner is None else inner.count))
+        t_f = float(np.vdot(f.ops, f.ops).real)
+        sigma = min(got[0][0], got[1][0]) - 2 * _gamma(max(f.d_in, f.d_out) + 2) * t_f
+        if inner is None:
+            t_g = float(np.vdot(g.ops, g.ops).real)
+            error = 2 * math.sqrt(2) * _gamma(max(g.d_in, g.d_out) + 2) * t_g
+            p = mats[2][:, : g.d_in**2]
+            tr_p = float(np.vdot(p, p).real)
+            inner = _Kron(got[2][0] - error, (tr_p, got[2][1] - tr_p), t_g, 0, 1)
+        if sigma <= 0 or inner.sigma <= 0:
+            continue
+        (pf, qf), (pg, qg) = (got[0][1], got[1][1]), inner.traces
+        return _Kron(sigma * inner.sigma, (pf * pg, qf * qg), t_f * inner.t, inner.depth + 1, 2 + inner.count)
+    return None
+
+
+def _kronecker_rank(f: KrausFamily, exact: bool, tol: float | None) -> RankResult | None:
+    """The span rank r^2 of a tensor family, proven from its factors by
+    :func:`_kronecker`, or None, and then the span is ranked directly.
+
+    Numerically the bound on the full-column span of the exact Kronecker
+    product is brought to the span as :func:`_span` reports it, in two
+    steps. Rounding: :func:`channels.tensor` stores fl(A_i (x) B_a), each
+    entry one rounded product, so after ``depth`` of them every stored entry
+    is within (1 + u)^depth - 1 = e of the exact one, relatively. Each block
+    K~_i^dagger K~_j then differs from K_i^dagger K_j by E_i^dagger K_j +
+    K_i^dagger E_j + E_i^dagger E_j, of Frobenius norm at most (2e + e^2)
+    ||K_i||_F ||K_j||_F, and likewise for K~_j K~_i^dagger; summed over the
+    r^2 rows of both parts, the stored span is within (2e + e^2) sqrt(2) t
+    <= gamma_{2 depth} sqrt(2) t of the exact one, which Weyl's inequality
+    subtracts (doubled, as in :func:`_kronecker`). Column drop: column 0 of
+    the full span Z is Z' w for the reported span Z', w with d_in + d_out -
+    1 entries of +-1 by the trace identity, so Z = Z' M with M a column
+    permutation of [w | I], ||M||_2^2 = 1 + ||w||^2 = d_in + d_out, and
+    sigma_min(Z') >= sigma_min(Z) / sqrt(d_in + d_out). Each step is
+    monotone in its inputs, so the computed bound is below the derived one
+    by at most a relative u per float operation; it is lowered by a
+    relative 2^-40 for the few dozen of them.
+
+    The threshold is ``tol``, or max(rows, cols) eps sigma_max with
+    sigma_max <= ||Z'||_F <= sqrt(||P||_F^2 + ||Q||_F^2); the bound must
+    clear it by BORDERLINE_GAP_RATIO. Exactly, the factor ranks prove the
+    rank with no bound.
+    """
+    _check_tol(tol, "exact" if exact else "numerical")
+    if exact and f.integer_ops is None:
+        return None
+    kron = _kronecker(f, exact)
+    if kron is None:
+        return None
+    n = f.r * f.r
+    if exact:
+        return RankResult(rank=n, mode="exact", engine="kronecker", blocks=kron.count)
+    rounding = 2 * math.sqrt(2) * _gamma(2 * kron.depth) * kron.t
+    bound = (kron.sigma - rounding) / math.sqrt(f.d_in + f.d_out) * (1 - 2.0**-40)
+    shape = (n, f.d_in * f.d_in + f.d_out * f.d_out - 1)
+    threshold = tol if tol is not None else max(shape) * 2.0**-52 * math.sqrt(sum(kron.traces))
+    if not (bound > 0 and bound >= BORDERLINE_GAP_RATIO * threshold):
+        return None
+    return RankResult(
+        rank=n,
+        mode="numerical",
+        engine="kronecker",
+        smallest_kept_singular_value=bound,
+        threshold=float(threshold),
+        blocks=kron.count,
+    )
 
 
 def _is_borderline(rr: RankResult, tol: float | None) -> bool:
@@ -245,10 +446,14 @@ def is_extremal(
     (:func:`_span`), which keeps the rank, so a family of rank
     d_in^2 + d_out^2 - 1 can get a full-rank certificate in either mode. A
     sparse family's span is built from its operators' nonzero entries and
-    ranked block by block without a dense copy of the whole span. In
-    numerical mode ``tol`` thresholds the singular values of that span, or
-    the certified lower bound on them (engine "cholesky"); exact mode takes
-    no ``tol`` and raises ValueError for one. When ``targets``
+    ranked block by block without a dense copy of the whole span. A family
+    that :func:`channels.tensor` built has its span rank proven from its
+    factors where they allow it, without building the span (engine
+    "kronecker", see the module docstring); otherwise, and for every family
+    without ``factors``, the span is ranked directly. In numerical mode
+    ``tol`` thresholds the singular values of that span, or the certified
+    lower bound on them (engines "cholesky" and "kronecker"); exact mode
+    takes no ``tol`` and raises ValueError for one. When ``targets``
     is given the computed marginals are checked against it, relative to the
     Choi trace, and the residual recorded; targets whose shapes are not
     (d_in, d_in) and (d_out, d_out) raise ValueError.
@@ -261,7 +466,9 @@ def is_extremal(
         if got != want:
             raise ValueError(f"targets (rho1, rho2) must have shapes {want}, got {got}")
     use_exact = f.exact_ops is not None if mode is None else mode == "exact"
-    rr = rank(_span(f, use_exact), mode="exact" if use_exact else "numerical", tol=tol)
+    rr = None if f.factors is None else _kronecker_rank(f, use_exact, tol)
+    if rr is None:
+        rr = rank(_span(f, use_exact), mode="exact" if use_exact else "numerical", tol=tol)
     residual = trace = 0.0
     if targets is not None:
         mp = marginals(f)

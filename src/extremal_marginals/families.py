@@ -186,7 +186,12 @@ def rank8k_6k(k: int) -> KrausFamily:
 
     Factor order is (k-factor, 2-factor, 3-factor). The Hermitian minimal
     Kraus precondition of the tensor extremality theorem is machine-checked
-    on the k-factor before tensoring.
+    on the k-factor before tensoring. :func:`extremality.is_extremal`
+    certifies the span from the factors, which needs the k^2 products
+    V_i V_j of the k-factor's Hermitian operators to be linearly independent:
+    they are the rows of both parts P and Q of its span, each k^2 x k^2, in
+    two orders. The same holds for the 2-factor's four products, and the
+    3-factor's span has full row rank 16, so the (6, 6) family is extremal.
     """
     if k < 3:
         raise ValueError("requires k >= 3")

@@ -402,7 +402,13 @@ class RankResult:
     that were ranked, and the rank is the sum of theirs; it is 1 when the
     whole matrix was certified as one block without a split, and 0 for a
     matrix with no nonzero entry, which runs no engine and reports
-    "cholesky" exactly and "svd" numerically.
+    "cholesky" exactly and "svd" numerically. In both modes
+    :func:`extremality.is_extremal` may also report "kronecker": the span
+    of a tensor family proven of full row rank from its factors' spans,
+    which are not this span's blocks; ``blocks`` then counts the factor
+    matrices certified, and numerically ``smallest_kept_singular_value`` is
+    a certified lower bound on the span's sigma_min and ``threshold`` the
+    one it cleared tenfold, as for "cholesky".
     """
 
     rank: int
@@ -506,7 +512,9 @@ def _integer_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     return a if a.dtype == np.int64 else integer_entries(a).reshape(a.shape)
 
 
-def _gram_certifies(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray] | None]:
+def _gram_certifies(
+    stacks: list[np.ndarray], lift: float = 0.0
+) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """For each (k, p, q) stack of one matrix, as :func:`_blocks` splits it,
     a certified lower bound on sigma_min^2 of each of its blocks, which
     proves that every block has full rank n = min(p, q), with each block's
@@ -554,6 +562,24 @@ def _gram_certifies(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarr
     given, floats included. The test is one-sided: a deficient block, or a
     full one with sigma_min^2 below about s, makes the factorisation fail.
 
+    A ``lift`` in (0, 1] raises the bound of a float stack from about
+    u tr G to a fraction of sigma_min^2 itself: each block's computed Gram is
+    eigensolved first, theta = lift * l is taken at its smallest computed
+    eigenvalue l clipped to [0, t], and B = fl(G^ - (s + theta) I) is
+    factorised. The same argument holds with s + theta in place of s, plus
+    two terms: the float sum s + theta is below the exact one by at most
+    u (s + theta), and the subtraction of the larger shift rounds each
+    diagonal entry by at most u theta more. So lambda_min(G) >= s/2 + theta
+    - 2 u theta when the factorisation completes, the u s of the sum lying
+    within the margin that the factor 4 leaves over e. The pair returned is
+    (s / 2 + (1 - 8u) theta, t): of the 8 u theta held back, 2 u theta pays
+    for the shift and the rest for rounding the product and the sum that
+    form the bound and the square root a caller takes of it, as that
+    margin does for s / 2. theta need not be close to lambda_min(G): a
+    theta above it only makes the factorisation fail. A lift of 0 runs no
+    eigensolve and gives the plain certificate; an int64 stack is never
+    lifted.
+
     Not tried, so None: object stacks, int64 stacks past the 2^53 bound, and
     every stack of a float matrix with a real or imaginary part, other than
     zero, outside [2^-400, 2^400] (NaN and inf included). Inside that range
@@ -570,9 +596,12 @@ def _gram_certifies(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarr
         return out
     floating = stacks[0].dtype.kind in "fc"
     if floating:
-        # real and imaginary parts side by side; NaN fails the first test
+        # real and imaginary parts side by side, which needs a contiguous
+        # array, as a strided view of the caller's matrix may not be; NaN
+        # fails the first test
         flat = [s.reshape(-1) for s in stacks]
-        parts = np.abs((flat[0] if len(flat) == 1 else np.concatenate(flat)).view(np.float64))
+        whole = np.ascontiguousarray(flat[0]) if len(flat) == 1 else np.concatenate(flat)
+        parts = np.abs(whole.view(np.float64))
         if not parts.max(initial=0.0) <= 2.0**400:
             return out
         if np.count_nonzero(parts < 2.0**-400) != np.count_nonzero(parts == 0):
@@ -594,8 +623,12 @@ def _gram_certifies(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarr
         diag = gram.reshape(k, n * n)[:, :: n + 1]  # a view of each block's diagonal
         trace = diag.real.sum(axis=1)
         shift = 4 * (n + 2 + g) * 2.0**-53 * trace
+        bound = shift / 2
+        if lift and floating:
+            theta = lift * np.minimum(np.maximum(np.linalg.eigvalsh(gram)[:, 0], 0.0), trace)
+            shift, bound = shift + theta, bound + (1 - 8 * 2.0**-53) * theta
         diag -= shift[:, None]
-        out[i] = (shift / 2, trace)
+        out[i] = (bound, trace)
         grams.setdefault(n, []).append((i, gram))
     for group in grams.values():
         batch = [g for _, g in group]
@@ -783,11 +816,13 @@ def _exact_ranks(stack: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _as_float_matrix(m: np.ndarray | Coo) -> np.ndarray | Coo:
     """float64 for real-typed input, complex128 otherwise (object entries
-    included); real SVD, products and eigensolves are the cheaper ones."""
+    included); real SVD, products and eigensolves are the cheaper ones.
+    Input whose dtype already fits is returned as it is, not copied, so no
+    caller may write to the result."""
     if isinstance(m, Coo):
         return replace(m, vals=_as_float_matrix(m.vals))
     a = np.asarray(m)
-    return a.astype(float if a.dtype.kind in "biuf" else complex)
+    return a.astype(float if a.dtype.kind in "biuf" else complex, copy=False)
 
 
 def _singular_values(stacks: list[np.ndarray], size: int) -> tuple[np.ndarray, int]:
@@ -863,6 +898,15 @@ def _whole(a: np.ndarray | Coo) -> np.ndarray | None:
     return a[None]
 
 
+def _check_tol(tol: float | None, mode: str) -> None:
+    """Refuse a ``tol`` that :func:`rank` in this ``mode`` would refuse: one
+    that is not a finite number >= 0, and any in exact mode."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if mode == "exact" and tol is not None:
+        raise ValueError("exact rank has no threshold: tol applies to numerical rank only")
+
+
 def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None) -> RankResult:
     """Matrix rank of a dense matrix or a :class:`Coo`, by one skeleton for
     both modes; the mode enters only in the conversion, in the margin a
@@ -902,11 +946,8 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     mod the next primes below it, until they multiply past the Hadamard
     bound on its minors taken from its integer entries (:func:`_exact_ranks`).
     """
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_tol(tol, mode)
     if mode == "exact":
-        if tol is not None:
-            raise ValueError("exact rank has no threshold: tol applies to numerical rank only")
         a = _integer_matrix(m)
     elif mode == "numerical":
         if len(np.shape(m)) != 2:

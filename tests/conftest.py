@@ -8,6 +8,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from extremal_marginals import KrausFamily
 from extremal_marginals.linalg import _bipartite_view, _to_fraction
 
 
@@ -35,6 +36,12 @@ def reorder_subsystems(c, dims, perm):
     axes = list(perm) + [p + n for p in perm]
     side = int(np.prod(dims))
     return t.transpose(axes).reshape(side, side)
+
+
+def rebuilt(f):
+    """The family with ``f``'s operators and no factors, which every layer
+    treats as it treats any family that :func:`tensor` did not build."""
+    return KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=f.ops, exact_ops=f.exact_ops)
 
 
 def same_bits(a, b):

@@ -37,7 +37,7 @@ from extremal_marginals import (
     sigma_rank2,
 )
 from extremal_marginals.cli import cmd_table
-from conftest import vec
+from conftest import rebuilt, vec
 
 GRID = [(d, m) for d in range(2, 6) for m in range(1, 6)]
 
@@ -136,16 +136,20 @@ def test_criterion_3_explicit_constructions():
     cert = is_extremal(f24)
     elapsed = time.perf_counter() - start
     gap = cert.gram_rank.gap_ratio
+    # the same operators without factors: the span's own blocks are certified
+    direct = is_extremal(rebuilt(f24)).gram_rank
     ok24 = (
         cert.extremal
         and cert.mode == "numerical"
-        # proven, not read off the SVD: a verified Cholesky factorisation
-        # of every block's shifted float Gram bounds sigma_min from below
-        and cert.gram_rank.engine == "cholesky"
+        # proven, not read off the SVD: verified Cholesky factorisations of
+        # the factors' shifted float Grams bound sigma_min from below
+        and cert.gram_rank.engine == "kronecker"
         and cert.gram_size == 576
         and choi_rank(f24).rank == 24
         and gap is not None
         and gap >= 1e3
+        and (direct.engine, direct.rank) == ("cholesky", 576)
+        and direct.gap_ratio >= 1e3
         and elapsed < 120.0
     )
     if not ok24:

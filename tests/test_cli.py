@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from extremal_marginals import cli, sigma_rank2
+from extremal_marginals import cli, extremality, sigma_rank2
 from extremal_marginals.cli import (
     EXIT_BORDERLINE,
     EXIT_FAIL,
@@ -67,10 +67,16 @@ class TestVerify:
         assert code == EXIT_PASS
         assert report["certificates"][0]["extremal"]
         assert report["verdicts"][0]["choi_rank"] == 8
-        # the 64 x 72 span is certified whole, and the 8 x 36 Kraus vectors,
-        # like every nonzero matrix, meet the certificate before the SVD
+        # the 64 x 72 span is certified from its factors: the 4 x 4 P and Q
+        # parts of sigma2 and the 16 x 18 span of ohno4; the 8 x 36 Kraus
+        # vectors, like every nonzero matrix, meet the certificate before the SVD
         gram = report["certificates"][0]["gram_rank"]
-        assert (gram["engine"], gram["mode"], gram["rank"]) == ("cholesky", "numerical", 64)
+        assert (gram["engine"], gram["mode"], gram["rank"], gram["blocks"]) == (
+            "kronecker",
+            "numerical",
+            64,
+            3,
+        )
         assert report["verdicts"][0]["choi_rank_engine"] == "cholesky"
 
     def test_rank8k_3_is_certified(self, capsys):
@@ -78,12 +84,12 @@ class TestVerify:
         assert code == EXIT_PASS
         cert = report["certificates"][0]
         gram = cert["gram_rank"]
-        assert (gram["engine"], gram["mode"], gram["rank"]) == ("cholesky", "numerical", 576)
+        assert (gram["engine"], gram["mode"], gram["rank"]) == ("kronecker", "numerical", 576)
         # a certified lower bound on sigma_min, cleared tenfold
         assert gram["smallest_kept_singular_value"] >= 10 * gram["threshold"] > 0
         assert cert["gap"] >= 10 and not cert["borderline"]
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["extremal"]["detail"] == "span rank 576/576 (cholesky)"
+        assert checks["extremal"]["detail"] == "span rank 576/576 (kronecker)"
         # the 24 x 324 Kraus vectors are certified too
         assert report["verdicts"][0]["choi_rank_engine"] == "cholesky"
 
@@ -137,6 +143,24 @@ class TestVerify:
         code, report = run(capsys, "verify", "rank8k", "5", "--max-dim", "1600")
         assert code == EXIT_PASS
         assert report["verdicts"][0]["choi_rank"] == 40
+
+    def test_rank8k_6_is_certified_from_its_factors(self, capsys, monkeypatch):
+        # its 2304 x 2591 span is never built: the P and Q parts of ohno-d 6
+        # and sigma2 and the span of ohno4 prove its rank
+        def never(*args):
+            raise AssertionError("the span of a tensor family was built")
+
+        monkeypatch.setattr(extremality, "_span", never)
+        code, report = run(capsys, "verify", "rank8k", "6", "--max-dim", "2304")
+        assert code == EXIT_PASS
+        gram = report["certificates"][0]["gram_rank"]
+        assert (gram["engine"], gram["mode"], gram["rank"], gram["blocks"]) == (
+            "kronecker",
+            "numerical",
+            2304,
+            5,
+        )
+        assert gram["smallest_kept_singular_value"] >= 10 * gram["threshold"] > 0
 
     @pytest.mark.parametrize("argv", [["paper", "150", "150"], ["rank8k", "40"]])
     def test_span_limit_is_checked_before_construction(self, capsys, monkeypatch, argv):

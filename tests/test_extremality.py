@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,13 @@ from extremal_marginals import (
     shift_operators,
     shift_targets,
     sigma_rank2,
+    tensor,
 )
 from extremal_marginals import linalg
 from extremal_marginals.extremality import (
     _block_vectors,
+    _gamma,
+    _kronecker,
     _sparse_block_vectors,
     _span,
     _span_terms,
@@ -40,7 +44,7 @@ from extremal_marginals.linalg import (
     coo_is_cheaper,
     integer_entries,
 )
-from conftest import _bareiss_rank, direct_sum, random_unitary
+from conftest import _bareiss_rank, direct_sum, random_unitary, rebuilt
 
 
 def e_basis_family():
@@ -176,7 +180,10 @@ class TestIsExtremal:
         rr = is_extremal(repeated).gram_rank
         assert (rr.rank, rr.engine, rr.prime, rr.primes) == (1, "mod-p", RANK_PRIME, 1)
         assert rr.rank == _bareiss_rank(_span(repeated, exact=True).tolist())
-        assert is_extremal(rank8k_6k(3)).gram_rank.engine == "cholesky"
+        # a tensor family's span rank comes from its factors, and the same
+        # operators without factors take the direct path
+        assert is_extremal(rank8k_6k(3)).gram_rank.engine == "kronecker"
+        assert is_extremal(rebuilt(rank8k_6k(3))).gram_rank.engine == "cholesky"
 
     def test_exact_span_rank_equals_exact_gram_rank(self, rng):
         """Seeded sparse integer families, and copies whose operators carry
@@ -595,9 +602,13 @@ class TestSparseSpan:
         # the certificate fails there and the SVD decides
         f = ohno_rank_d(12)
         repeated = KrausFamily(d_in=12, d_out=12, ops=np.concatenate([f.ops, f.ops[:1]]))
+        # rank8k 4's own span is never built: the five factor matrices of
+        # ohno-d 4, sigma2 and ohno4 certify it; without factors its span
+        # splits into 96 + 24 + 24 + 8 + 2 + 2 = 156 blocks
         cases = (
             (f, 133, 144, "cholesky"),
-            (rank8k_6k(4), 156, 1024, "cholesky"),
+            (rebuilt(rank8k_6k(4)), 156, 1024, "cholesky"),
+            (rank8k_6k(4), 5, 1024, "kronecker"),
             (repeated, 133, 144, "svd"),
         )
         for f, blocks, rank_, engine in cases:
@@ -647,3 +658,163 @@ class TestSparseSpan:
             assert isinstance(_span(f, exact=True), Coo)
             assert isinstance(_span(f, exact=False), Coo)
         assert isinstance(_span(ohno_rank_d(12), exact=False), Coo)
+
+
+def normalized_integer_family(rng, d_in, d_out, r):
+    """Integer operators in [-2, 2] with their exact form, scaled to trace
+    one, drawn again until their products K_i^dagger K_j and K_j K_i^dagger
+    are each linearly independent."""
+    while True:
+        mats = rng.integers(-2, 3, size=(r, d_out, d_in))
+        x = _block_vectors(mats)
+        if min(rank(x[:, : d_in * d_in], mode="exact").rank, rank(x[:, d_in * d_in :], mode="exact").rank) == r * r:
+            break
+    exact = tuple(np.array(m.tolist(), dtype=object) for m in mats)
+    return KrausFamily(d_in=d_in, d_out=d_out, ops=mats / np.sqrt((mats**2).sum()), exact_ops=exact)
+
+
+def isometry_family():
+    """V_1 = [I; 0] and V_2 = [0; I] from C^2 to C^4, over sqrt(4): V_1^dagger V_1
+    = V_2^dagger V_2, so the P part of its span is deficient, while the
+    four V_j V_i^dagger are independent, so its Q part and its span are not."""
+    v = np.zeros((2, 4, 2))
+    v[0, :2], v[1, 2:] = np.eye(2), np.eye(2)
+    return KrausFamily(d_in=2, d_out=4, ops=v / 2)
+
+
+class TestKroneckerCertificate:
+    """A family that ``tensor`` built has its span rank proven from its
+    factors' spans; the same operators without factors are ranked directly
+    and must give the same verdict, and a certified bound must lie below
+    the span's smallest singular value."""
+
+    @staticmethod
+    def check(f, mode=None):
+        cert, plain = is_extremal(f, mode=mode), is_extremal(rebuilt(f), mode=mode)
+        fields = ("extremal", "borderline", "mode", "gram_size")
+        assert [getattr(cert, x) for x in fields] == [getattr(plain, x) for x in fields]
+        assert cert.gram_rank.rank == plain.gram_rank.rank
+        assert plain.gram_rank.engine != "kronecker"
+        rr = cert.gram_rank
+        if rr.engine == "kronecker" and rr.mode == "numerical":
+            assert cert.extremal and not cert.borderline
+            span = _block_vectors(f.ops)[:, 1:]
+            s, _ = _singular_values(_blocks(span, symmetric=False), min(span.shape))
+            assert rr.smallest_kept_singular_value <= s[rr.rank - 1]
+            assert rr.threshold >= max(span.shape) * np.finfo(float).eps * s[0]
+            assert rr.smallest_kept_singular_value >= BORDERLINE_GAP_RATIO * rr.threshold
+            assert rr.largest_discarded_singular_value is None
+        return rr
+
+    def test_builtin_tensors(self):
+        # rank8-66 = sigma2 (x) ohno4: the P and Q parts of sigma2 and the
+        # span of ohno4; rank8k k adds the P and Q parts of ohno-d k
+        for f, blocks in ((rank8_66(), 3), *((rank8k_6k(k), 5) for k in (3, 4, 5))):
+            rr = self.check(f)
+            assert (rr.engine, rr.mode, rr.rank, rr.blocks) == ("kronecker", "numerical", f.r**2, blocks)
+
+    def test_random_tensors(self, rng):
+        def draw():
+            return random_family(rng, *(int(x) for x in rng.integers(1, 4, size=3)))
+
+        engines = set()
+        for _ in range(12):
+            a, b = draw(), draw()
+            engines |= {self.check(tensor(a, b)).engine, self.check(tensor(b, a)).engine}
+        for _ in range(4):
+            a, b, c = draw(), draw(), draw()
+            for f in (tensor(tensor(a, b), c), tensor(a, tensor(b, c))):
+                engines.add(self.check(f).engine)
+        assert "kronecker" in engines and engines - {"kronecker"}
+
+    def test_exact_tensor(self, rng):
+        f, shift = normalized_integer_family(rng, 2, 2, 2), shift_family(2, 1)
+        for t in (tensor(f, shift), tensor(shift, f), tensor(f, tensor(f, shift))):
+            rr = self.check(t)
+            assert (rr.engine, rr.mode, rr.rank) == ("kronecker", "exact", t.r**2)
+            assert rr.smallest_kept_singular_value is None and rr.threshold is None
+            assert self.check(t, mode="numerical").engine == "kronecker"
+            # exact mode takes no tol, and numerical mode no bad one, on
+            # either path
+            for g in (t, rebuilt(t)):
+                with pytest.raises(ValueError, match="tol"):
+                    is_extremal(g, tol=1e-9)
+                with pytest.raises(ValueError, match="tol"):
+                    is_extremal(g, mode="numerical", tol=-1.0)
+        # a float tensor has no exact span on either path
+        with pytest.raises(ValueError, match="rational"):
+            is_extremal(rank8_66(), mode="exact")
+
+    def test_fallbacks_give_the_direct_verdict(self, rng):
+        iso = isometry_family()
+        x = _block_vectors(iso.ops)
+        assert rank(x[:, :4]).rank < 4 == rank(x[:, 4:]).rank == rank(x).rank
+        twice = np.stack([sigma_rank2().ops[0]] * 2)
+        repeated = KrausFamily(d_in=2, d_out=2, ops=twice / np.linalg.norm(twice))
+        # a deficient P or Q part in both factors, or a factor whose own
+        # span is deficient: the span is ranked directly
+        for f in (
+            tensor(iso, iso),
+            tensor(adjoint(iso), adjoint(iso)),
+            tensor(sigma_rank2(), repeated),
+            tensor(repeated, ohno_rank4()),
+        ):
+            rr = self.check(f)
+            assert rr == is_extremal(rebuilt(f)).gram_rank
+        assert not is_extremal(tensor(sigma_rank2(), repeated)).extremal
+        # the other order is tried: sigma2's P and Q parts and the isometry's span
+        assert self.check(tensor(iso, sigma_rank2())).engine == "kronecker"
+        assert self.check(tensor(adjoint(iso), sigma_rank2())).engine == "kronecker"
+
+    def test_bound_from_its_parts(self):
+        """The reported bound is the full-column bound of the exact Kronecker
+        product less the rounding of the stored operators, over
+        sqrt(d_in + d_out); the traces and t are the span's and the family's."""
+        for f in (rank8_66(), rank8k_6k(4)):
+            kron = _kronecker(f, exact=False)
+            rr = is_extremal(f).gram_rank
+            rounding = 2 * np.sqrt(2) * _gamma(2 * kron.depth) * kron.t
+            want = (kron.sigma - rounding) / np.sqrt(f.d_in + f.d_out) * (1 - 2.0**-40)
+            assert rr.smallest_kept_singular_value == pytest.approx(want, rel=1e-15, abs=0)
+            full = _block_vectors(f.ops)
+            p, q = full[:, : f.d_in**2], full[:, f.d_in**2 :]
+            assert kron.traces == pytest.approx((np.vdot(p, p).real, np.vdot(q, q).real), rel=1e-12)
+            assert kron.t == pytest.approx(np.vdot(f.ops, f.ops).real, rel=1e-12)
+            assert kron.depth == kron.count // 2
+            shape = (f.r**2, full.shape[1] - 1)
+            assert rr.threshold == max(shape) * 2.0**-52 * np.sqrt(sum(kron.traces))
+
+    def test_rounding_and_column_drop_lemmas(self, rng):
+        """Checked exactly on small real tensors: the stored operators'
+        span lies within sqrt(2) gamma_2 t of the exact Kronecker product's,
+        and each factor's computed span within sqrt(2) gamma_{m+2} t of its
+        exact one; and dropping column 0 divides sigma_min by at most
+        sqrt(d_in + d_out)."""
+
+        def exact(a):
+            return np.array([Fraction(float(x)) for x in np.ravel(a)], dtype=object).reshape(np.shape(a))
+
+        def frob2(a):
+            return sum(x * x for x in np.ravel(a))
+
+        for _ in range(6):
+            a, b = (
+                KrausFamily(d_in=d_in, d_out=d_out, ops=z / np.sqrt((z**2).sum()))
+                for d_in, d_out, r in rng.integers(1, 3, size=(2, 3))
+                for z in [rng.standard_normal((r, d_out, d_in))]
+            )
+            t = tensor(a, b)
+            kron = np.stack([np.kron(x, y) for x in exact(a.ops) for y in exact(b.ops)])
+            t_exact = frob2(kron)
+            gap = frob2(_block_vectors(exact(t.ops)) - _block_vectors(kron))
+            assert gap <= Fraction(2) * (_gamma(2) * float(t_exact)) ** 2
+            for g in (a, b):
+                m = max(g.d_in, g.d_out) + 2
+                gap = frob2(_block_vectors(g.ops) - _block_vectors(exact(g.ops)))
+                assert gap <= Fraction(2) * (_gamma(m) * float(frob2(exact(g.ops)))) ** 2
+        for _ in range(20):
+            d_in, d_out = (int(x) for x in rng.integers(1, 4, size=2))
+            r = int(rng.integers(1, math.isqrt(d_in**2 + d_out**2 - 1) + 1))
+            full = _block_vectors(random_family(rng, d_in, d_out, r).ops)
+            s_full, s_less = (np.linalg.svd(m, compute_uv=False)[-1] for m in (full, full[:, 1:]))
+            assert s_less >= s_full / np.sqrt(d_in + d_out) * (1 - 1e-12)

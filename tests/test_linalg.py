@@ -25,7 +25,7 @@ from extremal_marginals import (
 )
 from extremal_marginals.extremality import _block_vectors, _span, is_extremal
 from extremal_marginals.channels import _vecs
-from extremal_marginals import linalg
+from extremal_marginals import linalg, separability
 from extremal_marginals.linalg import (
     _SPLIT_MIN_SIDE,
     _WHOLE_MAX_SIDE,
@@ -54,6 +54,7 @@ from conftest import (
     random_density,
     random_unitary,
     rational_matrix,
+    rebuilt,
     same_bits,
     vec,
 )
@@ -926,6 +927,37 @@ class TestGramCertificate:
         assert rr.smallest_kept_singular_value == pytest.approx(s[0], rel=1e-13)
 
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_lifted_bound_stays_below_sigma_min(self, rng, complex_entries):
+        """A lift raises the bound to theta + s/2 with theta that fraction of
+        the computed lambda_min: about half of sigma_min^2 at a lift of 1/2,
+        and never above it, however close theta is taken to it."""
+        for _ in range(30):
+            k = int(rng.integers(1, 4))
+            p, q = sorted(int(x) for x in rng.integers(2, 30, size=2))
+            stack = planted_float_stack(rng, k, p, q, 1e6, complex_entries)
+            smallest = np.linalg.svd(stack, compute_uv=False)[:, -1] ** 2
+            bound, trace = _gram_certifies([stack], lift=0.5)[0]
+            assert (bound <= smallest).all() and (bound >= 0.49 * smallest).all()
+            assert same_bits(trace, _gram_certifies([stack])[0][1])
+            for lift in (1 - 2.0**-52, 1.0):
+                got = _gram_certifies([stack], lift=lift)[0]
+                assert got is None or (got[0] <= smallest).all()
+        # diag(a) with a powers of two: the Gram, its eigenvalues and theta
+        # are exact, so a theta within 2^-52 of lambda_min leaves less room
+        # than the rounding shift s, which the factorisation must still take
+        for n in (1, 2, 5):
+            a = 2.0 ** rng.integers(-3, 4, size=n)
+            stack = np.zeros((1, n, n + 2))
+            stack[0, range(n), range(n)] = a
+            for lift in (0.5, 1 - 2.0**-52, 1.0):
+                got = _gram_certifies([stack], lift=lift)[0]
+                assert got is None or got[0][0] <= (a**2).min()
+        # an integer stack is certified as it is, without a lift
+        eye = np.eye(3, dtype=np.int64)[None]
+        assert same_bits(_gram_certifies([eye], lift=0.5)[0][0], _gram_certifies([eye])[0][0])
+
+
 class TestGroupedCertificate:
     """_gram_certifies works once per matrix: one range check over all its
     float stacks, and one Cholesky call per short side n over the shifted
@@ -1070,6 +1102,40 @@ def planted_block_diagonal(rng, shapes, ranks, zero_rows=3, zero_cols=4):
     return m, sum(_bareiss_rank(b.tolist()) for b in blocks)
 
 
+class TestReadOnlyInput:
+    """A float64 or complex128 input enters numerical rank, the partial
+    transpose and the eigensolves without a copy, so none of them may write
+    to it: read-only inputs must pass through unchanged, with the results
+    of a writable copy."""
+
+    def test_read_only_inputs_are_never_written(self, rng):
+        z = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+        graded = np.kron(np.eye(10), np.ones((6, 6))) * rng.random((60, 60))
+        cases = [
+            (z @ z.conj().T, 6, 10),  # dense complex, offered whole
+            (graded + graded.T, 10, 6),  # real and block diagonal, split
+            (np.eye(6)[:, ::-1].copy(), 2, 3),  # small, one block
+        ]
+        for m, d1, d2 in cases:
+            ro, writable = m.copy(), m.copy()
+            ro.setflags(write=False)
+            assert np.shares_memory(linalg._as_float_matrix(ro), ro)
+            assert rank(ro) == rank(writable)
+            assert rank(ro[:, 1:]) == rank(writable[:, 1:])
+            assert same_bits(partial_transpose(ro, d1, d2, "first"), partial_transpose(writable, d1, d2, "first"))
+            assert min_eigenvalue(ro) == min_eigenvalue(writable)
+            assert separability._pt_range(ro, d1, d2) == separability._pt_range(writable, d1, d2)
+            assert same_bits(ro, m)
+            rows, cols = np.nonzero(m)
+            vals = m[rows, cols]
+            vals.setflags(write=False)
+            coo = Coo(rows, cols, vals, m.shape)
+            # a Coo is always split into blocks, a small dense matrix never
+            assert rank(coo).rank == rank(writable).rank
+            assert min_eigenvalue(coo) == min_eigenvalue(writable)
+            assert same_bits(coo.vals, m[rows, cols])
+
+
 class TestBlockSplit:
     """Rank and minimum eigenvalue split a matrix into the connected
     components of its nonzero pattern; the split must change no verdict."""
@@ -1148,7 +1214,7 @@ class TestBlockSplit:
         span = _block_vectors(np.stack(f.ops))
         dense = np.linalg.svd(span, compute_uv=False)
         s, blocks = _singular_values(_blocks(span, symmetric=False), min(span.shape))
-        assert blocks == is_extremal(f).gram_rank.blocks > 1
+        assert blocks == is_extremal(rebuilt(f)).gram_rank.blocks > 1
         assert np.abs(s - dense).max() <= 1e-13 * dense[0]
         pt = partial_transpose(choi(f), f.d_in, f.d_out, "first")
         exact_min = np.linalg.eigvalsh(pt)[0]

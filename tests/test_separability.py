@@ -21,7 +21,7 @@ from extremal_marginals import (
 from extremal_marginals import separability
 from extremal_marginals.linalg import _SPLIT_MIN_SIDE, _blocks
 from extremal_marginals.separability import SeparabilityVerdict
-from conftest import random_density, random_unitary
+from conftest import random_density, random_unitary, rebuilt
 
 
 def identity_channel():
@@ -338,11 +338,6 @@ class TestSparsePartialTranspose:
         g = rank8_66()
         separability_verdict(g)
         assert len(calls) == 2 and all(c is h for c, h in zip(calls, g.factors))
-
-
-def rebuilt(f):
-    """The family with ``f``'s operators and no factors."""
-    return KrausFamily(d_in=f.d_in, d_out=f.d_out, ops=f.ops, exact_ops=f.exact_ops)
 
 
 class TestTensorPartialTranspose:
