@@ -99,7 +99,8 @@ class KrausFamily:
     ``factors`` is the pair (f, g) of a family that :func:`tensor` built as
     f (x) g, and None for every other family. It cannot be given to the
     constructor, so a family rebuilt from ``ops`` (a JSON round trip, a
-    ``--numerical`` copy) carries none and is treated as any other family.
+    ``--numerical`` copy of a rational family) carries none and is treated
+    as any other family.
     Two layers read it: :func:`separability.separability_verdict` takes the
     PPT margin of a tensor family from its factors' spectra, and
     :func:`extremality.is_extremal` its span rank from their spans, where
@@ -140,10 +141,10 @@ class KrausFamily:
                 exact_floats = exact.astype(float)
             floats = {id(given): e for given, e in zip(self.exact_ops, exact_floats)}
         if isinstance(self.ops, np.ndarray) and self.ops.ndim == 3:
-            raw, shapes, kinds = self.ops, [self.ops.shape[1:]], {self.ops.dtype.kind}
+            raw, shapes, kinds = self.ops, [self.ops.shape[1:]], {_kind(self.ops)}
         else:
             raw = [np.asarray(floats.get(id(k), k)) for k in self.ops]
-            shapes, kinds = [k.shape for k in raw], {k.dtype.kind for k in raw}
+            shapes, kinds = [k.shape for k in raw], {_kind(k) for k in raw}
         for s in shapes:
             if s != shape:
                 raise ValueError(
@@ -184,6 +185,17 @@ class KrausFamily:
     def is_normalized(self, atol: float = HERMITIAN_ATOL) -> bool:
         """True iff tr(sum_i K_i^dagger K_i) = 1 within atol."""
         return abs(float(np.vdot(self.ops, self.ops).real) - 1.0) <= atol
+
+
+def _kind(k: np.ndarray) -> str:
+    """The dtype kind of an operator that holds numbers. ValueError, naming
+    the dtype, for one that numpy would parse or cast into numbers instead:
+    a dtype that is not bool, integer, float, complex or object (text,
+    bytes, dates), or an object operator with a str or bytes entry."""
+    kind = k.dtype.kind
+    if kind not in "biufcO" or kind == "O" and any(isinstance(x, (str, bytes)) for x in k.flat):
+        raise ValueError(f"operator dtype {k.dtype} holds entries that are not numbers")
+    return kind
 
 
 def _dagger(k: np.ndarray) -> np.ndarray:

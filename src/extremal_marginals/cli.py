@@ -233,7 +233,8 @@ def cmd_verify(
 ) -> Report:
     """Construct a family and certify marginals, extremality, Choi rank,
     separability and, where FAMILIES has one, the closed form of the Choi
-    partial transpose; ``mode="numerical"`` drops the exact operators first."""
+    partial transpose; ``mode="numerical"`` drops the exact operators of a
+    rational family first, and keeps any other family as it was built."""
     report = Report(
         command="verify",
         inputs={"family": family_name, "params": list(params), "mode": mode, "tol": tol},
@@ -242,7 +243,7 @@ def cmd_verify(
     _guard_span_rows(r * r, max_dim)
     with _Timer(report, "construct"):
         fam, targets, expected_rank, assert_separable = _build_family(family_name, params)
-        if mode == "numerical":
+        if mode == "numerical" and fam.exact_ops is not None:
             fam = KrausFamily(d_in=fam.d_in, d_out=fam.d_out, ops=fam.ops)
     if tol is not None and fam.exact_ops is not None:
         raise UsageError("--tol needs --numerical for a rational family")

@@ -78,7 +78,6 @@ from .linalg import (
     BORDERLINE_GAP_RATIO,
     Coo,
     RankResult,
-    _check_tol,
     _gram_certifies,
     coo_is_cheaper,
     group_pairs,
@@ -122,13 +121,25 @@ class ExtremalityCertificate:
     """
 
     r: int
-    gram_size: int
     gram_rank: RankResult
-    extremal: bool
     marginal_residual: float
-    mode: str
     borderline: bool
     valid_marginals: bool
+
+    @property
+    def gram_size(self) -> int:
+        """r^2, the number of block vectors."""
+        return self.r * self.r
+
+    @property
+    def extremal(self) -> bool:
+        """Whether the span rank reaches r^2."""
+        return self.gram_rank.rank == self.gram_size
+
+    @property
+    def mode(self) -> str:
+        """The mode of the span rank, 'exact' or 'numerical'."""
+        return self.gram_rank.mode
 
     def to_json(self) -> dict:
         return {
@@ -385,50 +396,35 @@ def _kronecker_rank(f: KrausFamily, exact: bool, tol: float | None) -> RankResul
     by at most a relative u per float operation; it is lowered by a
     relative 2^-40 for the few dozen of them.
 
-    The threshold is ``tol``, or max(rows, cols) eps sigma_max with
-    sigma_max <= ||Z'||_F <= sqrt(||P||_F^2 + ||Q||_F^2); the bound must
-    clear it by BORDERLINE_GAP_RATIO. Exactly, the factor ranks prove the
-    rank with no bound.
+    The default threshold of :meth:`linalg.RankResult.proven` is taken at
+    sigma_max <= ||Z'||_F <= sqrt(||P||_F^2 + ||Q||_F^2), and the bound
+    must clear it by BORDERLINE_GAP_RATIO. Exactly, the factor ranks prove
+    the rank with no bound. Either way the span has full row rank, so
+    nothing is discarded.
     """
-    _check_tol(tol, "exact" if exact else "numerical")
     if exact and f.integer_ops is None:
         return None
     kron = _kronecker(f, exact)
     if kron is None:
         return None
     n = f.r * f.r
-    if exact:
-        return RankResult(rank=n, mode="exact", engine="kronecker", blocks=kron.count)
     rounding = 2 * math.sqrt(2) * _gamma(2 * kron.depth) * kron.t
     bound = (kron.sigma - rounding) / math.sqrt(f.d_in + f.d_out) * (1 - 2.0**-40)
+    mode = "exact" if exact else "numerical"
     shape = (n, f.d_in * f.d_in + f.d_out * f.d_out - 1)
-    threshold = tol if tol is not None else max(shape) * 2.0**-52 * math.sqrt(sum(kron.traces))
-    if not (bound > 0 and bound >= BORDERLINE_GAP_RATIO * threshold):
-        return None
-    return RankResult(
-        rank=n,
-        mode="numerical",
-        engine="kronecker",
-        smallest_kept_singular_value=bound,
-        threshold=float(threshold),
-        blocks=kron.count,
-    )
+    sigma_max = math.sqrt(sum(kron.traces))
+    return RankResult.proven(n, mode, "kronecker", kron.count, shape, tol, bound, sigma_max)
 
 
 def _is_borderline(rr: RankResult, tol: float | None) -> bool:
-    if rr.mode != "numerical":
-        return False
-    if rr.rank > 0 and rr.threshold:
-        if rr.smallest_kept_singular_value / rr.threshold < BORDERLINE_GAP_RATIO:
-            return True
+    if rr.gap_ratio is not None and rr.gap_ratio < BORDERLINE_GAP_RATIO:
+        return True
     # Below the default threshold, max(rows, cols) * eps * sigma_max, a
     # singular value is rounding noise of the SVD, so only a caller's tol can
     # sit just above a real one. On a span with a few rows that noise is
     # within 10x of the default threshold.
-    if tol is not None and rr.largest_discarded_singular_value and rr.threshold:
-        if rr.threshold / rr.largest_discarded_singular_value < BORDERLINE_GAP_RATIO:
-            return True
-    return False
+    discarded = rr.largest_discarded_singular_value
+    return bool(tol is not None and discarded and rr.threshold / discarded < BORDERLINE_GAP_RATIO)
 
 
 def is_extremal(
@@ -479,11 +475,8 @@ def is_extremal(
         )
     return ExtremalityCertificate(
         r=f.r,
-        gram_size=f.r * f.r,
         gram_rank=rr,
-        extremal=rr.rank == f.r * f.r,
         marginal_residual=residual,
-        mode=rr.mode,
         borderline=_is_borderline(rr, tol),
         valid_marginals=residual <= MARGINAL_ATOL * trace,
     )

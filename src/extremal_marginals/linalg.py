@@ -386,7 +386,8 @@ class RankResult:
     matrix meets first, proved the full rank, else "svd". With "cholesky",
     ``smallest_kept_singular_value`` is a certified lower bound on the
     smallest singular value, not the value itself; ``threshold`` is the
-    threshold that bound cleared by BORDERLINE_GAP_RATIO: ``tol``, or the
+    threshold that bound cleared by BORDERLINE_GAP_RATIO under the one rule
+    of :meth:`proven`, which builds every certified rank: ``tol``, or the
     default one taken at an upper bound on sigma_max, at least the SVD's;
     and ``largest_discarded_singular_value`` is 0.0 when the blocks leave
     structural zeros below min(rows, cols) and None when nothing is
@@ -420,6 +421,49 @@ class RankResult:
     prime: int | None = None
     primes: int | None = None
     blocks: int = 1
+
+    @classmethod
+    def proven(
+        cls,
+        rank: int,
+        mode: str,
+        engine: str,
+        blocks: int,
+        shape: tuple[int, int],
+        tol: float | None = None,
+        bound: float = 0.0,
+        sigma_max: float = 0.0,
+    ) -> RankResult | None:
+        """The rank that a certificate (``engine``, over ``blocks``) proved
+        for a matrix of this ``shape``, or None where it proves too little.
+
+        Exactly, the certificate is the proof, and the rank is returned as
+        it is. Numerically, ``bound`` is a certified lower bound on every
+        singular value the rank counts and ``sigma_max`` an upper bound on
+        the largest; the threshold is ``tol``, or the default max(rows,
+        cols) eps sigma_max, and the rank is returned only when the bound
+        is > 0 and at least BORDERLINE_GAP_RATIO times the threshold, so it
+        is never borderline. It is the rank the SVD would give: only the
+        structural zeros up to min(rows, cols) lie below the threshold, and
+        ``largest_discarded_singular_value`` is 0.0 when there are some and
+        None otherwise. A ``tol`` that :func:`rank` would refuse in this
+        ``mode`` raises ValueError in both modes.
+        """
+        _check_tol(tol, mode)
+        if mode == "exact":
+            return cls(rank=rank, mode=mode, engine=engine, blocks=blocks)
+        threshold = _threshold(shape, sigma_max, tol)
+        if not (bound > 0 and bound >= BORDERLINE_GAP_RATIO * threshold):
+            return None
+        return cls(
+            rank=rank,
+            mode=mode,
+            engine=engine,
+            smallest_kept_singular_value=bound,
+            threshold=threshold,
+            largest_discarded_singular_value=0.0 if rank < min(shape) else None,
+            blocks=blocks,
+        )
 
     @property
     def gap_ratio(self) -> float | None:
@@ -847,17 +891,14 @@ def _certified_full_rank(
     stacks: list[np.ndarray], shape: tuple[int, int], mode: str, tol: float | None
 ) -> tuple[list[tuple[np.ndarray, np.ndarray] | None], RankResult | None]:
     """What :func:`_gram_certifies` gives for the ``stacks`` of a matrix of
-    this ``shape``, and the matrix's RankResult when that proves its full
-    rank: exactly, when every stack passes; numerically, when every stack
-    passes and the smallest certified sigma_min also clears the threshold by
-    BORDERLINE_GAP_RATIO. The RankResult is None otherwise.
+    this ``shape``, and the matrix's full rank where :meth:`RankResult.proven`
+    takes it: exactly, when every stack passes; numerically, when every
+    stack passes and the smallest certified sigma_min also clears the
+    threshold by BORDERLINE_GAP_RATIO. The RankResult is None otherwise.
 
-    The threshold is ``tol``, or the default max(rows, cols) * eps * sigma_max
-    taken at sqrt(max tr G) = max ||block||_F, from the traces the
-    certificate computed, which bounds sigma_max from above (to rounding).
-    The result is the one the SVD would give: every block's singular values
-    lie above the threshold, and only the structural zeros up to
-    min(rows, cols) are discarded.
+    The default threshold is taken at sqrt(max tr G) = max ||block||_F,
+    from the traces the certificate computed, which bounds sigma_max from
+    above (to rounding).
     """
     certified = _gram_certifies(stacks)
     if None in certified:
@@ -867,22 +908,9 @@ def _certified_full_rank(
     for (k, p, q), (b, t) in zip((stack.shape for stack in stacks), certified):
         full += k * min(p, q)
         blocks += k
-        if mode == "numerical":
-            bound, largest = min(bound, b.min()), max(largest, t.max())
-    if mode == "exact":
-        return certified, RankResult(rank=full, mode=mode, engine="cholesky", blocks=blocks)
-    threshold = float(tol) if tol is not None else max(shape) * 2.0**-52 * math.sqrt(largest)
-    smallest = math.sqrt(bound)
-    if smallest < BORDERLINE_GAP_RATIO * threshold:
-        return certified, None
-    return certified, RankResult(
-        rank=full,
-        mode=mode,
-        engine="cholesky",
-        smallest_kept_singular_value=smallest,
-        threshold=threshold,
-        largest_discarded_singular_value=0.0 if full < min(shape) else None,
-        blocks=blocks,
+        bound, largest = min(bound, b.min()), max(largest, t.max())
+    return certified, RankResult.proven(
+        full, mode, "cholesky", blocks, shape, tol, math.sqrt(bound), math.sqrt(largest)
     )
 
 
@@ -896,6 +924,12 @@ def _whole(a: np.ndarray | Coo) -> np.ndarray | None:
         dense[a.rows, a.cols] = a.vals
         return dense[None]
     return a[None]
+
+
+def _threshold(shape: tuple[int, int], sigma_max: float, tol: float | None) -> float:
+    """The numerical rank threshold of a matrix of this ``shape``: ``tol``,
+    or the default max(rows, cols) * eps * sigma_max."""
+    return float(tol) if tol is not None else max(shape) * 2.0**-52 * sigma_max
 
 
 def _check_tol(tol: float | None, mode: str) -> None:
@@ -973,7 +1007,7 @@ def rank(m: np.ndarray | Coo, mode: str = "numerical", tol: float | None = None)
     if mode == "numerical":
         s, blocks = _singular_values(stacks, min(a.shape))
         smax = float(s[0]) if s.size else 0.0
-        threshold = float(tol) if tol is not None else max(a.shape) * 2.0**-52 * smax
+        threshold = _threshold(a.shape, smax, tol)
         kept = s[s > threshold]
         discarded = s[s <= threshold]
         return RankResult(

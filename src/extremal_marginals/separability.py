@@ -36,12 +36,11 @@ PPT_ATOL = 1e-10
 class SeparabilityVerdict:
     """Separability conclusion for a family's Choi state.
 
-    ``conclusion`` is "separable" only when the state is PPT and the rank
-    criterion applies (PPT and Choi rank <= min(d_out, max(rank rho1,
-    rank rho2)), with the Choi rank at the default threshold when a larger
-    ``tol`` gives fewer; False for an NPT state), "entangled" only when it
-    is NPT, and "undetermined" otherwise. ``choi_rank_engine`` is the
-    :class:`linalg.RankResult` engine that decided the reported Choi rank.
+    ``criterion_applicable`` holds when the state is PPT and Choi rank <=
+    min(d_out, max(rank rho1, rank rho2)), with the Choi rank at the
+    default threshold when a larger ``tol`` gives fewer. ``choi_rank_engine``
+    is the :class:`linalg.RankResult` engine that decided the reported Choi
+    rank.
     """
 
     ppt: bool
@@ -49,15 +48,14 @@ class SeparabilityVerdict:
     choi_rank: int
     choi_rank_engine: str
     criterion_applicable: bool
-    conclusion: str
 
-    def __post_init__(self) -> None:
-        if self.conclusion not in ("separable", "entangled", "undetermined"):
-            raise ValueError(f"bad conclusion {self.conclusion!r}")
-        if self.conclusion == "separable" and not (self.ppt and self.criterion_applicable):
-            raise ValueError("separable verdict requires PPT and an applicable criterion")
-        if self.conclusion == "entangled" and self.ppt:
-            raise ValueError("entangled verdict requires a negative partial transpose")
+    @property
+    def conclusion(self) -> str:
+        """"entangled" for an NPT state, "separable" where the criterion
+        applies, and "undetermined" otherwise."""
+        if not self.ppt:
+            return "entangled"
+        return "separable" if self.criterion_applicable else "undetermined"
 
     def to_json(self) -> dict:
         return {
@@ -151,8 +149,11 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     criterion reads the larger of that rank and the one at the default
     threshold. Marginal ranks are taken only for
     a PPT state whose criterion rank is <= d_out. The Choi rank and the
-    marginal ranks are ranked directly, tensor or not.
+    marginal ranks are ranked directly, tensor or not. An all-zero family,
+    whose Choi matrix is no state, raises ValueError.
     """
+    if not f.ops.any():
+        raise ValueError("zero family: its Choi matrix (trace 0) is no state")
     smallest, _, trace = _pt_spectrum(f)
     is_ppt = _is_ppt(smallest, trace)
     reported = choi_rank(f, tol=tol)
@@ -161,17 +162,10 @@ def separability_verdict(f: KrausFamily, tol: float | None = None) -> Separabili
     # criterion must not apply to a rank the state does not have
     support = cr if tol is None else max(cr, choi_rank(f).rank)
     applicable = is_ppt and support <= f.d_out and _marginal_rank_reaches(f, support)
-    if not is_ppt:
-        conclusion = "entangled"
-    elif applicable:
-        conclusion = "separable"
-    else:
-        conclusion = "undetermined"
     return SeparabilityVerdict(
         ppt=is_ppt,
         min_pt_eigenvalue=smallest,
         choi_rank=cr,
         choi_rank_engine=reported.engine,
         criterion_applicable=applicable,
-        conclusion=conclusion,
     )

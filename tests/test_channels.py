@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,32 @@ class TestKrausFamily:
         k[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             KrausFamily(d_in=2, d_out=2, ops=(np.eye(2) / 2, k))
+
+    # numpy parses text and bytes into numbers and casts dates to their
+    # count of days, so such operators must be refused, not converted
+
+    def test_rejects_text_operators(self):
+        for ops, dtype in (
+            ([np.array([["1", "2j"]])], "<U2"),
+            ([np.array([[b"1", b"2"]])], "|S1"),
+            (np.array([[["1", "2"]]]), "<U1"),
+        ):
+            with pytest.raises(ValueError, match=f"dtype {re.escape(dtype)} holds entries that are not"):
+                KrausFamily(d_in=2, d_out=1, ops=ops)
+
+    def test_rejects_datetime_operators(self):
+        days = np.array([["2020-01-01", "2020-01-02"]], dtype="datetime64[D]")
+        with pytest.raises(ValueError, match=re.escape("dtype datetime64[D] holds entries that are not")):
+            KrausFamily(d_in=2, d_out=1, ops=[days])
+
+    def test_rejects_text_entries_of_object_operators(self):
+        for entry in ("2", b"2"):
+            for ops in ([np.array([[1, entry]], dtype=object)], np.array([[[1, entry]]], dtype=object)):
+                with pytest.raises(ValueError, match="dtype object holds entries that are not numbers"):
+                    KrausFamily(d_in=2, d_out=1, ops=ops)
+        # numbers held as objects are still taken
+        f = KrausFamily(d_in=2, d_out=1, ops=[np.array([[1, Fraction(1, 2)]], dtype=object)])
+        assert f.ops.tolist() == [[[1.0, 0.5]]]
 
 
 def seeded_families(rng):

@@ -93,6 +93,18 @@ class TestVerify:
         # the 24 x 324 Kraus vectors are certified too
         assert report["verdicts"][0]["choi_rank_engine"] == "cholesky"
 
+    def test_numerical_keeps_a_family_without_exact_operators(self, capsys):
+        # rank8k 4 is irrational: --numerical has no exact operators to drop,
+        # so it keeps the tensor's factors and the span rank still comes from
+        # the five factor matrices, not from the 1024-row span
+        _, plain = run(capsys, "verify", "rank8k", "4")
+        code, numerical = run(capsys, "verify", "rank8k", "4", "--numerical")
+        assert code == EXIT_PASS and numerical["inputs"]["mode"] == "numerical"
+        gram = numerical["certificates"][0]["gram_rank"]
+        assert (gram["engine"], gram["blocks"]) == ("kronecker", 5)
+        for key in ("certificates", "verdicts", "checks"):
+            assert numerical[key] == plain[key]
+
     def test_unknown_family_is_usage_error(self, capsys):
         usage_error(capsys, ["verify", "nosuch"], "verify")
 

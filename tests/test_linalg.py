@@ -29,6 +29,7 @@ from extremal_marginals import linalg, separability
 from extremal_marginals.linalg import (
     _SPLIT_MIN_SIDE,
     _WHOLE_MAX_SIDE,
+    BORDERLINE_GAP_RATIO,
     RANK_PRIME,
     Coo,
     RankResult,
@@ -227,6 +228,52 @@ class TestRank:
         repeated = np.vstack([zero_col, zero_col, [[0, 0, 0]]])
         for m in (zero_col, big, repeated, np.zeros((3, 5), dtype=int)):
             assert rank(m, mode="exact").rank == fraction_elimination_rank(m)
+
+
+class TestProvenRank:
+    """``RankResult.proven`` is the one rule that turns a certificate into a
+    rank, for the verified Cholesky of :func:`rank` and for the Kronecker
+    certificate of a tensor family's span alike."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_bound_must_clear_the_threshold_tenfold(self, tol):
+        shape, sigma_max = (6, 9), 3.0
+        threshold = 9 * 2.0**-52 * sigma_max if tol is None else tol
+        edge = BORDERLINE_GAP_RATIO * threshold
+        rr = RankResult.proven(6, "numerical", "cholesky", 2, shape, tol, edge, sigma_max)
+        assert rr == RankResult(
+            rank=6,
+            mode="numerical",
+            engine="cholesky",
+            smallest_kept_singular_value=edge,
+            threshold=threshold,
+            blocks=2,
+        )
+        # nothing is discarded at full rank, structural zeros below it
+        below = RankResult.proven(5, "numerical", "kronecker", 3, shape, tol, edge, sigma_max)
+        assert below.largest_discarded_singular_value == 0.0
+        for bound in (np.nextafter(edge, 0.0), 0.0):
+            assert RankResult.proven(6, "numerical", "cholesky", 2, shape, tol, bound, sigma_max) is None
+
+    def test_a_bound_of_zero_clears_no_threshold(self):
+        # a zero tol or sigma_max makes the threshold 0, which only a positive bound clears
+        for tol, sigma_max in ((0.0, 1.0), (None, 0.0)):
+            assert RankResult.proven(2, "numerical", "cholesky", 1, (2, 3), tol, 0.0, sigma_max) is None
+            rr = RankResult.proven(2, "numerical", "cholesky", 1, (2, 3), tol, 5e-324, sigma_max)
+            assert (rr.rank, rr.threshold) == (2, 0.0)
+
+    def test_exact_rank_is_the_proof(self):
+        rr = RankResult.proven(4, "exact", "kronecker", 5, (4, 7))
+        assert rr == RankResult(rank=4, mode="exact", engine="kronecker", blocks=5)
+        # exact rank has no threshold for a tol to set
+        with pytest.raises(ValueError, match="tol"):
+            RankResult.proven(4, "exact", "kronecker", 5, (4, 7), 1e-3)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3])
+    @pytest.mark.parametrize("mode", ["numerical", "exact"])
+    def test_bad_tol_raises(self, tol, mode):
+        with pytest.raises(ValueError, match="tol"):
+            RankResult.proven(2, mode, "cholesky", 1, (2, 3), tol, 1.0, 1.0)
 
 
 class TestExactRankEngine:

@@ -210,25 +210,37 @@ class TestSeparabilityVerdict:
             assert v.conclusion == "separable"
             assert v.choi_rank == d + m
 
-    def test_inconsistent_verdict_rejected(self):
-        with pytest.raises(ValueError):
-            SeparabilityVerdict(
-                ppt=False,
-                min_pt_eigenvalue=-0.1,
+    def test_conclusion_follows_from_ppt_and_criterion(self):
+        # an NPT state is entangled whatever the criterion says
+        cases = [
+            (False, False, "entangled"),
+            (False, True, "entangled"),
+            (True, False, "undetermined"),
+            (True, True, "separable"),
+        ]
+        for is_ppt, applicable, conclusion in cases:
+            v = SeparabilityVerdict(
+                ppt=is_ppt,
+                min_pt_eigenvalue=0.0 if is_ppt else -0.1,
                 choi_rank=2,
                 choi_rank_engine="svd",
-                criterion_applicable=True,
-                conclusion="separable",
+                criterion_applicable=applicable,
             )
-        with pytest.raises(ValueError):
-            SeparabilityVerdict(
-                ppt=True,
-                min_pt_eigenvalue=0.0,
-                choi_rank=2,
-                choi_rank_engine="svd",
-                criterion_applicable=True,
-                conclusion="entangled",
-            )
+            assert v.conclusion == v.to_json()["conclusion"] == conclusion
+
+    def test_zero_family_is_refused(self, monkeypatch):
+        # its Choi matrix is the zero matrix, which is no state; no rank is taken
+        def no_rank(*args, **kwargs):
+            raise AssertionError("a rank was computed")
+
+        monkeypatch.setattr(separability, "choi_rank", no_rank)
+        monkeypatch.setattr(separability, "rank", no_rank)
+        for f in (
+            KrausFamily(d_in=2, d_out=3, ops=np.zeros((2, 3, 2))),
+            KrausFamily(d_in=2, d_out=2, ops=[np.zeros((2, 2))], exact_ops=[np.zeros((2, 2), int)]),
+        ):
+            with pytest.raises(ValueError, match="zero family"):
+                separability_verdict(f)
 
     def test_json_mirrors_fields(self):
         v = separability_verdict(shift_family(2, 1))
@@ -278,6 +290,12 @@ class TestScaleInvariantPPT:
             ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             ops *= rng.random(shape) < 0.4
             f = KrausFamily(d_in=d_in, d_out=d_out, ops=tuple(ops))
+            if not ops.any():
+                # a zero family is no state at any scale
+                for s in (1.0, 1e3, 1e4):
+                    with pytest.raises(ValueError, match="zero family"):
+                        separability_verdict(scaled(f, s))
+                continue
             small = separability_verdict(f)
             for s in (1e3, 1e4):
                 v = separability_verdict(scaled(f, s))
